@@ -163,12 +163,25 @@ def read_vector_csv(path: str) -> np.ndarray:
 
 _GEN_RE = re.compile(r"(?P<name>[a-z0-9-]+)\((?P<args>[^)]*)\)")
 
+#: Longest vector an inline generator expands to (8 MB of float64).
+MAX_INLINE_LENGTH = 1_000_000
+
+
+def _length_arg(text: str, what: str) -> int:
+    value = _parse_float(text, what)
+    if not (math.isfinite(value) and value >= 0 and value == math.floor(value)):
+        raise InputError(f"{what}: length must be a whole number, got {text.strip()!r}")
+    if value > MAX_INLINE_LENGTH:
+        raise InputError(f"{what}: length {int(value)} exceeds the limit {MAX_INLINE_LENGTH}")
+    return int(value)
+
 
 def parse_inline_vector(text: str) -> np.ndarray:
     """Parse an inline vector: comma-separated floats or a generator form.
 
     Generators: ln9-vector(N) -> (ln(N-1), 0, ..., 0); example-vector(N[,K])
-    -> (0, 0, -K, ..., -K) with K defaulting to 20; zeros(N).
+    -> (0, 0, -K, ..., -K) with K defaulting to 20; zeros(N). The length N
+    must be a whole number no larger than MAX_INLINE_LENGTH.
     """
     token = text.strip().lower()
     gen = _GEN_RE.fullmatch(token)
@@ -178,7 +191,7 @@ def parse_inline_vector(text: str) -> np.ndarray:
         if name == "ln9-vector":
             if len(args) != 1:
                 raise InputError("ln9-vector takes one argument: the length")
-            n = int(_parse_float(args[0], "ln9-vector"))
+            n = _length_arg(args[0], "ln9-vector")
             if n < 2:
                 raise InputError("ln9-vector needs length >= 2")
             v = np.zeros(n)
@@ -187,7 +200,7 @@ def parse_inline_vector(text: str) -> np.ndarray:
         if name == "example-vector":
             if len(args) not in (1, 2):
                 raise InputError("example-vector takes (length[, K])")
-            n = int(_parse_float(args[0], "example-vector"))
+            n = _length_arg(args[0], "example-vector")
             big_k = _parse_float(args[1], "example-vector") if len(args) == 2 else 20.0
             if n < 2:
                 raise InputError("example-vector needs length >= 2")
@@ -197,7 +210,7 @@ def parse_inline_vector(text: str) -> np.ndarray:
         if name == "zeros":
             if len(args) != 1:
                 raise InputError("zeros takes one argument: the length")
-            return np.zeros(int(_parse_float(args[0], "zeros")))
+            return np.zeros(_length_arg(args[0], "zeros"))
         raise InputError(f"unknown inline generator {name!r}")
     values = _float_list(text, "--inline")
     return np.array(values, dtype=np.float64)
@@ -616,7 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="empirical Lipschitz constants over a CSV matrix")
     est.add_argument("--matrix", required=True, help="CSV matrix; rows are input vectors")
     est.add_argument("--rowwise", action="store_true",
-                     help="treat the matrix as attention scores (softmax per row)")
+                     help="no-op kept for compatibility: rows are always the softmax "
+                          "inputs; the report records the flag")
     est.add_argument("--lambda", dest="lam", type=_float_arg, default=1.0)
     est.add_argument("--p-list", default="2", help="comma list of norm orders")
     est.add_argument("--eps-list", default="1e-4", help="comma list of perturbation sizes")

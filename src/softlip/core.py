@@ -143,23 +143,25 @@ class SoftmaxJacobian:
         return self.source.n
 
 
-def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Softmax of a pre-scaled vector with max-subtraction and underflow clamp.
+def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax along the last axis of pre-scaled logits, unvalidated.
 
-    Accepts any length >= 1 (the game solver softmaxes length-1 payoff rows
-    for degenerate 1-strategy games). Entries of the output that round to
-    exact 0 are clamped to the smallest positive normal and the vector is
-    renormalized, keeping the result strictly positive.
+    Takes one vector or a C-contiguous stack of rows, and returns the
+    softmax and a clamp flag per row (0-d for a vector). Rows may have any
+    length >= 1 (the game solver softmaxes length-1 payoff rows for
+    degenerate 1-strategy games). Entries that round to exact 0 are clamped
+    to the smallest positive normal and only those rows are renormalized,
+    keeping the result strictly positive; each row gets the same bits as
+    the vector on its own.
     """
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    s = e / e.sum()
+    s = np.exp(z - z.max(-1, keepdims=True))
+    s /= s.sum(-1, keepdims=True)
     zero = s == 0.0
-    clamped = bool(zero.any())
-    if clamped:
-        s[zero] = _TINY
-        s = s / s.sum()
-    return s, clamped
+    if not zero.any():
+        return s, zero[..., 0]  # all False: one flag per row, no new array
+    clamped = zero.any(-1)
+    s[zero] = _TINY
+    return np.where(clamped[..., None], s / s.sum(-1, keepdims=True), s), clamped
 
 
 def log_sum_exp(x, t: Union[Temperature, float] = 1.0) -> float:
@@ -186,7 +188,7 @@ def softmax(x, t: Union[Temperature, float] = 1.0) -> SimplexPoint:
     lam = Temperature.of(t).lam
     v = Logits.of(x).values
     s, clamped = _softmax_kernel(lam * v)
-    return SimplexPoint(s, clamped=clamped)
+    return SimplexPoint(s, clamped=bool(clamped))
 
 
 def jacobian(s, t: Union[Temperature, float] = 1.0) -> SoftmaxJacobian:

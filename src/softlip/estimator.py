@@ -20,19 +20,18 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from softlip.core import Logits, Temperature, jacobian, softmax
+from softlip.core import Logits, Temperature, _softmax_kernel, jacobian, softmax
 from softlip.lipschitz import _top_eigenvector
-from softlip.opnorm import NormOrder, vector_norm
+from softlip.opnorm import NormOrder, row_norms, vector_norm
 
 MODE_RANDOM = "random-gaussian-normalized"
 MODE_TOP_EIGENVECTOR = "top-eigenvector"
 
 _MASK64 = (1 << 64) - 1
 
-#: Stand-in generator for the deterministic top-eigenvector mode, which
-#: never draws from it. The direction uses the unit-temperature Jacobian,
-#: matching the near-attaining example construction.
-_UNUSED_RNG = np.random.default_rng(0)
+#: Most float64 entries one block of (input, trial) rows holds; bounds the
+#: estimator's working memory whatever the number of inputs and trials.
+_BLOCK_ELEMENTS = 1 << 12
 
 
 def _mix64(z: int) -> int:
@@ -109,15 +108,17 @@ class EstimateReport:
 def sample_perturbation(
     n: int,
     spec: PerturbationSpec,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator] = None,
     base: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw one perturbation of exact p-norm epsilon.
 
-    Random mode draws a standard normal direction and rescales it onto the
-    epsilon sphere of the spec's norm (redrawing the measure-zero all-zero
-    sample). Top-eigenvector mode ignores the generator and returns epsilon
-    times the unit top eigenvector of the Jacobian at `base`.
+    Random mode draws a standard normal direction from `rng` and rescales
+    it onto the epsilon sphere of the spec's norm (redrawing the
+    measure-zero all-zero sample). Top-eigenvector mode draws nothing, so
+    `rng` may be None there; it returns epsilon times the unit top
+    eigenvector of the unit-temperature Jacobian at `base`, matching the
+    near-attaining example construction.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -126,10 +127,16 @@ def sample_perturbation(
             raise ValueError("top-eigenvector mode needs the base input")
         v = _top_eigenvector(jacobian(softmax(base), 1.0).matrix)
         return spec.epsilon * v
+    g = _draw(rng, n)
+    return g * (spec.epsilon / vector_norm(g, spec.p))
+
+
+def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A standard normal direction, redrawing the measure-zero zero vector."""
     g = rng.standard_normal(n)
     while not g.any():
         g = rng.standard_normal(n)
-    return g * (spec.epsilon / vector_norm(g, spec.p))
+    return g
 
 
 def _as_inputs(inputs) -> np.ndarray:
@@ -140,6 +147,18 @@ def _as_inputs(inputs) -> np.ndarray:
     if any(r.size != n for r in rows):
         raise ValueError("all input vectors must have the same length")
     return np.vstack(rows)
+
+
+def _softmax_rows(z: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-wise softmax of pre-scaled logits and its clamp count.
+
+    Raises the errors `softmax` raises when a row leaves the finite range,
+    so a batch fails exactly where the per-input calls did.
+    """
+    s, clamped = _softmax_kernel(z)
+    if np.isnan(s).any():
+        raise ValueError("probs must have finite entries")
+    return s, int(clamped.sum())
 
 
 def empirical_lp(
@@ -154,36 +173,55 @@ def empirical_lp(
     contributes the secant ratio with the realized ||d||_p in the
     denominator. Pass `epsilon_index` to reproduce a single row of an
     epsilon sweep.
+
+    The pairs are evaluated as rows of arrays, in blocks of at most
+    _BLOCK_ELEMENTS entries taken in (input, trial) order. Each row has the
+    bits of a per-pair evaluation with `sample_perturbation`, `softmax` and
+    `vector_norm`; the maximum keeps its first occurrence, and the mean
+    adds left to right, so the report does not depend on the block size.
     """
     lam = Temperature.of(t).lam
     data = _as_inputs(inputs)
-    n = data.shape[1]
+    count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
+    base, clamps = _softmax_rows(lam * data)
+    if spec.mode == MODE_TOP_EIGENVECTOR:
+        directions = np.stack([sample_perturbation(n, spec, base=x) for x in data])
     best = -1.0
-    best_at = (0, 0)
+    best_row = 0
     total = 0.0
-    count = 0
-    clamps = 0
-    for i, x in enumerate(data):
-        sx = softmax(x, lam)
-        clamps += int(sx.clamped)
-        eig_dir = None
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, count, step):
+        rows = np.arange(start, min(start + step, count))
+        inputs_of, trials_of = np.divmod(rows, spec.trials_per_input)
         if spec.mode == MODE_TOP_EIGENVECTOR:
-            eig_dir = sample_perturbation(n, spec, _UNUSED_RNG, base=x)
-        for trial in range(spec.trials_per_input):
-            if eig_dir is not None:
-                delta = eig_dir
-            else:
+            delta = directions[inputs_of]
+        else:
+            delta = np.empty((rows.size, n))
+            for r, (i, trial) in enumerate(zip(inputs_of.tolist(), trials_of.tolist())):
                 rng = np.random.default_rng(subseed(spec.seed, i, trial, epsilon_index))
-                delta = sample_perturbation(n, spec, rng)
-            sy = softmax(x + delta, lam)
-            clamps += int(sy.clamped)
-            ratio = vector_norm(sy.probs - sx.probs, spec.p) / vector_norm(delta, spec.p)
-            total += ratio
-            count += 1
-            if ratio > best:
-                best = ratio
-                best_at = (i, trial)
+                delta[r] = _draw(rng, n)
+            delta *= (spec.epsilon / row_norms(delta, spec.p))[:, None]
+        z = data[inputs_of]
+        z += delta
+        if not np.isfinite(z).all():
+            raise ValueError("logits must have finite entries")
+        z *= lam
+        probs, block_clamps = _softmax_rows(z)
+        clamps += block_clamps
+        realized = row_norms(delta, spec.p)
+        if not realized.all():
+            raise ValueError("epsilon is too small: a perturbation rounds to zero")
+        probs -= base[inputs_of]
+        ratio = row_norms(probs, spec.p) / realized
+        k = int(ratio.argmax())
+        if ratio[k] > best:
+            best = float(ratio[k])
+            best_row = start + k
+        if spec.aggregate == "mean":
+            for value in ratio.tolist():
+                total += value
     value = best if spec.aggregate == "max" else total / count
+    best_at = divmod(best_row, spec.trials_per_input)
     return EstimateReport(
         empirical_lp=value,
         argmax_input_index=best_at[0],

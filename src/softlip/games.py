@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from softlip.core import TOL_SIMPLEX_PER_ENTRY, SimplexPoint, _softmax_kernel
-from softlip.opnorm import NormOrder, opnorm_p_estimate
+from softlip.opnorm import NormOrder, opnorm_p_estimate, vector_norm
 
 _TRACE_CAP = 100_000
 
@@ -108,20 +108,6 @@ class DsfpResult:
     config: DsfpConfig
 
 
-def _pnorm(v: np.ndarray, order: NormOrder) -> float:
-    a = np.abs(v)
-    if order.is_infinity:
-        return float(a.max())
-    if order.is_one:
-        return float(a.sum())
-    if order.is_two:
-        return float(np.sqrt(a @ a))
-    m = float(a.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(((a / m) ** order.p).sum()) ** (1.0 / order.p)
-
-
 def _check_strategy(y, m: int) -> np.ndarray:
     arr = np.asarray(y, dtype=np.float64)
     if arr.shape != (m,):
@@ -146,7 +132,7 @@ def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
     lam = 1.0 / tau
     x, x_clamped = _softmax_kernel(lam * (-(game.a @ arr)))
     t_y, y_clamped = _softmax_kernel(lam * (game.a.T @ x))
-    return SimplexPoint(t_y, clamped=x_clamped or y_clamped)
+    return SimplexPoint(t_y, clamped=bool(x_clamped) or bool(y_clamped))
 
 
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:
@@ -225,7 +211,7 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         y_next = (1.0 - alpha) * y + alpha * t_y
         if not np.all(np.isfinite(y_next)):
             raise DsfpError(f"non-finite iterate at step {k}")
-        disp = _pnorm(y_next - y, order)
+        disp = vector_norm(y_next - y, order)
         if k % stride == 0:
             trace.append((k, disp))
             if len(trace) >= _TRACE_CAP:
@@ -238,7 +224,7 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
             break
     final_map = dsfp_map(game, config.tau, y)
     clamps += int(final_map.clamped)
-    residual = _pnorm(final_map.probs - y, order)
+    residual = vector_norm(final_map.probs - y, order)
     x_star = _softmax_kernel((-(game.a @ y)) / config.tau)[0]
     nominal, safe = contraction_factor(game, config.tau, order)
     return DsfpResult(

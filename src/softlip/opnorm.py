@@ -169,26 +169,40 @@ def _as_matrix(A) -> np.ndarray:
     return arr
 
 
-def vector_norm(v, p: Union[NormOrder, float, str]) -> float:
-    """The lp norm of a vector, stable for any order in [1, inf].
+def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
+    """The lp norm of every row of a 2-D float64 array, unvalidated.
 
-    Finite p factors out the max entry before powering, so huge orders
-    (up to the coercion threshold) neither overflow nor underflow.
+    Rows are reduced in C order, so each row's norm has the same bits as
+    that row on its own (a Fortran-ordered sum adds sequentially instead
+    of pairwise). p = 2 takes the BLAS dot product per row. General p
+    factors out the row's max entry before powering, so huge orders (up to
+    the coercion threshold) neither overflow nor underflow, and takes the
+    final root in Python floats (libm), which numpy's vectorized power
+    does not reproduce to the last bit.
     """
     order = NormOrder.of(p)
-    arr = np.abs(np.asarray(v, dtype=np.float64))
+    a = np.abs(np.ascontiguousarray(rows, dtype=np.float64))
+    if order.is_infinity:
+        return a.max(axis=1)
+    if order.is_one:
+        return a.sum(axis=1)
+    if order.is_two:
+        return np.sqrt(np.vecdot(a, a))
+    m = a.max(axis=1)
+    m[m == 0.0] = 1.0  # an all-zero row still sums to 0
+    powered = (a / m[:, None]) ** order.p
+    inv_p = 1.0 / order.p
+    return np.array([mi * si**inv_p for mi, si in zip(m.tolist(), powered.sum(axis=1).tolist())])
+
+
+def vector_norm(v, p: Union[NormOrder, float, str]) -> float:
+    """The lp norm of a vector, stable for any order in [1, inf]: the one-row
+    case of `row_norms`."""
+    order = NormOrder.of(p)
+    arr = np.asarray(v, dtype=np.float64).reshape(1, -1)
     if arr.size == 0:
         return 0.0
-    if order.is_infinity:
-        return float(arr.max())
-    if order.is_one:
-        return float(arr.sum())
-    if order.is_two:
-        return float(np.sqrt(np.dot(arr, arr)))
-    m = float(arr.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(((arr / m) ** order.p).sum()) ** (1.0 / order.p)
+    return float(row_norms(arr, order)[0])
 
 
 def opnorm_one(A) -> float:

@@ -9,6 +9,7 @@ from softlip.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    MAX_INLINE_LENGTH,
     dumps_report,
     format_float,
     main,
@@ -96,6 +97,26 @@ class TestInlineVectors:
     def test_unknown_generator(self):
         with pytest.raises(InputError):
             parse_inline_vector("mystery(4)")
+
+    @pytest.mark.parametrize("form", ["ln9-vector", "example-vector", "zeros"])
+    @pytest.mark.parametrize("length", ["1e400", "2.5", "-3"])
+    def test_length_must_be_finite_whole(self, form, length):
+        with pytest.raises(InputError, match="whole number"):
+            parse_inline_vector(f"{form}({length})")
+
+    @pytest.mark.parametrize("form", ["ln9-vector", "example-vector", "zeros"])
+    def test_length_cap(self, form):
+        # Just above the cap, so a missing check allocates only 8 MB.
+        with pytest.raises(InputError, match="exceeds the limit"):
+            parse_inline_vector(f"{form}({MAX_INLINE_LENGTH + 1})")
+
+    def test_length_at_cap_accepted(self):
+        assert parse_inline_vector(f"zeros({MAX_INLINE_LENGTH})").size == MAX_INLINE_LENGTH
+
+    @pytest.mark.parametrize("inline", ["ln9-vector(1e400)", f"zeros({MAX_INLINE_LENGTH + 1})"])
+    def test_bad_length_exits_2(self, inline, capsys):
+        assert main(["jacobian-norm", "--inline", inline]) == EXIT_INPUT
+        assert "length" in capsys.readouterr().err
 
 
 class TestJsonEmission:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softlip.core import (
+    _softmax_kernel,
     Logits,
     SimplexPoint,
     Temperature,
@@ -109,6 +110,40 @@ class TestSoftmax:
             softmax([0.0, 1.0], 0.0)
         with pytest.raises(ValueError):
             Temperature(-1.0)
+
+
+class TestSoftmaxKernel:
+    @staticmethod
+    def one_vector(z):
+        """The kernel's arithmetic on one vector, written out."""
+        e = np.exp(z - z.max())
+        s = e / e.sum()
+        zero = s == 0.0
+        if zero.any():
+            s[zero] = np.finfo(np.float64).tiny
+            s = s / s.sum()
+        return s, bool(zero.any())
+
+    def test_vector_matches_written_out_arithmetic(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 9, 64, 513):
+            for scale in (0.1, 3.0, 900.0):
+                z = scale * rng.standard_normal(n)
+                s, clamped = _softmax_kernel(z)
+                want, want_clamped = self.one_vector(z)
+                np.testing.assert_array_equal(s, want)
+                assert clamped.shape == () and bool(clamped) == want_clamped
+
+    def test_rows_match_vectors(self):
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((30, 17)) * np.geomspace(0.1, 900.0, 30)[:, None]
+        s, clamped = _softmax_kernel(z)
+        assert clamped.shape == (30,)
+        assert clamped.any() and not clamped.all()  # both branches are exercised
+        for row, got, flag in zip(z, s, clamped):
+            want, want_flag = self.one_vector(row)
+            np.testing.assert_array_equal(got, want)
+            assert flag == want_flag
 
 
 class TestJacobian:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import softlip.estimator as estimator
 from softlip.core import softmax
 from softlip.estimator import (
     MODE_RANDOM,
@@ -231,3 +234,111 @@ class TestSpecValidation:
     def test_bad_aggregate(self):
         with pytest.raises(ValueError):
             spec(aggregate="median")
+
+
+def oracle(inputs, lam, s, epsilon_index=0):
+    """The estimator as one validated call per (input, trial) pair.
+
+    Returns (value, (input, trial) argmax, clamp events), with ties going
+    to the first pair in (input, trial) order and the mean added left to
+    right.
+    """
+    best, best_at, total, clamps = -1.0, (0, 0), 0.0, 0
+    for i, x in enumerate(inputs):
+        sx = softmax(x, lam)
+        clamps += int(sx.clamped)
+        for trial in range(s.trials_per_input):
+            if s.mode == MODE_TOP_EIGENVECTOR:
+                delta = sample_perturbation(x.size, s, base=x)
+            else:
+                rng = np.random.default_rng(subseed(s.seed, i, trial, epsilon_index))
+                delta = sample_perturbation(x.size, s, rng)
+            sy = softmax(x + delta, lam)
+            clamps += int(sy.clamped)
+            ratio = vector_norm(sy.probs - sx.probs, s.p) / vector_norm(delta, s.p)
+            total += ratio
+            if ratio > best:
+                best, best_at = ratio, (i, trial)
+    value = best if s.aggregate == "max" else total / (len(inputs) * s.trials_per_input)
+    return value, best_at, clamps
+
+
+def assert_matches_oracle(report, inputs, lam, s, epsilon_index=0):
+    value, at, clamps = oracle(inputs, lam, s, epsilon_index)
+    assert report.empirical_lp == value  # bit for bit, not approx
+    assert (report.argmax_input_index, report.argmax_trial) == at
+    assert report.clamp_events == clamps
+
+
+class TestBatchedEquivalence:
+    """The batched estimator against the per-pair oracle, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 16, 129])
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, "inf"])
+    def test_empirical_lp(self, p, aggregate, mode, n):
+        rng = np.random.default_rng(1000 + n)
+        inputs = [rng.normal(size=n) * scale for scale in (0.5, 2.0, 6.0)]
+        s = spec(p=p, eps=1e-2, trials=4, mode=mode, seed=37, aggregate=aggregate)
+        assert_matches_oracle(empirical_lp(inputs, 1.5, s, epsilon_index=2), inputs, 1.5, s, 2)
+
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, "inf"])
+    def test_epsilon_sweep(self, p, aggregate, mode):
+        rng = np.random.default_rng(77)
+        inputs = [rng.normal(size=16) * 3.0 for _ in range(4)]
+        s = spec(p=p, trials=5, mode=mode, seed=5, aggregate=aggregate)
+        epsilons = [1e-1, 1e-2, 1e-3]
+        swept = epsilon_sweep(inputs, 1.0, s, epsilons)
+        rows = [oracle(inputs, 1.0, replace(s, epsilon=e), j) for j, e in enumerate(epsilons)]
+        assert swept.per_epsilon_table == tuple((e, r[0]) for e, r in zip(epsilons, rows))
+        j = swept.argmax_epsilon_index
+        assert swept.empirical_lp == rows[j][0]
+        assert (swept.argmax_input_index, swept.argmax_trial) == rows[j][1]
+        assert swept.clamp_events == sum(r[2] for r in rows)
+
+    def test_saturated_head_counts_clamps(self):
+        rng = np.random.default_rng(88)
+        inputs = list(400.0 * rng.standard_normal((8, 16)))
+        s = spec(p=2, eps=1e-1, trials=10, seed=41)
+        report = empirical_lp(inputs, 1.0, s)
+        assert report.clamp_events > 0
+        assert_matches_oracle(report, inputs, 1.0, s)
+
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    @pytest.mark.parametrize("p", [1.5, 2, "inf"])
+    def test_fortran_ordered_matrix(self, p, mode):
+        scores = np.asfortranarray(np.random.default_rng(89).normal(size=(6, 9)))
+        assert not scores.flags.c_contiguous
+        s = spec(p=p, trials=3, mode=mode, seed=2, aggregate="mean")
+        report = empirical_lp_rowwise(scores, 2.5, s)
+        assert_matches_oracle(report, [np.array(r) for r in scores], 2.5, s)
+
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    def test_all_zero_inputs_tie_at_first_pair(self, aggregate):
+        inputs = [np.zeros(5) for _ in range(4)]
+        s = spec(p=3, trials=3, mode=MODE_TOP_EIGENVECTOR, aggregate=aggregate)
+        report = empirical_lp(inputs, 1.0, s)
+        assert (report.argmax_input_index, report.argmax_trial) == (0, 0)
+        assert_matches_oracle(report, inputs, 1.0, s)
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 100])
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    def test_small_blocks_equal_one_block(self, block, mode, aggregate, monkeypatch):
+        # With n = 6, blocks of 1..16 rows end inside an input's trials.
+        rng = np.random.default_rng(90)
+        inputs = [rng.normal(size=6) * 4.0 for _ in range(5)]
+        s = spec(p=1.5, trials=7, mode=mode, seed=8, aggregate=aggregate)
+        whole = empirical_lp(inputs, 1.0, s)
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        assert empirical_lp(inputs, 1.0, s) == whole
+        assert_matches_oracle(whole, inputs, 1.0, s)
+
+    def test_zero_perturbation_rejected(self):
+        # eps / ||g|| rounds to 0 at the smallest subnormal; a per-pair loop
+        # would divide 0.0 by 0.0 here.
+        with pytest.raises(ValueError, match="epsilon is too small"):
+            empirical_lp([np.zeros(4)], 1.0, spec(eps=5e-324))

@@ -10,6 +10,7 @@ from softlip.opnorm import (
     opnorm_one,
     opnorm_p_estimate,
     opnorm_two,
+    row_norms,
     vector_norm,
 )
 
@@ -78,6 +79,41 @@ class TestVectorNorm:
     def test_large_order_is_stable(self):
         v = np.array([0.3, 0.9, 0.5])
         assert vector_norm(v, 9e5) == pytest.approx(0.9, rel=1e-4)
+
+    def test_bits_of_one_vector_formula(self):
+        # The max-scaled formula on one vector, with np.dot at p = 2 and the
+        # final root in Python floats; the row kernel must not move a bit.
+        def reference(v, p):
+            a = np.abs(v)
+            if p == "inf":
+                return float(a.max())
+            if p == 1:
+                return float(a.sum())
+            if p == 2:
+                return float(np.sqrt(np.dot(a, a)))
+            m = float(a.max())
+            return 0.0 if m == 0.0 else m * float(((a / m) ** p).sum()) ** (1.0 / p)
+
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 16, 129, 1000):
+            for scale in (1e-3, 1.0, 1e3):
+                v = scale * rng.standard_normal(n)
+                for p in (1, 1.5, 2, 3, 7.25, 9e5, "inf"):
+                    assert vector_norm(v, p) == reference(v, p)
+        for p in (1, 1.5, 2, "inf"):
+            assert vector_norm(np.zeros(4), p) == 0.0
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, "inf"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_each_row_equals_vector_norm(self, p, order):
+        rows = np.array(np.random.default_rng(4).normal(size=(40, 33)), order=order)
+        rows[5] = 0.0
+        got = row_norms(rows, p)
+        assert got.shape == (40,)
+        for r, value in zip(rows, got):
+            assert value == vector_norm(r, p)
 
 
 class TestExactNorms:
