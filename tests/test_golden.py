@@ -1,13 +1,20 @@
-"""Byte-for-byte golden reports for the `estimate` command.
+"""Byte-for-byte golden reports for the README's CLI commands.
 
-The files under tests/golden/ were written by the CLI before the estimator
-was batched. Each command runs from a scratch working directory with a
-relative matrix path, so the manifest's argv and the result's `matrix`
-field do not depend on where the repository lives. The timestamp is the
-one field excluded from reproducibility and is blanked on both sides.
+The files under tests/golden/ were written by the CLI before the code they
+guard was refactored: the `estimate` goldens before the estimator was
+batched, the others before the CLI's parsers and error handling were
+consolidated. Each command runs from a scratch working directory holding a
+copy of fixtures/, with relative paths, so the manifest's argv and the
+result's path fields do not depend on where the repository lives. The
+timestamp is the one field excluded from reproducibility and is blanked on
+both sides.
+
+A case writes one or more files; the file `out` is compared with
+tests/golden/<case name><suffix of out>.
 """
 
 import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -19,21 +26,46 @@ from softlip.fixtures import write_fixtures
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 FIXTURES = HERE.parent / "fixtures"
-MATRIX = "attention_scores_8x8.csv"
+README = HERE.parent / "README.md"
+MATRIX = "fixtures/attention_scores_8x8.csv"
 
-# golden name -> (argv, the --out prefix it was written under)
+# golden name -> (argv, the files it writes). Where a README command writes
+# no report, its case appends `--json-out <file>` and nothing else.
 CASES = {
+    "jacobian_norm_readme": ([
+        "jacobian-norm", "--inline", "ln9-vector(10)", "--p", "1", "--lambda", "1",
+        "--json-out", "jac.json",
+    ], ["jac.json"]),
+    "witness_example_readme": ([
+        "witness", "--mode", "example", "--n", "10", "--K", "20", "--eps", "1e-4",
+        "--p", "2", "--json-out", "example.json",
+    ], ["example.json"]),
+    "witness_attained_readme": ([
+        "witness", "--mode", "attained", "--n", "5", "--p", "1",
+        "--json-out", "attained.json",
+    ], ["attained.json"]),
+    "witness_limit_sequence_readme": ([
+        "witness", "--mode", "limit-sequence", "--n", "5", "--p", "2",
+        "--epsilons", "0.1,0.01", "--json-out", "limit.json",
+    ], ["limit.json"]),
     "estimate_readme": ([
-        "estimate", "--matrix", f"fixtures/{MATRIX}", "--rowwise",
+        "estimate", "--matrix", MATRIX, "--rowwise",
         "--lambda", "1", "--p-list", "1,2,inf", "--eps-list", "1e-1,1e-2,1e-3",
         "--trials", "100", "--seed", "42", "--out", "report",
-    ], "report"),
+    ], ["report.json", "report.csv"]),
     "estimate_topeig_mean": ([
-        "estimate", "--matrix", f"fixtures/{MATRIX}", "--rowwise",
+        "estimate", "--matrix", MATRIX, "--rowwise",
         "--lambda", "2.5", "--mode", "top-eigenvector", "--aggregate", "mean",
         "--p-list", "1.5,3", "--eps-list", "1e-2,1e-3",
         "--trials", "3", "--seed", "7", "--out", "topeig",
-    ], "topeig"),
+    ], ["topeig.json", "topeig.csv"]),
+    "dsfp_readme": ([
+        "dsfp", "--payoff", "fixtures/matching_pennies.csv", "--tau", "auto", "--out", "mp.json",
+    ], ["mp.json"]),
+    "scsa_readme": ([
+        "scsa", "--n", "2", "--nu", "1", "--tau", "2", "--eps", "4",
+        "--wq", "1", "--wk", "1", "--wv", "1", "--json-out", "scsa.json",
+    ], ["scsa.json"]),
 }
 
 
@@ -41,17 +73,35 @@ def strip_timestamp(text: str) -> str:
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
 
 
+def readme_commands() -> list[list[str]]:
+    """The argv of every `softlip ...` line in the README's CLI block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("softlip ")]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_estimate_report_bytes(name, tmp_path, monkeypatch):
-    (tmp_path / "fixtures").mkdir()
-    if (FIXTURES / MATRIX).is_file():
-        shutil.copy(FIXTURES / MATRIX, tmp_path / "fixtures" / MATRIX)
+def test_report_bytes(name, tmp_path, monkeypatch):
+    if FIXTURES.is_dir():
+        shutil.copytree(FIXTURES, tmp_path / "fixtures")
     else:
         write_fixtures(tmp_path / "fixtures")
     monkeypatch.chdir(tmp_path)
-    argv, out = CASES[name]
+    argv, outs = CASES[name]
     assert main(argv) == EXIT_OK
-    got_json = strip_timestamp((tmp_path / f"{out}.json").read_text(encoding="utf-8"))
-    assert got_json == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    got_csv = (tmp_path / f"{out}.csv").read_bytes()
-    assert got_csv == (GOLDEN / f"{name}.csv").read_bytes()
+    for out in outs:
+        golden = GOLDEN / f"{name}{Path(out).suffix}"
+        got = (tmp_path / out).read_bytes().decode("utf-8")
+        if out.endswith(".json"):
+            got = strip_timestamp(got)
+        assert got == golden.read_bytes().decode("utf-8"), out
+
+
+def test_every_readme_command_has_a_golden_case():
+    cases = [argv[:-2] if argv[-2] == "--json-out" else argv for argv, _ in CASES.values()]
+    commands = readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert argv in cases, f"no golden case for README command: softlip {shlex.join(argv)}"
