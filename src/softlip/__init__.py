@@ -21,7 +21,6 @@ from softlip.estimator import (
     EstimateReport,
     PerturbationSpec,
     empirical_lp,
-    empirical_lp_rowwise,
     epsilon_sweep,
     sample_perturbation,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "EstimateReport",
     "sample_perturbation",
     "empirical_lp",
-    "empirical_lp_rowwise",
     "epsilon_sweep",
     "MatrixGame",
     "DsfpConfig",

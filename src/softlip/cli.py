@@ -8,7 +8,8 @@ JSON documents {"manifest": ..., "result": ...} whose numeric fields carry
 17 significant digits, so re-running a manifest's command reproduces the
 report byte-for-byte (the timestamp sits in its own field).
 
-Exit codes: 0 success, 2 input error, 3 solver did not converge.
+Exit codes: 0 success, 2 input error, 3 solver did not converge, 4 numerical
+failure (a solver produced non-finite values or an eigensolve failed).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from softlip.estimator import (
     PerturbationSpec,
     epsilon_sweep,
 )
+from softlip.fixtures import attaining_logits, example_logits
 from softlip.games import DsfpConfig, DsfpResult, MatrixGame, dsfp_solve, tau_min
 from softlip.lipschitz import (
     ScsaParams,
@@ -43,11 +45,12 @@ from softlip.lipschitz import (
     witness_example_pair,
     witness_limit_sequence,
 )
-from softlip.opnorm import NormOrder, opnorm_two
+from softlip.opnorm import INFINITY_NAMES, NormOrder, opnorm_two
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_NUMERICAL = 4
 
 _DEFAULT_SEED = 0
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
@@ -61,53 +64,40 @@ class InputError(Exception):
 # parsing helpers
 
 
-def _parse_float(text: str, what: str) -> float:
+def _parse_float(text: str, what: str = "") -> float:
+    """The one number parser: decimal or scientific notation, no nan/inf/underscores."""
     token = text.strip()
     if not _FLOAT_RE.fullmatch(token):
-        raise InputError(f"{what}: cannot parse {text!r} as a number")
+        prefix = f"{what}: " if what else ""
+        raise InputError(f"{prefix}cannot parse {text!r} as a number")
     return float(token)
 
 
-def _float_arg(text: str) -> float:
-    if not _FLOAT_RE.fullmatch(text.strip()):
-        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a number")
-    return float(text)
-
-
-def _norm_order_arg(text: str) -> NormOrder:
+def _parse_norm_order(text: str, what: str = "") -> NormOrder:
     token = text.strip().lower()
-    if token in ("inf", "infinity", "oo"):
-        return NormOrder.infinity()
-    try:
-        value = _parse_float(token, "--p")
-    except InputError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    try:
-        return NormOrder.of(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    if token not in INFINITY_NAMES:
+        _parse_float(token, what)
+    return NormOrder.of(token)
 
 
-def _float_list(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, parse_item) -> list:
+    """Split a comma list, skipping blank items, and parse each item."""
     items = [tok for tok in text.split(",") if tok.strip() != ""]
     if not items:
         raise InputError(f"{what}: empty list")
-    return [_parse_float(tok, what) for tok in items]
+    return [parse_item(tok, what) for tok in items]
 
 
-def _norm_list(text: str) -> list[NormOrder]:
-    orders = []
-    for tok in text.split(","):
-        tok = tok.strip().lower()
-        if tok == "":
-            continue
-        if tok in ("inf", "infinity", "oo"):
-            orders.append(NormOrder.infinity())
-        else:
-            orders.append(NormOrder.of(_parse_float(tok, "--p-list")))
-    if not orders:
-        raise InputError("--p-list: empty list")
-    return orders
+def _arg_type(parse):
+    """An argparse `type` from a parser; argparse names the option itself."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (InputError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -130,11 +120,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
         parsed = []
         for col, tok in enumerate(fields, start=1):
             tok = tok.strip()
-            if not _FLOAT_RE.fullmatch(tok):
-                raise InputError(
-                    f"{path}: line {lineno}, column {col}: cannot parse {tok!r} as a number"
-                )
-            value = float(tok)
+            value = _parse_float(tok, f"{path}: line {lineno}, column {col}")
             if not math.isfinite(value):
                 raise InputError(
                     f"{path}: line {lineno}, column {col}: non-finite value {tok!r}"
@@ -167,12 +153,14 @@ _GEN_RE = re.compile(r"(?P<name>[a-z0-9-]+)\((?P<args>[^)]*)\)")
 MAX_INLINE_LENGTH = 1_000_000
 
 
-def _length_arg(text: str, what: str) -> int:
+def _length_arg(text: str, what: str, minimum: int = 0) -> int:
     value = _parse_float(text, what)
     if not (math.isfinite(value) and value >= 0 and value == math.floor(value)):
         raise InputError(f"{what}: length must be a whole number, got {text.strip()!r}")
     if value > MAX_INLINE_LENGTH:
         raise InputError(f"{what}: length {int(value)} exceeds the limit {MAX_INLINE_LENGTH}")
+    if value < minimum:
+        raise InputError(f"{what} needs length >= {minimum}")
     return int(value)
 
 
@@ -191,29 +179,19 @@ def parse_inline_vector(text: str) -> np.ndarray:
         if name == "ln9-vector":
             if len(args) != 1:
                 raise InputError("ln9-vector takes one argument: the length")
-            n = _length_arg(args[0], "ln9-vector")
-            if n < 2:
-                raise InputError("ln9-vector needs length >= 2")
-            v = np.zeros(n)
-            v[0] = math.log(n - 1.0)
-            return v
+            return attaining_logits(_length_arg(args[0], "ln9-vector", minimum=2))
         if name == "example-vector":
             if len(args) not in (1, 2):
                 raise InputError("example-vector takes (length[, K])")
-            n = _length_arg(args[0], "example-vector")
+            n = _length_arg(args[0], "example-vector", minimum=2)
             big_k = _parse_float(args[1], "example-vector") if len(args) == 2 else 20.0
-            if n < 2:
-                raise InputError("example-vector needs length >= 2")
-            v = np.full(n, -big_k)
-            v[0] = v[1] = 0.0
-            return v
+            return example_logits(n, big_k)
         if name == "zeros":
             if len(args) != 1:
                 raise InputError("zeros takes one argument: the length")
             return np.zeros(_length_arg(args[0], "zeros"))
         raise InputError(f"unknown inline generator {name!r}")
-    values = _float_list(text, "--inline")
-    return np.array(values, dtype=np.float64)
+    return np.array(_parse_list(text, "--inline", _parse_float), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +288,7 @@ def cmd_jacobian_norm(args, argv: list[str]) -> int:
     if (args.logits_file is None) == (args.inline is None):
         raise InputError("provide exactly one of --logits-file or --inline")
     vec = read_vector_csv(args.logits_file) if args.logits_file else parse_inline_vector(args.inline)
-    try:
-        x = Logits(vec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    x = Logits(vec)
     lam = args.lam
     order = args.p
     est = local_lipschitz(x, lam, order)
@@ -346,63 +321,60 @@ def cmd_jacobian_norm(args, argv: list[str]) -> int:
 
 
 def cmd_witness(args, argv: list[str]) -> int:
-    try:
-        if args.mode == "attained":
-            x, constant = witness_attained(args.n, args.p)
-            result = {
-                "mode": "attained",
-                "n": args.n,
-                "p": args.p,
-                "x": x.values,
-                "constant": constant,
-            }
-            print(f"attained witness (n={args.n}, p={args.p.label}): constant={format_float(constant)}")
-        elif args.mode == "limit-sequence":
-            if args.epsilons is None:
-                raise InputError("--epsilons is required for limit-sequence mode")
-            epsilons = _float_list(args.epsilons, "--epsilons")
-            steps = witness_limit_sequence(args.n, args.p, epsilons)
-            result = {
-                "mode": "limit-sequence",
-                "n": args.n,
-                "p": args.p,
-                "steps": [
-                    {
-                        "k": st.k,
-                        "epsilon": st.epsilon,
-                        "delta": st.delta,
-                        "s": st.s,
-                        "certified_ratio": st.certified_ratio,
-                        "closed_form": st.closed_form,
-                    }
-                    for st in steps
-                ],
-            }
-            for st in steps:
-                print(
-                    f"step {st.k}: epsilon={format_float(st.epsilon)} "
-                    f"certified_ratio={format_float(st.certified_ratio)}"
-                )
-        else:  # example
-            pair = witness_example_pair(args.n, args.K, args.eps, args.p)
-            result = {
-                "mode": "example",
-                "n": args.n,
-                "K": args.K,
-                "eps_pert": args.eps,
-                "p": args.p,
-                "lambda": pair.lam,
-                "ratio": pair.ratio,
-                "x": pair.x.values,
-                "y": pair.y.values,
-            }
+    if args.mode == "attained":
+        x, constant = witness_attained(args.n, args.p)
+        result = {
+            "mode": "attained",
+            "n": args.n,
+            "p": args.p,
+            "x": x.values,
+            "constant": constant,
+        }
+        print(f"attained witness (n={args.n}, p={args.p.label}): constant={format_float(constant)}")
+    elif args.mode == "limit-sequence":
+        if args.epsilons is None:
+            raise InputError("--epsilons is required for limit-sequence mode")
+        epsilons = _parse_list(args.epsilons, "--epsilons", _parse_float)
+        steps = witness_limit_sequence(args.n, args.p, epsilons)
+        result = {
+            "mode": "limit-sequence",
+            "n": args.n,
+            "p": args.p,
+            "steps": [
+                {
+                    "k": st.k,
+                    "epsilon": st.epsilon,
+                    "delta": st.delta,
+                    "s": st.s,
+                    "certified_ratio": st.certified_ratio,
+                    "closed_form": st.closed_form,
+                }
+                for st in steps
+            ],
+        }
+        for st in steps:
             print(
-                f"example pair (n={args.n}, K={format_float(args.K)}, "
-                f"eps={format_float(args.eps)}, p={args.p.label}): "
-                f"ratio={format_float(pair.ratio)}"
+                f"step {st.k}: epsilon={format_float(st.epsilon)} "
+                f"certified_ratio={format_float(st.certified_ratio)}"
             )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    else:  # example
+        pair = witness_example_pair(args.n, args.K, args.eps, args.p)
+        result = {
+            "mode": "example",
+            "n": args.n,
+            "K": args.K,
+            "eps_pert": args.eps,
+            "p": args.p,
+            "lambda": pair.lam,
+            "ratio": pair.ratio,
+            "x": pair.x.values,
+            "y": pair.y.values,
+        }
+        print(
+            f"example pair (n={args.n}, K={format_float(args.K)}, "
+            f"eps={format_float(args.eps)}, p={args.p.label}): "
+            f"ratio={format_float(pair.ratio)}"
+        )
     if args.json_out:
         manifest = make_manifest(argv, None, {"mode": args.mode})
         _write_report(args.json_out, manifest, result)
@@ -435,11 +407,10 @@ def cmd_estimate(args, argv: list[str]) -> int:
             f"{args.matrix}: rows have {matrix.shape[1]} column(s); need at least 2"
         )
     seed = _resolve_seed(args)
-    epsilons = _float_list(args.eps_list, "--eps-list")
+    epsilons = _parse_list(args.eps_list, "--eps-list", _parse_float)
     if any(e <= 0.0 for e in epsilons):
         raise InputError("--eps-list: magnitudes must be positive")
-    orders = _norm_list(args.p_list)
-    inputs = list(matrix)
+    orders = _parse_list(args.p_list, "--p-list", _parse_norm_order)
     reports = []
     csv_lines = ["epsilon,p,empirical_lp"]
     for order in orders:
@@ -451,7 +422,7 @@ def cmd_estimate(args, argv: list[str]) -> int:
             seed=seed,
             aggregate=args.aggregate,
         )
-        report = epsilon_sweep(inputs, args.lam, spec, epsilons)
+        report = epsilon_sweep(matrix, args.lam, spec, epsilons)
         reports.append(report)
         for eps, value in report.per_epsilon_table:
             csv_lines.append(f"{format_float(eps)},{order.label},{format_float(value)}")
@@ -520,16 +491,13 @@ def cmd_dsfp(args, argv: list[str]) -> int:
         resolved_tau = _parse_float(args.tau, "--tau")
     if resolved_tau <= 0.0:
         raise InputError(f"--tau must be positive, got {resolved_tau}")
-    try:
-        config = DsfpConfig(
-            tau=resolved_tau,
-            alpha=args.alpha,
-            p=order,
-            tol=args.tol,
-            max_iter=args.max_iter,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    config = DsfpConfig(
+        tau=resolved_tau,
+        alpha=args.alpha,
+        p=order,
+        tol=args.tol,
+        max_iter=args.max_iter,
+    )
     res = dsfp_solve(game, config)
     print(
         f"dsfp: converged={'true' if res.converged else 'false'} "
@@ -568,13 +536,10 @@ def cmd_scsa(args, argv: list[str]) -> int:
     wq = _weight_norm(args.wq, args.wq_file, "wq")
     wk = _weight_norm(args.wk, args.wk_file, "wk")
     wv = _weight_norm(args.wv, args.wv_file, "wv")
-    try:
-        params = ScsaParams(
-            n=args.n, nu=args.nu, tau=args.tau, eps=args.eps,
-            wq_norm=wq, wk_norm=wk, wv_norm=wv,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    params = ScsaParams(
+        n=args.n, nu=args.nu, tau=args.tau, eps=args.eps,
+        wq_norm=wq, wk_norm=wk, wv_norm=wv,
+    )
     bound = scsa_bound(params)
     before = scsa_bound_unrefined(params)
     print(f"refined SCSA Lipschitz bound:      {format_float(bound)}")
@@ -606,22 +571,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Softmax Lipschitz analysis: constants, witnesses, estimation, games.",
     )
     parser.add_argument("--version", action="version", version=f"softlip {softlip.__version__}")
+    number, norm_order = _arg_type(_parse_float), _arg_type(_parse_norm_order)
     sub = parser.add_subparsers(dest="command", required=True)
 
     jac = sub.add_parser("jacobian-norm", help="local Lipschitz constant at a logit vector")
     jac.add_argument("--logits-file", help="CSV file holding a single row or column vector")
     jac.add_argument("--inline", help="inline vector, e.g. '0,0,0' or 'ln9-vector(10)'")
-    jac.add_argument("--lambda", dest="lam", type=_float_arg, default=1.0)
-    jac.add_argument("--p", type=_norm_order_arg, default=NormOrder.two())
+    jac.add_argument("--lambda", dest="lam", type=number, default=1.0)
+    jac.add_argument("--p", type=norm_order, default=NormOrder.two())
     jac.add_argument("--json-out", help="write the JSON report here")
     jac.set_defaults(func=cmd_jacobian_norm)
 
     wit = sub.add_parser("witness", help="sharpness witnesses for the lambda/2 bound")
     wit.add_argument("--mode", required=True, choices=["attained", "limit-sequence", "example"])
     wit.add_argument("--n", type=int, default=10)
-    wit.add_argument("--p", type=_norm_order_arg, default=NormOrder.two())
-    wit.add_argument("--K", type=_float_arg, default=20.0)
-    wit.add_argument("--eps", type=_float_arg, default=1e-4, help="perturbation size (example mode)")
+    wit.add_argument("--p", type=norm_order, default=NormOrder.two())
+    wit.add_argument("--K", type=number, default=20.0)
+    wit.add_argument("--eps", type=number, default=1e-4, help="perturbation size (example mode)")
     wit.add_argument("--epsilons", help="comma list of gaps (limit-sequence mode)")
     wit.add_argument("--json-out", help="write the JSON report here")
     wit.set_defaults(func=cmd_witness)
@@ -631,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--rowwise", action="store_true",
                      help="no-op kept for compatibility: rows are always the softmax "
                           "inputs; the report records the flag")
-    est.add_argument("--lambda", dest="lam", type=_float_arg, default=1.0)
+    est.add_argument("--lambda", dest="lam", type=number, default=1.0)
     est.add_argument("--p-list", default="2", help="comma list of norm orders")
     est.add_argument("--eps-list", default="1e-4", help="comma list of perturbation sizes")
     est.add_argument("--trials", type=int, default=100)
@@ -645,23 +611,23 @@ def build_parser() -> argparse.ArgumentParser:
     dsf = sub.add_parser("dsfp", help="solve an entropy-regularized zero-sum matrix game")
     dsf.add_argument("--payoff", required=True, help="CSV payoff matrix")
     dsf.add_argument("--tau", default="auto", help="regularization, or 'auto' (=1.01 * tau_min)")
-    dsf.add_argument("--alpha", type=_float_arg, default=1.0)
-    dsf.add_argument("--p", type=_norm_order_arg, default=NormOrder.two())
-    dsf.add_argument("--tol", type=_float_arg, default=1e-10)
+    dsf.add_argument("--alpha", type=number, default=1.0)
+    dsf.add_argument("--p", type=norm_order, default=NormOrder.two())
+    dsf.add_argument("--tol", type=number, default=1e-10)
     dsf.add_argument("--max-iter", type=int, default=10_000)
     dsf.add_argument("--out", help="write the JSON report here")
     dsf.set_defaults(func=cmd_dsfp)
 
     scs = sub.add_parser("scsa", help="refined Lipschitz bound for scaled cosine attention")
     scs.add_argument("--n", type=int, required=True, help="token count")
-    scs.add_argument("--nu", type=_float_arg, required=True)
-    scs.add_argument("--tau", type=_float_arg, required=True)
-    scs.add_argument("--eps", type=_float_arg, required=True)
-    scs.add_argument("--wq", type=_float_arg, help="spectral norm of W_Q")
+    scs.add_argument("--nu", type=number, required=True)
+    scs.add_argument("--tau", type=number, required=True)
+    scs.add_argument("--eps", type=number, required=True)
+    scs.add_argument("--wq", type=number, help="spectral norm of W_Q")
     scs.add_argument("--wq-file", help="CSV matrix; reduced via its spectral norm")
-    scs.add_argument("--wk", type=_float_arg)
+    scs.add_argument("--wk", type=number)
     scs.add_argument("--wk-file")
-    scs.add_argument("--wv", type=_float_arg)
+    scs.add_argument("--wv", type=number)
     scs.add_argument("--wv-file")
     scs.add_argument("--json-out", help="write the JSON report here")
     scs.set_defaults(func=cmd_scsa)
@@ -679,10 +645,11 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.func(args, argv)
-    except InputError as exc:
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it is caught first
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+        return EXIT_NUMERICAL
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

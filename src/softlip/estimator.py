@@ -140,13 +140,24 @@ def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _as_inputs(inputs) -> np.ndarray:
-    rows = [Logits.of(x).values for x in inputs]
-    if not rows:
+    """The inputs as the rows of one C-ordered float64 array, validated once;
+    C order keeps each row's reductions bit-identical to the row on its own."""
+    if not isinstance(inputs, np.ndarray):
+        rows = [np.asarray(x.values if isinstance(x, Logits) else x, dtype=np.float64)
+                for x in inputs]
+        if len({r.shape for r in rows}) > 1:
+            raise ValueError("all input vectors must have the same length")
+        inputs = np.stack(rows) if rows else np.empty((0, 0))
+    if inputs.ndim != 2:
+        raise ValueError(f"expected a 2-D array of input rows, got shape {inputs.shape}")
+    if inputs.shape[0] == 0:
         raise ValueError("need at least one input vector")
-    n = rows[0].size
-    if any(r.size != n for r in rows):
-        raise ValueError("all input vectors must have the same length")
-    return np.vstack(rows)
+    if inputs.shape[1] < 2:
+        raise ValueError(f"logits need at least 2 entries, got {inputs.shape[1]}")
+    data = np.ascontiguousarray(inputs, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise ValueError("logits must have finite entries")
+    return data
 
 
 def _softmax_rows(z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -162,16 +173,17 @@ def _softmax_rows(z: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def empirical_lp(
-    inputs: Sequence,
+    inputs: Union[np.ndarray, Sequence],
     t: Union[Temperature, float],
     spec: PerturbationSpec,
     epsilon_index: int = 0,
 ) -> EstimateReport:
     """Empirical Lipschitz constant over a dataset of input vectors.
 
-    Every (input, trial) pair perturbs independently from its subseed and
-    contributes the secant ratio with the realized ||d||_p in the
-    denominator. Pass `epsilon_index` to reproduce a single row of an
+    `inputs` is a 2-D array whose rows are the inputs (attention score
+    rows, say) or a sequence of equal-length vectors. Every (input,
+    trial) pair perturbs independently from its subseed and contributes
+    the secant ratio with the realized ||d||_p in the denominator. Pass `epsilon_index` to reproduce a single row of an
     epsilon sweep.
 
     The pairs are evaluated as rows of arrays, in blocks of at most
@@ -240,24 +252,8 @@ def empirical_lp(
     )
 
 
-def empirical_lp_rowwise(
-    score_matrix, t: Union[Temperature, float], spec: PerturbationSpec
-) -> EstimateReport:
-    """Empirical constant of a score matrix, treating each row as one input.
-
-    This matches attention, where softmax normalizes score rows. Any
-    rectangular matrix works as long as rows have at least two entries.
-    """
-    arr = np.asarray(score_matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D score matrix, got shape {arr.shape}")
-    if arr.shape[1] < 2:
-        raise ValueError("score rows need at least 2 columns for a softmax to vary")
-    return empirical_lp(list(arr), t, spec)
-
-
 def epsilon_sweep(
-    inputs: Sequence,
+    inputs: Union[np.ndarray, Sequence],
     t: Union[Temperature, float],
     base_spec: PerturbationSpec,
     epsilons: Sequence[float],

@@ -9,6 +9,7 @@ logit vector.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,16 @@ def attention_scores_8x8() -> np.ndarray:
 
 
 def example_logits(n: int = 10, big_k: float = 20.0) -> np.ndarray:
-    v = np.full(n, -big_k)
+    """(0, 0, -K, ..., -K): the near-attaining example's base point."""
+    v = np.full(n, -float(big_k))
     v[0] = v[1] = 0.0
+    return v
+
+
+def attaining_logits(n: int) -> np.ndarray:
+    """(ln(n-1), 0, ..., 0): softmax puts mass 1/2 on the first entry."""
+    v = np.zeros(n)
+    v[0] = math.log(n - 1.0)
     return v
 
 

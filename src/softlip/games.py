@@ -179,11 +179,6 @@ def regularized_value(game: MatrixGame, tau: float, x, y) -> float:
     return float(xv @ game.a @ yv) + tau * (shannon_entropy(xv) - shannon_entropy(yv))
 
 
-def _thin(trace: list) -> list:
-    # Geometric thinning: drop every other entry once the cap is hit.
-    return trace[::2]
-
-
 def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     """Iterate the damped map to the regularized equilibrium.
 
@@ -215,7 +210,7 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         if k % stride == 0:
             trace.append((k, disp))
             if len(trace) >= _TRACE_CAP:
-                trace = _thin(trace)
+                trace = trace[::2]  # geometric thinning: drop every other entry
                 stride *= 2
         y = y_next
         iterations = k

@@ -19,6 +19,7 @@ from typing import Union
 import numpy as np
 
 from softlip.core import Logits, SimplexPoint, Temperature, jacobian, m_of_s, softmax
+from softlip.fixtures import attaining_logits, example_logits
 from softlip.opnorm import NormEstimate, NormOrder, opnorm_p_estimate, vector_norm
 
 
@@ -131,8 +132,11 @@ def local_lipschitz(
             wit = np.zeros(s.n)
             wit[i] = 1.0
         else:
-            # Row i's sign pattern (+1 at i, -1 off it) realizes the row sum.
-            wit = np.sign(m_of_s(s)[i])
+            # Row i of Diag(s) - s s^T in O(n), with m_of_s's arithmetic; its
+            # sign pattern (+1 at i, -1 off it) realizes the row sum.
+            row = 0.0 - s.probs[i] * s.probs
+            row[i] = s.probs[i] - s.probs[i] * s.probs[i]
+            wit = np.sign(row)
         return NormEstimate(val, val, exact=True, method="2s(1-s) closed form", witness=wit)
     return opnorm_p_estimate(jacobian(s, lam).matrix, order)
 
@@ -151,9 +155,7 @@ def witness_attained(n: int, p: Union[NormOrder, float, str]) -> tuple[Logits, f
         raise ValueError(
             f"the bound is attained at an interior point only for p in {{1, inf}}, got p={order.label}"
         )
-    values = np.zeros(n)
-    values[0] = math.log(n - 1.0)
-    x = Logits(values)
+    x = Logits(attaining_logits(n))
     return x, local_lipschitz(x, 1.0, order).upper
 
 
@@ -238,9 +240,7 @@ def witness_example_pair(
     if eps_pert <= 0.0:
         raise ValueError("eps_pert must be positive")
     order = NormOrder.of(p)
-    values = np.full(n, -float(K))
-    values[0] = values[1] = 0.0
-    x = Logits(values)
+    x = Logits(example_logits(n, K))
     v = _top_eigenvector(jacobian(softmax(x), 1.0).matrix)
     y = Logits(x.values + eps_pert * v)
     ratio = vector_norm(softmax(y).probs - softmax(x).probs, order) / vector_norm(

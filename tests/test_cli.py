@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import softlip.cli as cli
 from softlip.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     MAX_INLINE_LENGTH,
     dumps_report,
@@ -17,7 +19,9 @@ from softlip.cli import (
     read_matrix_csv,
     InputError,
 )
-from softlip.fixtures import write_fixtures
+from softlip.fixtures import attaining_logits, example_logits, write_fixtures
+from softlip.games import DsfpError
+from softlip.opnorm import NormEstimate, OpNormError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -363,3 +367,74 @@ class TestParserBehavior:
 
     def test_bad_numeric_flag(self):
         assert main(["jacobian-norm", "--inline", "0,0", "--lambda", "abc"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("flag,value", [("--p", "abc"), ("--p", "nan"), ("--lambda", "1_0")])
+    def test_bad_flag_names_the_option_once(self, flag, value, capsys):
+        argv = ["jacobian-norm", "--inline", "0,0", flag, value]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"argument {flag}: cannot parse {value!r} as a number" in err
+        assert err.count(flag + ":") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["jacobian-norm", "--inline", "0,0", "--p", "0.5"],
+        ["estimate", "--matrix", "m.csv", "--p-list", ","],
+        ["estimate", "--matrix", "m.csv", "--p-list", "0.3"],
+        ["estimate", "--matrix", "m.csv", "--p-list", "x"],
+        ["estimate", "--matrix", "m.csv", "--eps-list", "nan"],
+        ["witness", "--mode", "limit-sequence", "--n", "5", "--epsilons", ","],
+        ["witness", "--mode", "example", "--K", "-1"],
+        ["dsfp", "--payoff", "m.csv", "--tau", "1", "--alpha", "2"],
+    ])
+    def test_input_errors_exit_2(self, argv, tmp_path, monkeypatch):
+        (tmp_path / "m.csv").write_text("1,2\n3,4\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+
+    def test_norm_order_spellings(self):
+        for text in ("inf", " Infinity ", "OO"):
+            assert cli._parse_norm_order(text).is_infinity
+        assert cli._parse_norm_order("1.5").p == 1.5
+        with pytest.raises(InputError, match="--p-list: cannot parse 'x'"):
+            cli._parse_list("2, x", "--p-list", cli._parse_norm_order)
+
+
+class TestNumericalFailure:
+    """Solver and eigensolve failures exit 4 with one `error:` line, no traceback."""
+
+    def check(self, argv, capsys):
+        assert main(argv) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_dsfp_error(self, fixture_dir, monkeypatch, capsys):
+        def fail(game, config):
+            raise DsfpError("non-finite iterate at step 3")
+
+        monkeypatch.setattr(cli, "dsfp_solve", fail)
+        self.check(["dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv")], capsys)
+
+    def test_opnorm_error(self, monkeypatch, capsys):
+        def fail(x, lam, order):
+            raise OpNormError("eigensolve failed", NormEstimate(0.0, 1.0, False, "fallback"))
+
+        monkeypatch.setattr(cli, "local_lipschitz", fail)
+        self.check(["jacobian-norm", "--inline", "0,0"], capsys)
+
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("dense symmetric eigensolve failed"),
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+    ])
+    def test_eigensolve_error(self, exc, fixture_dir, monkeypatch, capsys):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "epsilon_sweep", fail)
+        self.check(["estimate", "--matrix", str(fixture_dir / "attention_scores_8x8.csv")], capsys)
+
+
+def test_inline_generators_use_the_fixture_builders():
+    np.testing.assert_array_equal(parse_inline_vector("ln9-vector(7)"), attaining_logits(7))
+    np.testing.assert_array_equal(parse_inline_vector("example-vector(6, 3)"), example_logits(6, 3.0))
+    np.testing.assert_array_equal(parse_inline_vector("example-vector(6)"), example_logits(6))

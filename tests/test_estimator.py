@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import softlip.estimator as estimator
-from softlip.core import softmax
+from softlip.core import Logits, softmax
 from softlip.estimator import (
     MODE_RANDOM,
     MODE_TOP_EIGENVECTOR,
     PerturbationSpec,
     empirical_lp,
-    empirical_lp_rowwise,
     epsilon_sweep,
     sample_perturbation,
     subseed,
@@ -146,7 +145,7 @@ class TestEmpiricalLp:
 class TestRowwise:
     def test_zero_matrix_reduces_to_uniform_rows(self):
         s = spec(trials=12, seed=5)
-        a = empirical_lp_rowwise(np.zeros((2, 2)), 1.0, s)
+        a = empirical_lp(np.zeros((2, 2)), 1.0, s)
         b = empirical_lp([np.zeros(2), np.zeros(2)], 1.0, s)
         assert a == b
 
@@ -154,21 +153,40 @@ class TestRowwise:
         # diag 50 makes every row's softmax nearly one-hot: 2s(1-s) ~ 4e-22
         scores = np.zeros((8, 8))
         np.fill_diagonal(scores, 50.0)
-        report = empirical_lp_rowwise(scores, 1.0, spec(trials=5, seed=11))
+        report = empirical_lp(scores, 1.0, spec(trials=5, seed=11))
         assert report.empirical_lp < 1e-10
 
     def test_example_rows_match_witness(self):
         scores = np.vstack([example_input(), example_input()])
-        report = empirical_lp_rowwise(scores, 1.0, spec(mode=MODE_TOP_EIGENVECTOR, trials=1))
+        report = empirical_lp(scores, 1.0, spec(mode=MODE_TOP_EIGENVECTOR, trials=1))
         assert report.empirical_lp == pytest.approx(EXAMPLE_RATIO, abs=1e-9)
 
     def test_rejects_single_column(self):
         with pytest.raises(ValueError):
-            empirical_lp_rowwise(np.zeros((4, 1)), 1.0, spec())
+            empirical_lp(np.zeros((4, 1)), 1.0, spec())
 
     def test_rejects_non_matrix(self):
         with pytest.raises(ValueError):
-            empirical_lp_rowwise(np.zeros(4), 1.0, spec())
+            empirical_lp(np.zeros(4), 1.0, spec())
+
+    def test_matrix_equals_its_rows(self):
+        scores = np.random.default_rng(3).normal(size=(5, 7))
+        s = spec(p=1.5, trials=4, seed=6)
+        whole = empirical_lp(scores, 1.0, s)
+        assert empirical_lp(list(scores), 1.0, s) == whole
+        assert empirical_lp([Logits(r) for r in scores], 1.0, s) == whole
+        assert empirical_lp(scores.tolist(), 1.0, s) == whole
+
+    @pytest.mark.parametrize("inputs,message", [
+        (np.zeros((0, 3)), "need at least one input vector"),
+        ([np.zeros(3), np.zeros((1, 3))], "same length"),
+        (np.zeros((3, 1)), "at least 2 entries"),
+        ([[0.0, np.inf]], "finite entries"),
+        (np.zeros((2, 2, 2)), "2-D"),
+    ])
+    def test_validation_messages(self, inputs, message):
+        with pytest.raises(ValueError, match=message):
+            empirical_lp(inputs, 1.0, spec())
 
 
 class TestEpsilonSweep:
@@ -313,7 +331,7 @@ class TestBatchedEquivalence:
         scores = np.asfortranarray(np.random.default_rng(89).normal(size=(6, 9)))
         assert not scores.flags.c_contiguous
         s = spec(p=p, trials=3, mode=mode, seed=2, aggregate="mean")
-        report = empirical_lp_rowwise(scores, 2.5, s)
+        report = empirical_lp(scores, 2.5, s)
         assert_matches_oracle(report, [np.array(r) for r in scores], 2.5, s)
 
     @pytest.mark.parametrize("aggregate", ["max", "mean"])

@@ -3,7 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from softlip.core import softmax
 from softlip.fixtures import (
+    attaining_logits,
     attention_scores_8x8,
     example_logits,
     matching_pennies,
@@ -23,6 +25,13 @@ def test_example_logits_shape():
     v = example_logits(10, 20.0)
     np.testing.assert_array_equal(v[:2], [0.0, 0.0])
     np.testing.assert_array_equal(v[2:], np.full(8, -20.0))
+
+
+def test_attaining_logits_put_half_mass_first():
+    v = attaining_logits(10)
+    assert v[0] == np.log(9.0)
+    np.testing.assert_array_equal(v[1:], np.zeros(9))
+    assert softmax(v).probs[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_matching_pennies_is_symmetric_zero_sum():

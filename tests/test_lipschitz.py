@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ class TestLocalLipschitz:
             j = 2.0 * m_of_s(softmax(x, 2.0).probs)
             ratio = vector_norm(j @ est.witness, p) / vector_norm(est.witness, p)
             assert abs(ratio - est.lower) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0, 400.0, 2000.0])
+    def test_inf_witness_is_the_dense_sign_row(self, scale):
+        # large scales saturate the softmax, so some products s_i s_j underflow
+        rng = np.random.default_rng(int(scale))
+        for n in (2, 7, 64):
+            x = scale * rng.standard_normal(n)
+            est = local_lipschitz(x, 1.0, "inf")
+            s = softmax(x, 1.0)
+            i = int((s.probs * (1.0 - s.probs)).argmax())
+            np.testing.assert_array_equal(est.witness, np.sign(m_of_s(s)[i]))
+
+    def test_inf_witness_needs_no_square_matrix(self):
+        n = 2048
+        x = np.random.default_rng(5).standard_normal(n)
+        local_lipschitz(x, 1.0, "inf")  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            local_lipschitz(x, 1.0, "inf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestWitnessAttained:

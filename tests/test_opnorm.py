@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import softlip.opnorm as opnorm
 from softlip.core import m_of_s, softmax
 from softlip.opnorm import (
     NormEstimate,
@@ -260,6 +261,28 @@ class TestPEstimate:
         est = opnorm_p_estimate(np.zeros((3, 3)), 1.5)
         assert est.lower == est.upper == 0.0
         assert est.exact
+
+
+    @pytest.mark.parametrize("call", [
+        lambda a: opnorm_p_estimate(a, 1),
+        lambda a: opnorm_p_estimate(a, "inf"),
+        lambda a: interpolation_bound(a, 3),
+    ], ids=["p_estimate_one", "p_estimate_inf", "interpolation_bound"])
+    def test_validates_once(self, call, monkeypatch):
+        calls = []
+        validate = opnorm._as_matrix
+        monkeypatch.setattr(opnorm, "_as_matrix", lambda a: calls.append(a) or validate(a))
+        call(ORACLE_A)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_orders_match_the_closed_forms_bitwise(self, seed):
+        a = np.random.default_rng(seed).normal(size=(7, 5)) * 10.0 ** seed
+        for arr in (a, a.T, np.asfortranarray(a)):
+            assert opnorm_p_estimate(arr, 1).lower == opnorm_one(arr)
+            assert opnorm_p_estimate(arr, "inf").lower == opnorm_inf(arr)
+            assert interpolation_bound(arr, 1) == opnorm_one(arr)
+            assert interpolation_bound(arr, "inf") == opnorm_inf(arr)
 
 
 class TestMaxoutStrictness:
