@@ -21,8 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from softlip.core import Logits, Temperature, _softmax_kernel, jacobian, softmax
-from softlip.lipschitz import _top_eigenvector
-from softlip.opnorm import NormOrder, row_norms, vector_norm
+from softlip.opnorm import NormOrder, row_norms, top_eigenvector, vector_norm
 
 MODE_RANDOM = "random-gaussian-normalized"
 MODE_TOP_EIGENVECTOR = "top-eigenvector"
@@ -125,7 +124,7 @@ def sample_perturbation(
     if spec.mode == MODE_TOP_EIGENVECTOR:
         if base is None:
             raise ValueError("top-eigenvector mode needs the base input")
-        v = _top_eigenvector(jacobian(softmax(base), 1.0).matrix)
+        v = top_eigenvector(jacobian(softmax(base), 1.0).matrix)
         return spec.epsilon * v
     g = _draw(rng, n)
     return g * (spec.epsilon / vector_norm(g, spec.p))

@@ -20,7 +20,7 @@ import numpy as np
 
 from softlip.core import Logits, SimplexPoint, Temperature, jacobian, m_of_s, softmax
 from softlip.fixtures import attaining_logits, example_logits
-from softlip.opnorm import NormEstimate, NormOrder, opnorm_p_estimate, vector_norm
+from softlip.opnorm import NormEstimate, NormOrder, opnorm_p_estimate, top_eigenvector, vector_norm
 
 
 @dataclass(frozen=True)
@@ -204,19 +204,6 @@ def witness_limit_sequence(
     return steps
 
 
-def _top_eigenvector(mat: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the largest eigenvalue, first nonzero entry positive."""
-    try:
-        _, vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"dense symmetric eigensolve failed: {exc}") from exc
-    v = vecs[:, -1]
-    nonzero = np.nonzero(v)[0]
-    if nonzero.size and v[nonzero[0]] < 0.0:
-        v = -v
-    return v / np.linalg.norm(v)
-
-
 def witness_example_pair(
     n: int,
     K: float = 20.0,
@@ -241,7 +228,7 @@ def witness_example_pair(
         raise ValueError("eps_pert must be positive")
     order = NormOrder.of(p)
     x = Logits(example_logits(n, K))
-    v = _top_eigenvector(jacobian(softmax(x), 1.0).matrix)
+    v = top_eigenvector(jacobian(softmax(x), 1.0).matrix)
     y = Logits(x.values + eps_pert * v)
     ratio = vector_norm(softmax(y).probs - softmax(x).probs, order) / vector_norm(
         y.values - x.values, order

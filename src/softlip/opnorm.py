@@ -99,10 +99,6 @@ class NormOrder:
         return math.isinf(self.p)
 
     @property
-    def is_general(self) -> bool:
-        return not (self.is_one or self.is_two or self.is_infinity)
-
-    @property
     def kind(self) -> str:
         if self.is_one:
             return "one"
@@ -239,16 +235,30 @@ def opnorm_two(A) -> float:
     return math.sqrt(max(top, 0.0))
 
 
+def top_eigenvector(mat: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of a symmetric matrix's largest eigenvalue, with its
+    first nonzero entry positive; a fresh array, not a view of the solve.
+
+    Raises RuntimeError (from numpy's LinAlgError) if the eigensolve fails.
+    """
+    try:
+        _, vecs = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"dense symmetric eigensolve failed: {exc}") from exc
+    v = vecs[:, -1]
+    nonzero = np.nonzero(v)[0]
+    if nonzero.size and v[nonzero[0]] < 0.0:
+        v = -v
+    return v / np.linalg.norm(v)
+
+
 def _two_norm_witness(arr: np.ndarray) -> np.ndarray:
     """A unit vector realizing ||A||_2 to machine precision."""
     m, n = arr.shape
     if n <= m:
-        _, vecs = np.linalg.eigh(arr.T @ arr)
-        wit = vecs[:, -1]
+        wit = top_eigenvector(arr.T @ arr)
     else:
-        _, vecs = np.linalg.eigh(arr @ arr.T)
-        u = vecs[:, -1]
-        wit = arr.T @ u
+        wit = arr.T @ top_eigenvector(arr @ arr.T)
         norm = np.linalg.norm(wit)
         if norm == 0.0:  # A == 0; any direction realizes the norm
             wit = np.zeros(n)
@@ -278,67 +288,61 @@ def interpolation_bound(A, p: Union[NormOrder, float, str]) -> float:
     return one**inv_p * inf ** (1.0 - inv_p)
 
 
-def _column_pnorms(V: np.ndarray, p: float) -> np.ndarray:
-    absV = np.abs(V)
-    m = absV.max(axis=0)
-    safe = np.where(m == 0.0, 1.0, m)
-    return m * ((absV / safe) ** p).sum(axis=0) ** (1.0 / p)
-
-
 def _dual_scale(U: np.ndarray, expo: float) -> np.ndarray:
-    # sign(u) * |u|^expo columnwise, computed scale-invariantly; zero stays zero.
+    # sign(u) * |u|^expo rowwise, computed scale-invariantly; zero stays zero.
     absU = np.abs(U)
-    m = absU.max(axis=0)
-    safe = np.where(m == 0.0, 1.0, m)
-    return np.sign(U) * (absU / safe) ** expo
+    m = absU.max(axis=1, keepdims=True)
+    m[m == 0.0] = 1.0
+    return np.sign(U) * (absU / m) ** expo
 
 
 def _restart_block(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Fixed restart seeds: basis vectors, all-ones, then random signs."""
-    cols = []
+    """Fixed restart seeds as rows: basis vectors, all-ones, then random signs."""
+    rows = []
     for j in range(min(n, _BOYD_RESTARTS - 2)):
         e = np.zeros(n)
         e[j] = 1.0
-        cols.append(e)
-    cols.append(np.ones(n))
-    while len(cols) < _BOYD_RESTARTS:
-        cols.append(rng.choice([-1.0, 1.0], size=n))
-    return np.column_stack(cols)
+        rows.append(e)
+    rows.append(np.ones(n))
+    while len(rows) < _BOYD_RESTARTS:
+        rows.append(rng.choice([-1.0, 1.0], size=n))
+    return np.vstack(rows)
 
 
 def _boyd_lower(
-    arr: np.ndarray, p: float, V0: np.ndarray, max_iter: int = _BOYD_MAX_ITER
+    arr: np.ndarray, order: NormOrder, V0: np.ndarray, max_iter: int = _BOYD_MAX_ITER
 ) -> tuple[float, np.ndarray]:
-    """Best realized ratio ||A v||_p over the restart columns of V0.
+    """Best realized ratio ||A v||_p over the restart rows of V0.
 
     One dual-norm power sweep per iteration, all restarts advanced as a
-    block: u = A v, then v <- psi_q(A^T psi_p(u)) normalized in lp, where
-    psi_r(t) = sign(t) |t|^(r-1). Returns (ratio, witness) with the ratio
-    recomputed from the witness so it is reproducible to the last ulp.
+    block of rows: u = A v, then v <- psi_q(A^T psi_p(u)) normalized in lp,
+    where psi_r(t) = sign(t) |t|^(r-1). Every norm is a `row_norms` call.
+    Returns (ratio, witness) with the ratio recomputed from the witness so
+    it is reproducible to the last ulp.
     """
-    norms = _column_pnorms(V0, p)
-    V = V0 / np.where(norms == 0.0, 1.0, norms)
+    p = order.p
+    norms = row_norms(V0, order)
+    V = V0 / np.where(norms == 0.0, 1.0, norms)[:, None]
     best_ratio = -1.0
-    best_witness = V[:, 0].copy()
+    best_witness = V[0].copy()
     stalled = 0
     for _ in range(max_iter):
-        U = arr @ V
-        ratios = _column_pnorms(U, p)
+        U = V @ arr.T
+        ratios = row_norms(U, order)
         j = int(np.argmax(ratios))
         if ratios[j] > best_ratio + _BOYD_STALL_TOL * max(1.0, best_ratio):
             best_ratio = float(ratios[j])
-            best_witness = V[:, j].copy()
+            best_witness = V[j].copy()
             stalled = 0
         else:
             stalled += 1
             if stalled >= 2:
                 break
-        Z = arr.T @ _dual_scale(U, p - 1.0)
-        V_next = _dual_scale(Z, 1.0 / (p - 1.0))
-        norms = _column_pnorms(V_next, p)
-        dead = norms == 0.0
-        V = np.where(dead, V, V_next / np.where(dead, 1.0, norms))
-    lower = vector_norm(arr @ best_witness, p) / vector_norm(best_witness, p)
+        V_next = _dual_scale(_dual_scale(U, p - 1.0) @ arr, 1.0 / (p - 1.0))
+        norms = row_norms(V_next, order)
+        dead = (norms == 0.0)[:, None]
+        V = np.where(dead, V, V_next / np.where(dead, 1.0, norms[:, None]))
+    lower = vector_norm(arr @ best_witness, order) / vector_norm(best_witness, order)
     return lower, best_witness
 
 
@@ -367,12 +371,15 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> Norm
         wit[wit == 0.0] = 1.0
         return NormEstimate(val, val, exact=True, method="row sums", witness=wit)
     if order.is_two:
-        wit = _two_norm_witness(arr)
+        try:
+            wit = _two_norm_witness(arr)
+        except RuntimeError as exc:
+            raise OpNormError(str(exc), _two_norm_fallback_bracket(arr)) from exc
         val = vector_norm(arr @ wit, 2.0) / vector_norm(wit, 2.0)
         return NormEstimate(val, val, exact=True, method="gram eigensolve", witness=wit)
 
     rng = np.random.default_rng(seed)
-    lower, witness = _boyd_lower(arr, order.p, _restart_block(arr.shape[1], rng))
+    lower, witness = _boyd_lower(arr, order, _restart_block(arr.shape[1], rng))
     upper = interpolation_bound(arr, order)
     if lower > upper:
         # The two ends coincide mathematically here; reconcile rounding noise.

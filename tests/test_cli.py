@@ -422,6 +422,18 @@ class TestNumericalFailure:
         monkeypatch.setattr(cli, "local_lipschitz", fail)
         self.check(["jacobian-norm", "--inline", "0,0"], capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["jacobian-norm", "--inline", "0.3,-1,2", "--p", "2"],
+        ["witness", "--mode", "example", "--n", "4"],
+    ], ids=["jacobian_norm_p2", "witness_example"])
+    def test_failed_eigh(self, argv, monkeypatch, capsys):
+        # OpNormError from the p = 2 bracket, RuntimeError from the witness
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        self.check(argv, capsys)
+
     @pytest.mark.parametrize("exc", [
         RuntimeError("dense symmetric eigensolve failed"),
         np.linalg.LinAlgError("Eigenvalues did not converge"),

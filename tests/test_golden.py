@@ -2,12 +2,13 @@
 
 The files under tests/golden/ were written by the CLI before the code they
 guard was refactored: the `estimate` goldens before the estimator was
-batched, the others before the CLI's parsers and error handling were
-consolidated. Each command runs from a scratch working directory holding a
-copy of fixtures/, with relative paths, so the manifest's argv and the
-result's path fields do not depend on where the repository lives. The
-timestamp is the one field excluded from reproducibility and is blanked on
-both sides.
+batched, the general-p `jacobian-norm` and `dsfp` ones before the power
+iteration moved onto `row_norms`, the others before the CLI's parsers and
+error handling were consolidated. Each command runs from a scratch working
+directory holding a copy of fixtures/, with relative paths, so the
+manifest's argv and the result's path fields do not depend on where the
+repository lives. The timestamp is the one field excluded from
+reproducibility and is blanked on both sides.
 
 A case writes one or more files; the file `out` is compared with
 tests/golden/<case name><suffix of out>.
@@ -59,9 +60,17 @@ CASES = {
         "--p-list", "1.5,3", "--eps-list", "1e-2,1e-3",
         "--trials", "3", "--seed", "7", "--out", "topeig",
     ], ["topeig.json", "topeig.csv"]),
+    "jacobian_norm_p15": ([
+        "jacobian-norm", "--inline", "0.3,-1,2,0.5,0", "--p", "1.5",
+        "--json-out", "jac.json",
+    ], ["jac.json"]),
     "dsfp_readme": ([
         "dsfp", "--payoff", "fixtures/matching_pennies.csv", "--tau", "auto", "--out", "mp.json",
     ], ["mp.json"]),
+    "dsfp_tau_auto_p3": ([
+        "dsfp", "--payoff", "fixtures/random_payoff_5x5.csv", "--tau", "auto", "--p", "3",
+        "--out", "dsfp.json",
+    ], ["dsfp.json"]),
     "scsa_readme": ([
         "scsa", "--n", "2", "--nu", "1", "--tau", "2", "--eps", "4",
         "--wq", "1", "--wk", "1", "--wv", "1", "--json-out", "scsa.json",

@@ -100,6 +100,11 @@ class TestLocalLipschitz:
             i = int((s.probs * (1.0 - s.probs)).argmax())
             np.testing.assert_array_equal(est.witness, np.sign(m_of_s(s)[i]))
 
+    def test_two_norm_witness_owns_its_data(self):
+        # a view would pin the whole n x n eigenvector matrix per estimate
+        x = np.random.default_rng(8).standard_normal(64)
+        assert local_lipschitz(x, 1.0, 2).witness.base is None
+
     def test_inf_witness_needs_no_square_matrix(self):
         n = 2048
         x = np.random.default_rng(5).standard_normal(n)

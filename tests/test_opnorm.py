@@ -3,6 +3,7 @@ import pytest
 
 import softlip.opnorm as opnorm
 from softlip.core import m_of_s, softmax
+from softlip.lipschitz import local_lipschitz
 from softlip.opnorm import (
     NormEstimate,
     NormOrder,
@@ -12,6 +13,7 @@ from softlip.opnorm import (
     opnorm_p_estimate,
     opnorm_two,
     row_norms,
+    top_eigenvector,
     vector_norm,
 )
 
@@ -26,6 +28,38 @@ ORACLE_A = np.array([
 ])
 ORACLE_P15_LOWER = 1.8844279427493626
 
+# General-p brackets recorded before the power iteration moved onto
+# `row_norms`, with the column-block iteration and its own vectorized p-norm
+# (numpy's `**` for the root). Each matrix is
+# default_rng(data seed).uniform(-1, 1, shape), bracketed by
+# opnorm_p_estimate(A, p, seed=restart seed); each logit vector is
+# default_rng(data seed).normal(scale=2, size=n), bracketed by
+# local_lipschitz(x, lam, p). Values are (lower, upper) as printed by repr.
+FROZEN_MATRIX_BRACKETS = [  # (data seed, shape, p, restart seed, lower, upper)
+    (1, (4, 4), 1.5, 0, 1.997671064650361, 2.5617807255150247),
+    (2, (8, 8), 3.0, 0, 2.9318983747119103, 4.866715035076998),
+    (3, (16, 16), 1.5, 0, 4.441967194167301, 9.39915342991458),
+    (4, (33, 33), 3.0, 5, 7.1369060234575095, 19.075242126968107),
+    (5, (64, 64), 1.5, 0, 10.332527546518165, 37.233055409420615),
+    (6, (64, 64), 3.0, 0, 10.150928260304228, 36.77764681867804),
+    (7, (5, 9), 1.5, 0, 2.507591988806318, 4.009197017196521),
+    (8, (9, 5), 3.0, 0, 2.423058027443949, 3.7496469663044705),
+    (9, (12, 40), 3.0, 2, 7.483654228303904, 16.563668217675062),
+    (10, (40, 12), 1.5, 0, 7.082122180713425, 15.230150550462739),
+    (11, (64, 17), 3.0, 0, 5.648529090529244, 16.056730063782453),
+    (12, (3, 64), 1.5, 0, 3.4198249165761934, 6.404068238266413),
+]
+FROZEN_JACOBIAN_BRACKETS = [  # (data seed, n, lam, p, lower, upper)
+    (21, 5, 1.0, 1.5, 0.4586254296319847, 0.494215152012275),
+    (22, 5, 1.0, 3.0, 0.039381381733737134, 0.05365868874596937),
+    (23, 16, 2.5, 1.5, 0.367818956833792, 0.5558071755200713),
+    (24, 16, 2.5, 3.0, 0.5058022130454161, 0.6015274594787342),
+    (25, 40, 1.0, 1.5, 0.27580443817839234, 0.4440783092958793),
+    (26, 40, 0.5, 3.0, 0.10407064338336575, 0.18147856004559026),
+    (27, 64, 1.0, 1.5, 0.1158170230227929, 0.20399178607225102),
+    (28, 64, 4.0, 3.0, 1.2163106974714082, 1.2617780092389888),
+]
+
 
 def two_point_core():
     return m_of_s(np.array([0.5, 0.5]))
@@ -36,7 +70,7 @@ class TestNormOrder:
         assert NormOrder.of("inf").is_infinity
         assert NormOrder.of(1).is_one
         assert NormOrder.of("2").is_two
-        assert NormOrder.of(1.5).is_general
+        assert NormOrder.of(1.5).kind == "general"
 
     def test_labels(self):
         assert NormOrder.of("inf").label == "inf"
@@ -220,6 +254,12 @@ class TestPEstimate:
                 ratio = vector_norm(a @ est.witness, p) / vector_norm(est.witness, p)
                 assert abs(ratio - est.lower) <= 1e-12
 
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9)])
+    def test_two_norm_witness_owns_its_data(self, shape):
+        # a view into the eigenvector matrix would keep all n x n of it alive
+        a = np.random.default_rng(57).uniform(-1, 1, size=shape)
+        assert opnorm_p_estimate(a, 2).witness.base is None
+
     def test_exact_orders_carry_witnesses(self):
         rng = np.random.default_rng(56)
         a = rng.uniform(-1, 1, size=(6, 4))
@@ -285,6 +325,34 @@ class TestPEstimate:
             assert interpolation_bound(arr, "inf") == opnorm_inf(arr)
 
 
+class TestFrozenBoydBrackets:
+    """The row-block power iteration reproduces the recorded brackets.
+
+    A `lower` may differ from the recorded one in its last bits (matrix
+    products and the p-th root round differently), but it must stay a ratio
+    its own witness realizes exactly.
+    """
+
+    @pytest.mark.parametrize("seed, shape, p, restart_seed, lower, upper", FROZEN_MATRIX_BRACKETS)
+    def test_matrix(self, seed, shape, p, restart_seed, lower, upper):
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+        est = opnorm_p_estimate(a, p, seed=restart_seed)
+        assert est.lower == pytest.approx(lower, rel=1e-12, abs=0.0)
+        assert est.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
+        assert est.lower <= est.upper
+        assert vector_norm(a @ est.witness, p) / vector_norm(est.witness, p) == est.lower
+
+    @pytest.mark.parametrize("seed, n, lam, p, lower, upper", FROZEN_JACOBIAN_BRACKETS)
+    def test_local_lipschitz(self, seed, n, lam, p, lower, upper):
+        x = np.random.default_rng(seed).normal(scale=2.0, size=n)
+        est = local_lipschitz(x, lam, p)
+        assert est.lower == pytest.approx(lower, rel=1e-12, abs=0.0)
+        assert est.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
+        assert est.lower <= est.upper
+        jac = lam * m_of_s(softmax(x, lam).probs)
+        assert vector_norm(jac @ est.witness, p) / vector_norm(est.witness, p) == est.lower
+
+
 class TestMaxoutStrictness:
     def test_rows_below_max_by_squared_gap(self):
         """With an entry at 1/2 and support > 2, at least two rows sit
@@ -338,3 +406,29 @@ class TestTwoNormFallback:
         # the lower end is the ratio realized at the best basis vector
         best_col = np.sqrt((a * a).sum(axis=0).max())
         assert bracket.lower == pytest.approx(best_col, rel=1e-14)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 4), (4, 7)])
+    def test_p_estimate_fails_like_opnorm_two(self, shape, monkeypatch):
+        from softlip.opnorm import OpNormError
+
+        def boom(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+        a = np.random.default_rng(10).normal(size=shape)
+        with pytest.raises(OpNormError) as two:
+            opnorm_two(a)
+        with pytest.raises(OpNormError) as estimate:
+            opnorm_p_estimate(a, 2)
+        assert estimate.value.bracket == two.value.bracket
+        assert isinstance(estimate.value.__cause__, RuntimeError)
+
+    def test_top_eigenvector_raises_runtime_error(self, monkeypatch):
+        def boom(_):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(RuntimeError, match="eigensolve failed") as excinfo:
+            top_eigenvector(np.eye(3))
+        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
