@@ -164,6 +164,24 @@ def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(clamped[..., None], s / s.sum(-1, keepdims=True), s), clamped
 
 
+def _scaled_logits(v: np.ndarray, lam: float) -> np.ndarray:
+    """lam * v along the last axis, for `_softmax_kernel`.
+
+    A row whose product overflows is scaled after shifting by its max,
+    lam * (v - max v); the kernel's own shift then leaves it unchanged, so
+    finite logits never become inf - inf. Rows whose product is finite keep
+    the bits of lam * v.
+    """
+    with np.errstate(over="ignore"):
+        z = lam * v
+        if np.isfinite(z).all():
+            return z
+        overflowed = ~np.isfinite(z).all(-1)
+        rows = v[overflowed]
+        z[overflowed] = lam * (rows - rows.max(-1, keepdims=True))
+    return z
+
+
 def log_sum_exp(x, t: Union[Temperature, float] = 1.0) -> float:
     """Temperature-scaled log-sum-exp: (1/lam) * log(sum_i exp(lam * x_i)).
 
@@ -182,12 +200,13 @@ def softmax(x, t: Union[Temperature, float] = 1.0) -> SimplexPoint:
 
     s_i = exp(lam * (x_i - max x)) / sum_j exp(lam * (x_j - max x)); the
     shift makes the computation overflow-safe and algorithmically invariant
-    under adding a constant to every logit. Output entries that underflow
-    to 0 are clamped (see SimplexPoint.clamped).
+    under adding a constant to every logit. The logits are scaled before
+    the shift unless lam * x overflows (see `_scaled_logits`). Output
+    entries that underflow to 0 are clamped (see SimplexPoint.clamped).
     """
     lam = Temperature.of(t).lam
     v = Logits.of(x).values
-    s, clamped = _softmax_kernel(lam * v)
+    s, clamped = _softmax_kernel(_scaled_logits(v, lam))
     return SimplexPoint(s, clamped=bool(clamped))
 
 

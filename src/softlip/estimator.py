@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from softlip.core import Logits, Temperature, _softmax_kernel, jacobian, softmax
+from softlip.core import Logits, Temperature, _scaled_logits, _softmax_kernel, jacobian, softmax
 from softlip.opnorm import NormOrder, row_norms, top_eigenvector, vector_norm
 
 MODE_RANDOM = "random-gaussian-normalized"
@@ -159,15 +159,10 @@ def _as_inputs(inputs) -> np.ndarray:
     return data
 
 
-def _softmax_rows(z: np.ndarray) -> tuple[np.ndarray, int]:
-    """Row-wise softmax of pre-scaled logits and its clamp count.
-
-    Raises the errors `softmax` raises when a row leaves the finite range,
-    so a batch fails exactly where the per-input calls did.
-    """
-    s, clamped = _softmax_kernel(z)
-    if np.isnan(s).any():
-        raise ValueError("probs must have finite entries")
+def _softmax_rows(v: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
+    """Row-wise softmax of the logits at inverse temperature lam and its
+    clamp count; each row has the bits of `softmax` of that row."""
+    s, clamped = _softmax_kernel(_scaled_logits(v, lam))
     return s, int(clamped.sum())
 
 
@@ -194,7 +189,7 @@ def empirical_lp(
     lam = Temperature.of(t).lam
     data = _as_inputs(inputs)
     count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
-    base, clamps = _softmax_rows(lam * data)
+    base, clamps = _softmax_rows(data, lam)
     if spec.mode == MODE_TOP_EIGENVECTOR:
         directions = np.stack([sample_perturbation(n, spec, base=x) for x in data])
     best = -1.0
@@ -216,8 +211,7 @@ def empirical_lp(
         z += delta
         if not np.isfinite(z).all():
             raise ValueError("logits must have finite entries")
-        z *= lam
-        probs, block_clamps = _softmax_rows(z)
+        probs, block_clamps = _softmax_rows(z, lam)
         clamps += block_clamps
         realized = row_norms(delta, spec.p)
         if not realized.all():

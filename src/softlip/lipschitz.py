@@ -2,17 +2,20 @@
 
 The global constant is lam/2 in every lp norm. The local constant at a
 point is the induced p-norm of the Jacobian there; for p in {1, inf} it
-has the closed form lam * max_i 2 s_i (1 - s_i). This module computes
-those constants, builds the witnesses that show lam/2 is sharp (an
-attaining point for p in {1, inf}, an interior sequence approaching it
-for 1 < p < inf, and a concrete near-attaining secant pair), checks
-co-coercivity, and evaluates the refined attention-layer bound that the
-sharp constant yields.
+has the closed form lam * max_i 2 s_i (1 - s_i), and for p = 2 it is lam
+times the top eigenvalue of Diag(s) - s s^T, a root of the secular
+equation of that rank-one update, found in O(n) without forming the
+matrix. This module computes those constants, builds the witnesses that
+show lam/2 is sharp (an attaining point for p in {1, inf}, an interior
+sequence approaching it for 1 < p < inf, and a concrete near-attaining
+secant pair), checks co-coercivity, and evaluates the refined
+attention-layer bound that the sharp constant yields.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Union
 
@@ -108,6 +111,86 @@ def closed_form_linf(s) -> float:
     return float((2.0 * probs * (1.0 - probs)).max())
 
 
+def _float_bits(x: float) -> int:
+    # For floats >= 0 the bit patterns, read as integers, keep their order.
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _secular_witness(probs: np.ndarray) -> np.ndarray:
+    """Unit top eigenvector of Diag(s) - s s^T, in O(n) time and memory.
+
+    When the largest entry is tied (s_i1 == s_i2), (e_i1 - e_i2) / sqrt(2)
+    is an exact eigenvector for mu = s_(1). Otherwise mu is the unique root
+    in (s_(2), s_(1)) of the secular equation of the rank-one update
+    (Golub 1973, Some modified matrix eigenvalue problems)
+
+        f(mu) = 1 - sum_i s_i^2 / (s_i - mu) = 0,
+
+    decreasing between the two poles, and w_i = s_i / (s_i - mu). The root
+    is bisected in d = mu - o, its offset from the pole o in {s_(2), s_(1)}
+    on its side of the midpoint, so s_i - mu = (s_i - o) - d keeps its
+    relative accuracy; d is bisected over float bit patterns, which reaches
+    adjacent floats in at most 63 steps. Saturated rows stay accurate:
+    the i1 term is taken as (s_i1 (1 - s_i1) - mu) / (s_i1 - mu), which
+    does not cancel when s_i1 is near 1; s_i^2 is never formed, since it
+    underflows for s_i below 1e-154; and w is scaled by |d| <= |s_i - mu|,
+    so no entry overflows.
+    """
+    n = probs.size
+    i2, i1 = np.argpartition(probs, n - 2)[n - 2:]
+    s1, s2 = float(probs[i1]), float(probs[i2])
+    if s1 == s2:
+        wit = np.zeros(n)
+        wit[i1], wit[i2] = math.sqrt(0.5), -math.sqrt(0.5)
+        return wit
+    rest = probs.copy()
+    rest[i1] = 0.0
+    diag = s1 * (1.0 - s1)  # entry (i1, i1) of Diag(s) - s s^T
+    buf = np.empty(n)
+
+    def secular(shifted: np.ndarray, origin: float, d: float) -> float:
+        # f(origin + d), with shifted = probs - origin
+        np.subtract(shifted, d, out=buf)
+        np.divide(rest, buf, out=buf)
+        return (diag - origin - d) / (s1 - origin - d) - float(rest @ buf)
+
+    half = 0.5 * (s1 - s2)
+    shifted = probs - s2
+    if secular(shifted, s2, half) > 0.0:  # the root lies above the midpoint
+        origin, sign = s1, -1.0
+        shifted = probs - s1
+    else:
+        origin, sign = s2, 1.0
+    lo, hi = 0, _float_bits(half)  # |d| lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (secular(shifted, origin, sign * _bits_float(mid)) > 0.0) == (sign > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    dist = _bits_float(lo or hi)
+    wit = probs * (dist / (shifted - sign * dist))
+    wit /= np.abs(wit).max()
+    return wit / vector_norm(wit, 2.0)
+
+
+def _m_of_s_times(probs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(Diag(s) - s s^T) w in O(n): entry i is s_i (w_i - s.w).
+
+    At the largest entry, w_i - s.w cancels when s_i is near 1, so there it
+    is taken as w_i (1 - s_i) - sum_{j != i} s_j w_j.
+    """
+    i = int(probs.argmax())
+    out = probs * (w - float(probs @ w))
+    others = float(probs[:i] @ w[:i]) + float(probs[i + 1:] @ w[i + 1:])
+    out[i] = probs[i] * (w[i] * (1.0 - probs[i]) - others)
+    return out
+
+
 def global_bound(t: Union[Temperature, float]) -> float:
     """The global softmax Lipschitz constant lam/2, valid in every lp norm."""
     return Temperature.of(t).lam / 2.0
@@ -119,8 +202,12 @@ def local_lipschitz(
     """Bracket of the local Lipschitz constant ||J(x)||_p of the softmax.
 
     For p in {1, inf} the O(n) closed form lam * max_i 2 s_i (1 - s_i) is
-    used (exact, bypassing generic matrix norms); p = 2 is an exact dense
-    eigensolve; other orders return the certified power-iteration bracket.
+    used (exact, bypassing generic matrix norms). p = 2 is exact too, also
+    in O(n) time and memory: the top eigenvector w of the Jacobian comes
+    from its secular equation (`_secular_witness`), and the value is the
+    realized ratio ||J w||_2 / ||w||_2 with J w formed without J. Other
+    orders return the certified power-iteration bracket on the dense
+    Jacobian, with the upper end capped at the global constant lam/2.
     """
     order = NormOrder.of(p)
     lam = Temperature.of(t).lam
@@ -138,7 +225,18 @@ def local_lipschitz(
             row[i] = s.probs[i] - s.probs[i] * s.probs[i]
             wit = np.sign(row)
         return NormEstimate(val, val, exact=True, method="2s(1-s) closed form", witness=wit)
-    return opnorm_p_estimate(jacobian(s, lam).matrix, order)
+    if order.is_two:
+        wit = _secular_witness(s.probs)
+        val = vector_norm(lam * _m_of_s_times(s.probs, wit), 2.0) / vector_norm(wit, 2.0)
+        return NormEstimate(val, val, exact=True, method="secular equation", witness=wit)
+    est = opnorm_p_estimate(jacobian(s, lam).matrix, order)
+    cap = global_bound(lam)
+    if est.upper <= max(cap, est.lower):
+        return est
+    # The interpolation bound can round past the theorem's lam/2.
+    return NormEstimate.bracket(
+        est.lower, max(est.lower, cap), "power iteration + lam/2 cap", est.witness
+    )
 
 
 def witness_attained(n: int, p: Union[NormOrder, float, str]) -> tuple[Logits, float]:

@@ -147,6 +147,15 @@ class NormEstimate:
         if self.exact and self.lower != self.upper:
             raise ValueError("exact estimates must have lower == upper")
 
+    @classmethod
+    def bracket(
+        cls, lower: float, upper: float, method: str, witness: Optional[np.ndarray] = None
+    ) -> "NormEstimate":
+        """The bracket [lower, upper], collapsed onto the witnessed `lower`
+        and marked exact when the two ends agree to relative 1e-9."""
+        exact = (upper - lower) <= 1e-9 * upper if upper > 0.0 else True
+        return cls(lower, lower if exact else upper, exact, method, witness)
+
 
 def _as_matrix(A) -> np.ndarray:
     arr = np.asarray(A, dtype=np.float64)
@@ -390,10 +399,4 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> Norm
                 f"certified ratio {lower} exceeds interpolation bound {upper}",
                 NormEstimate(0.0, upper, exact=False, method="inconsistent"),
             )
-    exact = (upper - lower) <= 1e-9 * upper if upper > 0.0 else True
-    if exact:
-        # Collapse onto the witnessed end so `lower` stays a realized ratio.
-        upper = lower
-    return NormEstimate(
-        lower, upper, exact=exact, method="power iteration + interpolation", witness=witness
-    )
+    return NormEstimate.bracket(lower, upper, "power iteration + interpolation", witness)

@@ -268,6 +268,15 @@ class TestEstimateCommand:
         value = load_report(str(out) + ".json")["result"]["max_empirical_lp"]
         assert 1.999 <= value <= 2.0 + 1e-9
 
+    def test_overflowing_logits_row(self, tmp_path):
+        # lam * 1e308 overflows; the softmax must shift before it scales
+        matrix = tmp_path / "huge.csv"
+        matrix.write_text("1e308,0\n", encoding="utf-8")
+        out = tmp_path / "huge"
+        assert main(["estimate", "--matrix", str(matrix), "--lambda", "10",
+                     "--out", str(out)]) == EXIT_OK
+        assert load_report(str(out) + ".json")["result"]["max_empirical_lp"] == 0.0
+
     def test_single_column_rejected(self, tmp_path):
         path = tmp_path / "col.csv"
         path.write_text("1\n2\n3\n", encoding="utf-8")
@@ -423,16 +432,30 @@ class TestNumericalFailure:
         self.check(["jacobian-norm", "--inline", "0,0"], capsys)
 
     @pytest.mark.parametrize("argv", [
-        ["jacobian-norm", "--inline", "0.3,-1,2", "--p", "2"],
         ["witness", "--mode", "example", "--n", "4"],
-    ], ids=["jacobian_norm_p2", "witness_example"])
+    ], ids=["witness_example"])
     def test_failed_eigh(self, argv, monkeypatch, capsys):
-        # OpNormError from the p = 2 bracket, RuntimeError from the witness
+        # RuntimeError from the witness's top eigenvector
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         self.check(argv, capsys)
+
+    def test_p2_jacobian_norm_needs_no_eigensolve(self, monkeypatch, capsys):
+        # the p = 2 bracket solves the secular equation, so a broken
+        # eigensolver changes nothing
+        argv = ["jacobian-norm", "--inline", "0.3,-1,2", "--p", "2"]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("exc", [
         RuntimeError("dense symmetric eigensolve failed"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softlip.core import (
+    _scaled_logits,
     _softmax_kernel,
     Logits,
     SimplexPoint,
@@ -95,6 +96,14 @@ class TestSoftmax:
         assert s.clamped
         assert s.probs.min() > 0.0
 
+    def test_overflowing_product_shifts_first(self):
+        # lam * x overflows to inf; lam * (x - max x) does not
+        s = softmax([1e308, 0.0], 10.0)
+        np.testing.assert_array_equal(s.probs, [1.0, np.finfo(np.float64).tiny])
+        assert s.clamped
+        s = softmax([1e308, 1e308, 0.0], 10.0)
+        assert s.probs[0] == s.probs[1] == 0.5
+
     def test_rejects_single_logit(self):
         with pytest.raises(ValueError):
             softmax([1.0])
@@ -144,6 +153,17 @@ class TestSoftmaxKernel:
             want, want_flag = self.one_vector(row)
             np.testing.assert_array_equal(got, want)
             assert flag == want_flag
+
+    def test_overflowing_rows_match_vectors(self):
+        v = np.array([[1e308, 0.0, -1e308], [1.0, -2.0, 0.5], [-1e308, 3e307, 0.0]])
+        lam = 7.5
+        z = _scaled_logits(v, lam)
+        np.testing.assert_array_equal(z[1], lam * v[1])  # finite rows keep lam * v
+        s, clamped = _softmax_kernel(z)
+        for row, got, flag in zip(v, s, clamped):
+            want = softmax(row, lam)
+            np.testing.assert_array_equal(got, want.probs)
+            assert flag == want.clamped
 
 
 class TestJacobian:

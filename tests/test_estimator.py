@@ -355,6 +355,14 @@ class TestBatchedEquivalence:
         assert empirical_lp(inputs, 1.0, s) == whole
         assert_matches_oracle(whole, inputs, 1.0, s)
 
+    def test_overflowing_logits_match_oracle(self):
+        # lam * x overflows on the first row; its softmax is still defined
+        inputs = [np.array([1e308, 0.0, -5.0]), np.array([1.0, 2.0, 3.0])]
+        s = spec(p=2, eps=1e-2, trials=3, seed=6)
+        report = empirical_lp(inputs, 10.0, s)
+        assert report.clamp_events > 0
+        assert_matches_oracle(report, inputs, 10.0, s)
+
     def test_zero_perturbation_rejected(self):
         # eps / ||g|| rounds to 0 at the smallest subnormal; a per-pair loop
         # would divide 0.0 by 0.0 here.

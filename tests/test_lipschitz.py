@@ -1,10 +1,13 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import softlip.lipschitz as lipschitz
 from softlip.core import m_of_s, softmax
+from softlip.fixtures import example_logits
 from softlip.lipschitz import (
     ScsaParams,
     WitnessPair,
@@ -101,7 +104,7 @@ class TestLocalLipschitz:
             np.testing.assert_array_equal(est.witness, np.sign(m_of_s(s)[i]))
 
     def test_two_norm_witness_owns_its_data(self):
-        # a view would pin the whole n x n eigenvector matrix per estimate
+        # a view would pin the solver's work arrays per estimate
         x = np.random.default_rng(8).standard_normal(64)
         assert local_lipschitz(x, 1.0, 2).witness.base is None
 
@@ -116,6 +119,109 @@ class TestLocalLipschitz:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_general_p_upper_capped_at_lambda_half(self, p):
+        # the interpolation bound rounds one or two ulps past lam/2 here
+        est = local_lipschitz(example_logits(10), 1.0, p)
+        assert est.upper == 0.5
+        assert est.method == "power iteration + lam/2 cap"
+        assert not est.exact and est.lower < est.upper
+
+
+# perfbench's tolerance for exact norms: 1e-12 relative, or 64 ulp at the
+# scale lam of the Jacobian's entries (saturated rows lose digits to 1 - s).
+def close(a, b, lam):
+    return abs(a - b) <= max(1e-12 * max(abs(a), abs(b)), 64 * np.finfo(np.float64).eps * lam)
+
+
+class TestSecularTwoNorm:
+    """p = 2 from the secular equation, against the dense eigensolve."""
+
+    @staticmethod
+    def inputs(rng, n, scale):
+        x = scale * rng.standard_normal(n)
+        top = x.max() + 1.0
+        tied2 = x.copy()
+        tied2[:2] = top
+        tied_all = x.copy()
+        tied_all[: min(n, 3)] = top
+        near = tied2.copy()
+        near[1] = np.nextafter(top, -np.inf)
+        return [x, tied2, tied_all, near]
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64, 512])
+    def test_agrees_with_dense_eigensolve(self, n):
+        rng = np.random.default_rng(n)
+        cases = [np.zeros(n)]  # every entry tied
+        for scale in (0.0, 0.1, 1.0, 4.0, 40.0, 400.0, 2000.0):
+            cases += self.inputs(rng, n, scale)
+        for x in cases:
+            for lam in (0.25, 1.0, 4.0):
+                est = local_lipschitz(x, lam, 2)
+                assert est.exact and est.lower == est.upper
+                assert est.method == "secular equation"
+                jac = lam * m_of_s(softmax(x, lam).probs)
+                assert close(est.lower, float(np.linalg.eigvalsh(jac)[-1]), lam)
+                realized = vector_norm(jac @ est.witness, 2) / vector_norm(est.witness, 2)
+                assert close(realized, est.lower, lam)
+
+    @pytest.mark.parametrize("x, lam", [
+        ([0.0, -40.0], 1.0),
+        ([0.0, -40.0], 4.0),
+        ([0.0, -50.0, -60.0, -80.0], 1.0),
+        ([0.0, -100.0, -100.5, -300.0], 1.0),
+        ([0.0, -10.0, -12.0], 4.0),
+        ([0.0, -30.0, -30.0], 4.0),
+    ])
+    def test_saturated_rows_keep_relative_accuracy(self, x, lam):
+        # s_1 rounds to 1 and the constant is tiny: computed directly, both
+        # 1 - s_1^2 / (s_1 - mu) and w_1 - s.w would lose every digit
+        mp = pytest.importorskip("mpmath")
+        s = softmax(x, lam).probs
+        assert s[0] == 1.0
+        with mp.workdps(60):
+            m = mp.matrix([[(si if i == j else 0) - mp.mpf(si) * sj for j, sj in enumerate(s)]
+                           for i, si in enumerate(s)])
+            exact = lam * float(max(mp.eigsy(m, eigvals_only=True)))
+        assert local_lipschitz(x, lam, 2).lower == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_tied_top_is_exact(self):
+        # (e_1 - e_2) / sqrt(2) is an eigenvector for the eigenvalue s_1
+        x = np.array([2.0, 2.0, 0.5, -1.0])
+        s = softmax(x).probs
+        est = local_lipschitz(x, 1.0, 2)
+        assert est.lower == pytest.approx(s[0], rel=1e-15)
+        np.testing.assert_array_equal(np.abs(est.witness), [math.sqrt(0.5)] * 2 + [0.0] * 2)
+
+    def test_needs_no_square_matrix_or_eigensolve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the p = 2 constant must not form or factor J")
+
+        monkeypatch.setattr(lipschitz, "jacobian", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        n = 2048
+        x = np.random.default_rng(5).standard_normal(n)
+        local_lipschitz(x, 1.0, 2)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            local_lipschitz(x, 1.0, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+    def test_vocabulary_sized_row(self):
+        n, lam = 100_000, 2.0
+        x = 4.0 * np.random.default_rng(9).standard_normal(n)
+        start = time.perf_counter()
+        est = local_lipschitz(x, lam, 2)
+        assert time.perf_counter() - start < 1.0
+        assert est.exact and 0.0 <= est.lower <= lam / 2.0
+        # the top eigenvalue is at least the largest diagonal entry of J
+        s = softmax(x, lam).probs
+        assert est.lower >= lam * float((s * (1.0 - s)).max()) * (1.0 - 1e-12)
 
 
 class TestWitnessAttained:
