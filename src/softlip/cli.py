@@ -9,7 +9,9 @@ JSON documents {"manifest": ..., "result": ...} whose numeric fields carry
 report byte-for-byte (the timestamp sits in its own field).
 
 Exit codes: 0 success, 2 input error, 3 solver did not converge, 4 numerical
-failure (a solver produced non-finite values or an eigensolve failed).
+failure (a solver produced non-finite values, an eigensolve failed, or
+float arithmetic raised, such as a division by a product that underflowed
+to zero).
 """
 
 from __future__ import annotations
@@ -645,7 +647,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.func(args, argv)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it is caught first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

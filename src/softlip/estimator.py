@@ -11,10 +11,16 @@ Reproducibility contract: every (input, trial, epsilon) triple draws from
 its own generator seeded by `subseed`, so results are bit-identical no
 matter how the work is partitioned or ordered. Ties in the maximum break
 toward the lowest input index, then the lowest trial index.
+
+Each triple's stream is exactly `np.random.default_rng(subseed(...))`,
+that is `PCG64(SeedSequence(subseed))`. The estimator computes the
+subseeds and their SeedSequence states for a whole block of rows at once
+and hands each state to PCG64's own seeding.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -32,13 +38,35 @@ _MASK64 = (1 << 64) - 1
 #: estimator's working memory whatever the number of inputs and trials.
 _BLOCK_ELEMENTS = 1 << 12
 
+#: Rows whose generator seeds are computed together, so wide rows (blocks
+#: of one row) share the fixed cost of a batch too.
+_SEED_ROWS = 1 << 10
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer: a fixed 64-bit bijective mix."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, a fixed 64-bit bijective mix, in place on a
+    uint64 array (numpy array arithmetic wraps modulo 2^64 unchecked)."""
+    z += 0x9E3779B97F4A7C15
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _subseeds(
+    seed: int, input_index: np.ndarray, trial_index: np.ndarray, epsilon_index: int
+) -> np.ndarray:
+    """`subseed(seed, input_index[r], trial_index[r], epsilon_index)` of every
+    row r, as a uint64 array; negative indices wrap modulo 2^64, as there."""
+    mixed = np.empty((3, len(input_index)), dtype=np.uint64)
+    mixed[0], mixed[1], mixed[2] = input_index, trial_index, epsilon_index & _MASK64
+    _mix64(mixed)
+    h = np.uint64(seed & _MASK64)
+    for v in mixed:
+        h = _mix64(h ^ v)
+    return h
 
 
 def subseed(seed: int, input_index: int, trial_index: int, epsilon_index: int) -> int:
@@ -48,10 +76,90 @@ def subseed(seed: int, input_index: int, trial_index: int, epsilon_index: int) -
     epsilon_index): h = mix64(h ^ mix64(v)), where mix64 is the splitmix64
     finalizer above. The result feeds numpy's default generator directly.
     """
-    h = seed & _MASK64
-    for v in (input_index, trial_index, epsilon_index):
-        h = _mix64(h ^ _mix64(v & _MASK64))
-    return h
+    rows = (np.array([v & _MASK64]) for v in (input_index, trial_index))
+    return int(_subseeds(seed, *rows, epsilon_index)[0])
+
+
+def _hash_chain(hash_const: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants that `calls` consecutive `hashmix` calls of numpy's
+    SeedSequence (NEP 19) xor in and multiply by, as (calls, 1) uint32
+    columns; they do not depend on the data hashed."""
+    xor, times = [], []
+    for _ in range(calls):
+        xor.append(hash_const)
+        hash_const = hash_const * mult & 0xFFFFFFFF
+        times.append(hash_const)
+    return np.array(xor, np.uint32)[:, None], np.array(times, np.uint32)[:, None]
+
+
+# SeedSequence with pool size 4 hashes an entropy of two words with 16
+# calls of one chain (4 to fill the pool, 12 to mix it) and draws 8 output
+# words with another.
+_POOL_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, 16)
+_OUTPUT_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+#: For each pool word, the other three, in the order the mixing visits them.
+_OTHER_WORDS = tuple(np.array([d for d in range(4) if d != src]) for src in range(4))
+
+
+def _hashmix(values: np.ndarray, chain: tuple, first: int, calls: int) -> np.ndarray:
+    """Calls `first` to `first + calls - 1` of a hash chain, call first + k
+    on row k of `values` (broadcast), in uint32 arithmetic that wraps as
+    numpy's C code does."""
+    xor, times = chain
+    values = (values ^ xor[first:first + calls]) * times[first:first + calls]
+    return values ^ (values >> 16)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(e).generate_state(4, np.uint64)` for every uint64 e, one
+    row each.
+
+    The entropy enters as its two 32-bit words, low word first; an entropy
+    below 2^32 is one word, which hashes the same as a zero high word. Each
+    step runs for all entropies at once, and so do the calls within a step
+    that read no result of each other.
+    """
+    pool = np.zeros((4, entropy.size), dtype=np.uint32)
+    pool[:2] = entropy.astype("<u8").reshape(-1, 1).view("<u4").T
+    pool = _hashmix(pool, _POOL_CHAIN, 0, 4)
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hashmix(pool[src], _POOL_CHAIN, 4 + 3 * src, 3)
+        mixed = _MIX_MULT_L * pool.take(dst, axis=0) - _MIX_MULT_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(np.concatenate((pool, pool)), _OUTPUT_CHAIN, 0, 8)
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _fixed_seed_type() -> type:
+    """A seed sequence that hands PCG64 one precomputed state, whatever it
+    asks for: PCG64 seeds itself from `generate_state(4, np.uint64)` alone.
+    Built on first use, so importing softlip does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return FixedSeed
+
+
+def _generators(seed: int, count: int, trials_per_input: int, epsilon_index: int):
+    """Yield `np.random.default_rng(subseed(seed, i, t, epsilon_index))` for
+    the rows (i, t) of `empirical_lp` in order, 0 to count - 1, bit for bit:
+    `PCG64(SeedSequence(subseed))`, with the subseeds and their seed states
+    computed _SEED_ROWS rows at a time, however few rows a block holds."""
+    fixed = _fixed_seed_type()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for start in range(0, count, _SEED_ROWS):
+        rows = np.arange(start, min(start + _SEED_ROWS, count))
+        inputs_of, trials_of = np.divmod(rows, trials_per_input)
+        for state in _seed_states(_subseeds(seed, inputs_of, trials_of, epsilon_index)):
+            yield generator(pcg64(fixed(state)))
 
 
 @dataclass(frozen=True)
@@ -177,8 +285,8 @@ def empirical_lp(
     `inputs` is a 2-D array whose rows are the inputs (attention score
     rows, say) or a sequence of equal-length vectors. Every (input,
     trial) pair perturbs independently from its subseed and contributes
-    the secant ratio with the realized ||d||_p in the denominator. Pass `epsilon_index` to reproduce a single row of an
-    epsilon sweep.
+    the secant ratio with the realized ||d||_p in the denominator. Pass
+    `epsilon_index` to reproduce a single row of an epsilon sweep.
 
     The pairs are evaluated as rows of arrays, in blocks of at most
     _BLOCK_ELEMENTS entries taken in (input, trial) order. Each row has the
@@ -192,6 +300,7 @@ def empirical_lp(
     base, clamps = _softmax_rows(data, lam)
     if spec.mode == MODE_TOP_EIGENVECTOR:
         directions = np.stack([sample_perturbation(n, spec, base=x) for x in data])
+    rngs = _generators(spec.seed, count, spec.trials_per_input, epsilon_index)
     best = -1.0
     best_row = 0
     total = 0.0
@@ -203,9 +312,8 @@ def empirical_lp(
             delta = directions[inputs_of]
         else:
             delta = np.empty((rows.size, n))
-            for r, (i, trial) in enumerate(zip(inputs_of.tolist(), trials_of.tolist())):
-                rng = np.random.default_rng(subseed(spec.seed, i, trial, epsilon_index))
-                delta[r] = _draw(rng, n)
+            for r in range(rows.size):
+                delta[r] = _draw(next(rngs), n)
             delta *= (spec.epsilon / row_norms(delta, spec.p))[:, None]
         z = data[inputs_of]
         z += delta

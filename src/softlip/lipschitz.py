@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,20 +28,27 @@ from softlip.opnorm import NormEstimate, NormOrder, opnorm_p_estimate, top_eigen
 
 @dataclass(frozen=True)
 class WitnessPair:
-    """A secant pair (x, y) whose softmax difference ratio nearly attains lam/2."""
+    """A secant pair (x, y) whose softmax difference ratio nearly attains lam/2.
+
+    Leave `ratio` out to have it measured from the pair (`recompute_ratio`);
+    a given ratio must match that measurement to 1e-12.
+    """
 
     x: Logits
     y: Logits
     p: NormOrder
     lam: float
-    ratio: float
+    ratio: Optional[float] = None
 
     def __post_init__(self):
         if np.array_equal(self.x.values, self.y.values):
             raise ValueError("witness pair must have x != y")
+        measured = self.recompute_ratio()
+        if self.ratio is None:
+            object.__setattr__(self, "ratio", measured)
         if self.ratio > self.lam / 2.0 + 1e-9:
             raise ValueError(f"ratio {self.ratio} exceeds the global bound {self.lam / 2}")
-        if abs(self.recompute_ratio() - self.ratio) > 1e-12:
+        if abs(measured - self.ratio) > 1e-12:
             raise ValueError("stored ratio is not reproducible from the pair")
 
     def recompute_ratio(self) -> float:
@@ -328,10 +335,7 @@ def witness_example_pair(
     x = Logits(example_logits(n, K))
     v = top_eigenvector(jacobian(softmax(x), 1.0).matrix)
     y = Logits(x.values + eps_pert * v)
-    ratio = vector_norm(softmax(y).probs - softmax(x).probs, order) / vector_norm(
-        y.values - x.values, order
-    )
-    return WitnessPair(x=x, y=y, p=order, lam=1.0, ratio=ratio)
+    return WitnessPair(x=x, y=y, p=order, lam=1.0)
 
 
 def cocoercivity_check(

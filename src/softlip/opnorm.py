@@ -166,25 +166,50 @@ def _as_matrix(A) -> np.ndarray:
     return arr
 
 
+#: At or above this sum of squares, the squares that underflowed (each
+#: under 2^-1022) move a row's sum by less than n * 2^-107 relative, far
+#: below one rounding; rows under it are rescaled before squaring.
+_SQUARES_MIN = 2.0**-968
+
+
+def _rescaled_two_norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of every row, each row scaled by the exact power of two
+    that brings its largest magnitude into [1/2, 1) before squaring, so
+    neither overflow nor underflow loses it."""
+    _, expo = np.frexp(np.abs(a).max(axis=1))
+    scaled = np.ldexp(a, -expo[:, None])
+    return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), expo)
+
+
 def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
     """The lp norm of every row of a 2-D float64 array, unvalidated.
 
     Rows are reduced in C order, so each row's norm has the same bits as
     that row on its own (a Fortran-ordered sum adds sequentially instead
-    of pairwise). p = 2 takes the BLAS dot product per row. General p
-    factors out the row's max entry before powering, so huge orders (up to
-    the coercion threshold) neither overflow nor underflow, and takes the
-    final root in Python floats (libm), which numpy's vectorized power
-    does not reproduce to the last bit.
+    of pairwise). p = 2 takes the BLAS dot product per row and rescales
+    only the rows whose sum of squares overflowed or fell below
+    _SQUARES_MIN (`_rescaled_two_norms`); every other row keeps the plain
+    dot product's bits. General p factors out the row's max entry before
+    powering, so huge orders (up to the coercion threshold) neither
+    overflow nor underflow, and takes the final root in Python floats
+    (libm), which numpy's vectorized power does not reproduce to the last
+    bit.
     """
     order = NormOrder.of(p)
-    a = np.abs(np.ascontiguousarray(rows, dtype=np.float64))
+    a = np.ascontiguousarray(rows, dtype=np.float64)
+    if order.is_two:  # the squares need no abs
+        with np.errstate(over="ignore"):  # overflowed rows are rescaled below
+            squares = np.vecdot(a, a)
+        out = np.sqrt(squares)
+        extreme = (squares < _SQUARES_MIN) | (squares == math.inf)
+        if extreme.any():
+            out[extreme] = _rescaled_two_norms(a[extreme])
+        return out
+    a = np.abs(a)
     if order.is_infinity:
         return a.max(axis=1)
     if order.is_one:
         return a.sum(axis=1)
-    if order.is_two:
-        return np.sqrt(np.vecdot(a, a))
     m = a.max(axis=1)
     m[m == 0.0] = 1.0  # an all-zero row still sums to 0
     powered = (a / m[:, None]) ** order.p

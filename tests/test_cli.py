@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +460,12 @@ class TestNumericalFailure:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
+    def test_underflowing_tau(self, fixture_dir, capsys):
+        # 4 tau^2 underflows to 0 in contraction_factor: ZeroDivisionError
+        self.check([
+            "dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv"), "--tau", "1e-306",
+        ], capsys)
+
     @pytest.mark.parametrize("exc", [
         RuntimeError("dense symmetric eigensolve failed"),
         np.linalg.LinAlgError("Eigenvalues did not converge"),
@@ -473,3 +482,20 @@ def test_inline_generators_use_the_fixture_builders():
     np.testing.assert_array_equal(parse_inline_vector("ln9-vector(7)"), attaining_logits(7))
     np.testing.assert_array_equal(parse_inline_vector("example-vector(6, 3)"), example_logits(6, 3.0))
     np.testing.assert_array_equal(parse_inline_vector("example-vector(6)"), example_logits(6))
+
+
+@pytest.mark.parametrize("code", [
+    "import softlip.cli",
+    "import softlip.cli\nsoftlip.cli.main(['--version'])",
+], ids=["import", "version"])
+def test_cli_start_leaves_numpy_random_unloaded(code):
+    # numpy.random costs a fresh process about 17 ms to import; the
+    # estimator loads it on its first draw
+    probe = code + "\nimport sys\nprint('numpy.random' in sys.modules)"
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -67,6 +67,118 @@ class TestSubseed:
         assert subseed(7, 3, 1, 2) != subseed(8, 3, 1, 2)
 
 
+def reference_subseed(seed, *indices):
+    """`subseed` with Python integers, as docs/schema.md states it."""
+    mask = (1 << 64) - 1
+
+    def mix64(z):
+        z = (z + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    h = seed & mask
+    for v in indices:
+        h = mix64(h ^ mix64(v & mask))
+    return h
+
+
+class TestSeeding:
+    """The batched seeding against `np.random.default_rng(subseed(...))`."""
+
+    SEEDS = [0, 41, -1, -(2**63), 2**63, 2**64 - 1, 2**70 + 3]
+
+    @staticmethod
+    def triples(count, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 5000, count), rng.integers(0, 300, count)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_subseed_values(self, seed):
+        inputs, trials = self.triples(300)
+        for j in (0, 2):
+            batch = estimator._subseeds(seed, inputs, trials, j)
+            pairs = list(zip(inputs.tolist(), trials.tolist()))
+            expected = [reference_subseed(seed, i, t, j) for i, t in pairs]
+            assert batch.dtype == np.uint64
+            assert batch.tolist() == expected
+            assert [subseed(seed, i, t, j) for i, t in pairs] == expected
+        for i, t, j in [(-1, 0, 0), (2**63, -5, 7), (2**64 + 9, 3, -(2**40))]:
+            assert subseed(seed, i, t, j) == reference_subseed(seed, i, t, j)
+
+    def test_states_over_thousands_of_triples(self):
+        inputs, trials = self.triples(3000, seed=1)
+        states = estimator._seed_states(estimator._subseeds(97, inputs, trials, 1))
+        for i, t, state in zip(inputs.tolist(), trials.tolist(), states):
+            expected = np.random.SeedSequence(subseed(97, i, t, 1)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(state, expected)
+
+    def test_draws_over_thousands_of_rows(self):
+        # 3000 rows span three batches of seed states
+        count, trials = 3000, 7
+        rngs = list(estimator._generators(97, count, trials, 1))
+        assert len(rngs) == count
+        for row, rng in enumerate(rngs):
+            expected = np.random.default_rng(subseed(97, row // trials, row % trials, 1))
+            np.testing.assert_array_equal(rng.standard_normal(16), expected.standard_normal(16))
+
+    def test_edge_entropies(self):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        states = estimator._seed_states(np.array(edges, dtype=np.uint64))
+        for entropy, state in zip(edges, states):
+            np.testing.assert_array_equal(
+                state, np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generators_for_any_seed(self, seed):
+        for row, rng in enumerate(estimator._generators(seed, 40, 6, 3)):
+            expected = np.random.default_rng(subseed(seed, row // 6, row % 6, 3))
+            np.testing.assert_array_equal(rng.standard_normal(7), expected.standard_normal(7))
+            np.testing.assert_array_equal(rng.standard_normal(3), expected.standard_normal(3))
+
+    @pytest.mark.parametrize("n", [16, 5000])  # at n = 5000 each block holds one row
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 - 1])
+    def test_estimator_matches_default_rng_oracle(self, seed, n):
+        rng = np.random.default_rng(60)
+        inputs = [rng.normal(size=n) for _ in range(6)]
+        s = spec(p=2, eps=1e-2, trials=7, seed=seed)
+        assert_matches_oracle(empirical_lp(inputs, 1.0, s, epsilon_index=1), inputs, 1.0, s, 1)
+
+    def test_zero_draw_is_redrawn_from_the_same_stream(self, monkeypatch):
+        class ZeroFirst:
+            """A generator whose first draw comes out all zero; the stream
+            still advances past it."""
+
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def standard_normal(self, n):
+                self.draws += 1
+                g = self.rng.standard_normal(n)
+                return np.zeros_like(g) if self.draws == 1 else g
+
+        wrapped = []
+        batched = estimator._generators
+
+        def zero_first(*args):
+            for rng in batched(*args):
+                wrapped.append(ZeroFirst(rng))
+                yield wrapped[-1]
+
+        monkeypatch.setattr(estimator, "_generators", zero_first)
+        rng = np.random.default_rng(61)
+        inputs = [rng.normal(size=5) for _ in range(3)]
+        s = spec(p=1.5, eps=1e-2, trials=4, seed=8)
+        report = empirical_lp(inputs, 1.0, s)
+        assert [w.draws for w in wrapped] == [2] * 12
+        expected = oracle(
+            inputs, 1.0, s, rng_of=lambda entropy: ZeroFirst(np.random.default_rng(entropy))
+        )
+        assert (report.empirical_lp, (report.argmax_input_index, report.argmax_trial)) == expected[:2]
+        assert report.empirical_lp != oracle(inputs, 1.0, s)[0]
+
+
 class TestEmpiricalLp:
     def test_example_input_top_eigenvector(self):
         report = empirical_lp([example_input()], 1.0, spec(mode=MODE_TOP_EIGENVECTOR, trials=1))
@@ -254,8 +366,9 @@ class TestSpecValidation:
             spec(aggregate="median")
 
 
-def oracle(inputs, lam, s, epsilon_index=0):
-    """The estimator as one validated call per (input, trial) pair.
+def oracle(inputs, lam, s, epsilon_index=0, rng_of=np.random.default_rng):
+    """The estimator as one validated call per (input, trial) pair, each
+    drawing from `rng_of(subseed(...))`.
 
     Returns (value, (input, trial) argmax, clamp events), with ties going
     to the first pair in (input, trial) order and the mean added left to
@@ -269,7 +382,7 @@ def oracle(inputs, lam, s, epsilon_index=0):
             if s.mode == MODE_TOP_EIGENVECTOR:
                 delta = sample_perturbation(x.size, s, base=x)
             else:
-                rng = np.random.default_rng(subseed(s.seed, i, trial, epsilon_index))
+                rng = rng_of(subseed(s.seed, i, trial, epsilon_index))
                 delta = sample_perturbation(x.size, s, rng)
             sy = softmax(x + delta, lam)
             clamps += int(sy.clamped)

@@ -171,6 +171,7 @@ class TestSecularTwoNorm:
         ([0.0, -40.0], 4.0),
         ([0.0, -50.0, -60.0, -80.0], 1.0),
         ([0.0, -100.0, -100.5, -300.0], 1.0),
+        ([0.0, -100.0, -100.5, -300.0], 4.0),  # every entry of J w is below 1e-154
         ([0.0, -10.0, -12.0], 4.0),
         ([0.0, -30.0, -30.0], 4.0),
     ])
@@ -333,6 +334,26 @@ class TestWitnessExamplePair:
     def test_pair_is_reproducible(self):
         pair = witness_example_pair(6, 20.0, 1e-4, 3)
         assert abs(pair.recompute_ratio() - pair.ratio) == 0.0
+
+    def test_ratio_is_evaluated_once(self, monkeypatch):
+        # one softmax for the eigenvector, two and two norms for the ratio
+        calls = {"softmax": 0, "vector_norm": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(lipschitz, name, counted(name, getattr(lipschitz, name)))
+        pair = witness_example_pair(10, 20.0, 1e-4, 2)
+        assert calls == {"softmax": 3, "vector_norm": 2}
+        assert pair.ratio == pytest.approx(EXAMPLE_RATIO, abs=1e-9)
+
+    def test_omitted_ratio_is_measured(self):
+        pair = witness_example_pair(5, 20.0, 1e-4, 3)
+        assert WitnessPair(pair.x, pair.y, pair.p, pair.lam) == pair
 
     def test_type_rejects_inflated_ratio(self):
         pair = witness_example_pair(4, 20.0, 1e-4, 2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,35 @@ class TestVectorNorm:
             assert vector_norm(np.zeros(4), p) == 0.0
 
 
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-200, 1e-300])
+    def test_two_norm_at_the_ends_of_float64(self, scale):
+        # the squares overflow to inf or underflow to 0 unless rescaled
+        exact = pytest.approx(math.sqrt(2.0) * scale, rel=1e-15, abs=0.0)
+        assert vector_norm([scale, scale], 2) == exact
+        assert vector_norm([3.0 * scale, 4.0 * scale], 2) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+    def test_two_norm_of_subnormals_and_beyond_range(self):
+        assert vector_norm([3e-320, 4e-320], 2) == pytest.approx(5e-320, rel=1e-3, abs=0.0)
+        assert vector_norm([5e-324], 2) == 5e-324
+        with np.errstate(over="ignore"):
+            assert vector_norm([1.5e308, 1.5e308], 2) == math.inf
+
+
 class TestRowNorms:
+    def test_two_norm_rescales_only_extreme_rows(self):
+        rng = np.random.default_rng(6)
+        rows = rng.normal(size=(6, 9))
+        rows[1] *= 1e200
+        rows[3] *= 1e-170
+        rows[4] = 0.0
+        got = row_norms(rows, 2)
+        for r in (0, 2, 4, 5):  # plain dot product, bit for bit
+            assert got[r] == math.sqrt(np.dot(rows[r], rows[r]))
+        for r, scale in ((1, 1e200), (3, 1e-170)):
+            expected = scale * vector_norm(rows[r] / scale, 2)
+            assert got[r] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3, "inf"])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_each_row_equals_vector_norm(self, p, order):
