@@ -57,6 +57,7 @@ from softlip.opnorm import (
     opnorm_one,
     opnorm_p_estimate,
     opnorm_two,
+    riesz_thorin_bound,
     vector_norm,
 )
 
@@ -81,6 +82,7 @@ __all__ = [
     "opnorm_two",
     "opnorm_p_estimate",
     "interpolation_bound",
+    "riesz_thorin_bound",
     "WitnessPair",
     "LimitSequenceStep",
     "ScsaParams",

@@ -55,7 +55,9 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
 _DEFAULT_SEED = 0
-_FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+#: A CSV line every one of whose fields `_parse_float` accepts.
+_CSV_LINE_RE = re.compile(rf"\s*{_FLOAT_RE.pattern}\s*(?:,\s*{_FLOAT_RE.pattern}\s*)*")
 
 
 class InputError(Exception):
@@ -112,6 +114,30 @@ def read_matrix_csv(path: str) -> np.ndarray:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return _parse_matrix(text, path)
+
+
+def _parse_matrix(text: str, path: str) -> np.ndarray:
+    """The matrix in a CSV text: one regex match and one `float` map per
+    line, then one finiteness check. Any miss falls back to the per-cell
+    parser, which gives the same array or names the first bad field."""
+    lines = [line for raw in text.split("\n") if (line := raw.rstrip("\r")) != ""]
+    if lines and all(_CSV_LINE_RE.fullmatch(line) for line in lines):
+        try:
+            # float() strips fewer ASCII control characters than \s matches
+            rows = [list(map(float, line.split(","))) for line in lines]
+        except ValueError:
+            rows = []
+        if rows and all(len(row) == len(rows[0]) for row in rows):
+            mat = np.array(rows, dtype=np.float64)
+            if np.isfinite(mat).all():
+                return mat
+    return _parse_matrix_cells(text, path)
+
+
+def _parse_matrix_cells(text: str, path: str) -> np.ndarray:
+    """The per-cell parser behind `_parse_matrix`; it alone writes the
+    error messages, naming the line and column of the first bad field."""
     rows: list[list[float]] = []
     width = None
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -12,6 +12,17 @@ which is a contraction whenever tau > ||A||_p / 2, with factor
 factor and the conservative ||A||_p ||A^T||_p / (4 tau^2) are reported;
 solving proceeds either way, flagged as uncertified when the conservative
 factor is not below 1.
+
+Both factors read only certified upper ends of ||A||_p and ||A^T||_p, and
+no power iteration runs for them: p in {1, inf} takes the exact column and
+row sums, p = 2 one dense eigensolve shared by A and A^T (||A^T||_2 =
+||A||_2), and general p the smaller of the interpolation bound and the
+Riesz-Thorin bound, both built from ||A||_1, ||A||_inf and one ||A||_2.
+
+tau must satisfy TAU_MIN <= tau < TAU_LIMIT, that is 2^-512 <= tau < 2^511
+(about 7.5e-155 to 6.7e153): there 1/tau and 4 tau^2 are normal floats, so
+neither the softmax scale nor the factors' denominator overflows or
+underflows.
 """
 
 from __future__ import annotations
@@ -22,13 +33,45 @@ from typing import Union
 import numpy as np
 
 from softlip.core import TOL_SIMPLEX_PER_ENTRY, SimplexPoint, _softmax_kernel
-from softlip.opnorm import NormOrder, opnorm_p_estimate, vector_norm
+from softlip.opnorm import (
+    MAX_DENSE_DIM,
+    NormOrder,
+    OpNormError,
+    _interpolate,
+    _two_norm_fallback_bracket,
+    opnorm_inf,
+    opnorm_one,
+    opnorm_p_estimate,
+    opnorm_two,
+    riesz_thorin_bound,
+    row_norms,
+)
 
 _TRACE_CAP = 100_000
+
+#: Smallest accepted tau: 4 * TAU_MIN^2 = 2^-1022 is the smallest normal float.
+TAU_MIN = 2.0**-512
+
+#: Accepted tau stay below this: 4 * TAU_LIMIT^2 = 2^1024 overflows.
+TAU_LIMIT = 2.0**511
+
+#: Relative outward rounding of the general-p upper ends. The eigenvalue
+#: solve's ||A||_2 fell up to 2.6e-15 below the ratio its eigenvector
+#: realizes (payoffs up to 512 x 512), and on constant and rank-one payoffs,
+#: where the bounds are tight, the unrounded bound fell below a realized ratio.
+_UPPER_SLACK = 2.0**-40
 
 
 class DsfpError(RuntimeError):
     """Raised when the iteration produces non-finite values."""
+
+
+def _check_tau(tau) -> None:
+    if not TAU_MIN <= tau < TAU_LIMIT:
+        raise ValueError(
+            f"tau must satisfy 2^-512 <= tau < 2^511 (minimum {TAU_MIN!r}), so that "
+            f"1/tau and 4 tau^2 are normal floats; got {tau!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -67,8 +110,7 @@ class DsfpConfig:
     y0: Union[str, np.ndarray] = "uniform"
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError("tau must be positive")
+        _check_tau(self.tau)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
         if not self.tol > 0.0:
@@ -121,28 +163,69 @@ def _check_strategy(y, m: int) -> np.ndarray:
     return arr
 
 
+def _dsfp_step(a: np.ndarray, lam: float, y: np.ndarray) -> tuple[np.ndarray, bool]:
+    """T(y) at lam = 1/tau and whether either inner softmax clamped, unvalidated."""
+    x, x_clamped = _softmax_kernel(lam * (-(a @ y)))
+    t_y, y_clamped = _softmax_kernel(lam * (a.T @ x))
+    return t_y, bool(x_clamped) or bool(y_clamped)
+
+
 def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
     """One application of T(y) = sig_{1/tau}(A^T sig_{1/tau}(-A y)).
 
     The returned point's `clamped` flag covers both inner softmaxes.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    arr = _check_strategy(y, game.m)
-    lam = 1.0 / tau
-    x, x_clamped = _softmax_kernel(lam * (-(game.a @ arr)))
-    t_y, y_clamped = _softmax_kernel(lam * (game.a.T @ x))
-    return SimplexPoint(t_y, clamped=bool(x_clamped) or bool(y_clamped))
+    _check_tau(tau)
+    t_y, clamped = _dsfp_step(game.a, 1.0 / tau, _check_strategy(y, game.m))
+    return SimplexPoint(t_y, clamped=clamped)
+
+
+def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
+    """Certified upper ends of (||A||_p, ||A^T||_p), with no power iteration.
+
+    p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
+    p = 2: one eigensolve, opnorm_p_estimate(A, 2).upper, for both sides.
+    General p: min(interpolation, Riesz-Thorin) per side, from ||A||_1,
+    ||A||_inf and ||A||_2 = ||A^T||_2, raised by the relative
+    _UPPER_SLACK. Since ||A||_2^2 <= ||A||_1 ||A||_inf, Riesz-Thorin is
+    the smaller in exact arithmetic; the min keeps a rounded-up ||A||_2
+    from ever giving more than the interpolation bound. Above MAX_DENSE_DIM, or when the eigensolve fails,
+    ||A||_2 is replaced by the upper end of the certified two-norm fallback
+    bracket, so no payoff goes unanswered.
+    """
+    if order.is_two:
+        two = opnorm_p_estimate(a, order).upper
+        return two, two
+    one, inf = opnorm_one(a), opnorm_inf(a)
+    if order.is_one:
+        return one, inf
+    if order.is_infinity:
+        return inf, one
+    if max(a.shape) > MAX_DENSE_DIM:
+        two = _two_norm_fallback_bracket(a).upper
+    else:
+        try:
+            two = opnorm_two(a)
+        except OpNormError as exc:
+            two = exc.bracket.upper
+    outward = 1.0 + _UPPER_SLACK
+    return (
+        outward * min(_interpolate(one, inf, order), riesz_thorin_bound(one, two, inf, order)),
+        outward * min(_interpolate(inf, one, order), riesz_thorin_bound(inf, two, one, order)),
+    )
 
 
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:
-    """Contraction threshold ||A||_p / 2, from the certified upper bracket.
+    """Contraction threshold ||A||_p / 2, from a certified upper end of ||A||_p.
 
-    Any tau strictly above this makes the classical factor < 1. For general
-    p that factor leans on ||A^T||_p = ||A||_p, which only holds at p = 2;
-    compare contraction_factor's safe value before trusting it.
+    That end is exact at p in {1, inf}, the dense eigensolve's value at
+    p = 2, and the smaller of the interpolation and Riesz-Thorin bounds for
+    general p. Any tau strictly above the threshold makes the classical
+    factor < 1. For general p that factor leans on ||A^T||_p = ||A||_p,
+    which only holds at p = 2; compare contraction_factor's safe value
+    before trusting it.
     """
-    return opnorm_p_estimate(game.a, p).upper / 2.0
+    return _upper_norms(game.a, NormOrder.of(p))[0] / 2.0
 
 
 def contraction_factor(
@@ -151,14 +234,14 @@ def contraction_factor(
     """(nominal, safe) contraction factors of T at regularization tau.
 
     nominal = ||A||_p^2 / (4 tau^2); safe = ||A||_p ||A^T||_p / (4 tau^2),
-    both from certified upper brackets. They coincide at p = 2 and for
-    symmetric payoffs; elsewhere the safe factor is the provable one.
+    both from the certified upper ends `tau_min` uses (for general p, each
+    side's min of the interpolation and Riesz-Thorin bounds). At p = 2 one
+    eigensolve serves both sides, so safe == nominal; they also coincide
+    for symmetric payoffs, and elsewhere the safe factor is the provable
+    one. tau outside [TAU_MIN, TAU_LIMIT) raises ValueError.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
-    order = NormOrder.of(p)
-    a_norm = opnorm_p_estimate(game.a, order).upper
-    at_norm = opnorm_p_estimate(game.a.T, order).upper
+    _check_tau(tau)
+    a_norm, at_norm = _upper_norms(game.a, NormOrder.of(p))
     scale = 4.0 * tau * tau
     return a_norm * a_norm / scale, a_norm * at_norm / scale
 
@@ -187,11 +270,15 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     `converged` additionally requires the fixed-point residual
     ||T(y) - y||_p <= tol at the final iterate. Exhausting max_iter is not
     an exception, just converged = False. Non-finite iterates raise.
+
+    The start point is validated here, once; the steps run the unvalidated
+    kernel behind `dsfp_map`, with the same arithmetic and so the same bits.
     """
     if isinstance(config.y0, str):
         y = np.full(game.m, 1.0 / game.m)
     else:
         y = _check_strategy(config.y0, game.m).copy()
+    lam = 1.0 / config.tau
     alpha = config.alpha
     order = config.p
     trace: list = []
@@ -200,13 +287,12 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     iterations = 0
     clamps = 0
     for k in range(1, config.max_iter + 1):
-        mapped = dsfp_map(game, config.tau, y)
-        clamps += int(mapped.clamped)
-        t_y = mapped.probs
+        t_y, clamped = _dsfp_step(game.a, lam, y)
+        clamps += int(clamped)
         y_next = (1.0 - alpha) * y + alpha * t_y
         if not np.all(np.isfinite(y_next)):
             raise DsfpError(f"non-finite iterate at step {k}")
-        disp = vector_norm(y_next - y, order)
+        disp = float(row_norms((y_next - y)[None], order)[0])
         if k % stride == 0:
             trace.append((k, disp))
             if len(trace) >= _TRACE_CAP:
@@ -217,9 +303,9 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         if disp <= config.tol * alpha:
             stopped = True
             break
-    final_map = dsfp_map(game, config.tau, y)
-    clamps += int(final_map.clamped)
-    residual = vector_norm(final_map.probs - y, order)
+    t_y, clamped = _dsfp_step(game.a, lam, y)
+    clamps += int(clamped)
+    residual = float(row_norms((t_y - y)[None], order)[0])
     x_star = _softmax_kernel((-(game.a @ y)) / config.tau)[0]
     nominal, safe = contraction_factor(game, config.tau, order)
     return DsfpResult(

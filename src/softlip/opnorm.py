@@ -316,10 +316,38 @@ def interpolation_bound(A, p: Union[NormOrder, float, str]) -> float:
     inf = float(np.abs(arr).sum(axis=1).max())
     if order.is_infinity:
         return inf
+    return _interpolate(one, inf, order)
+
+
+def _interpolate(one: float, inf: float, order: NormOrder) -> float:
+    """one^(1/p) * inf^(1-1/p) for a general order, 0 for a zero matrix."""
     if one == 0.0 or inf == 0.0:
         return 0.0
     inv_p = 1.0 / order.p
     return one**inv_p * inf ** (1.0 - inv_p)
+
+
+def riesz_thorin_bound(
+    one: float, two: float, inf: float, p: Union[NormOrder, float, str]
+) -> float:
+    """Upper bound on ||A||_p from upper bounds on ||A||_1, ||A||_2, ||A||_inf.
+
+    The Riesz-Thorin theorem makes log ||A||_{1/t} convex in t = 1/p, so
+    the bound interpolates between p = 2 and the nearer end:
+    one^(1-theta) two^theta with theta = 2(1 - 1/p) for p < 2, and
+    inf^(1-theta) two^theta with theta = 2/p for p > 2. It returns `one`,
+    `two` or `inf` itself at p = 1, 2 or inf. For a matrix whose 2-norm is
+    small next to its row and column sums it is far below
+    `interpolation_bound`, which uses the two ends alone.
+    """
+    order = NormOrder.of(p)
+    if order.is_two:
+        return two
+    if order.p < 2.0:
+        theta = 2.0 * (1.0 - 1.0 / order.p)
+        return one ** (1.0 - theta) * two**theta
+    theta = 2.0 / order.p  # 0 at p = inf
+    return inf ** (1.0 - theta) * two**theta
 
 
 def _dual_scale(U: np.ndarray, expo: float) -> np.ndarray:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softlip.cli as cli
 from softlip.cli import (
@@ -83,6 +85,60 @@ class TestCsvIngestion:
         path.write_text("", encoding="utf-8")
         with pytest.raises(InputError, match="empty"):
             read_matrix_csv(str(path))
+
+    def test_clean_file_skips_the_per_cell_parser(self, tmp_path, monkeypatch):
+        def fail(text, path):
+            raise AssertionError("per-cell parser called on a clean file")
+
+        monkeypatch.setattr(cli, "_parse_matrix_cells", fail)
+        path = tmp_path / "m.csv"
+        path.write_text(" 1.5 ,-2e-3\r\n\n0.25,\t3\n", encoding="utf-8")
+        np.testing.assert_array_equal(
+            read_matrix_csv(str(path)), [[1.5, -2e-3], [0.25, 3.0]]
+        )
+
+
+def parse_outcome(parse, text):
+    """The array's shape and bits, or the InputError message."""
+    try:
+        mat = parse(text, "m.csv")
+    except InputError as exc:
+        return "error", str(exc)
+    return mat.shape, mat.tobytes()
+
+
+_CSV_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([
+        "0", "-0.0", "+.5", "1.", ".e1", "1e400", "-1e400", "1e-400", "nan", "inf",
+        "-Infinity", "1_0", "0x10", "abc", "", "1 2", "\u0661", "1e5e5",
+    ]),
+)
+# whitespace that str.strip removes; \x1c and \xa0 are not ASCII spaces to float()
+_CSV_SPACE = st.text(alphabet=" \t\r\x0b\x0c\x1c\xa0", max_size=2)
+_CSV_CELL = st.builds(lambda pre, tok, post: pre + tok + post, _CSV_SPACE, _CSV_TOKENS, _CSV_SPACE)
+_CSV_LINE = st.one_of(st.lists(_CSV_CELL, min_size=1, max_size=4).map(",".join), st.just(""))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    lines=st.lists(_CSV_LINE, max_size=4),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    trailing=st.booleans(),
+)
+def test_csv_fast_path_matches_per_cell_parser(lines, newline, trailing):
+    # the fast path gives the per-cell parser's array bits or its exact message
+    text = newline.join(lines) + (newline if trailing else "")
+    assert parse_outcome(cli._parse_matrix, text) == parse_outcome(cli._parse_matrix_cells, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1,2\n3,4\n", " 1 ,\t2\r\n3 , 4\r\n", "1e400,1\n", "1,nan\n", "1_0,2\n",
+    "1,2\n3\n", "1,2\n\n3,4,5\n", "1\x1c,2\n", "\n\n", "1,2,\n",
+])
+def test_csv_fast_path_examples(text):
+    assert parse_outcome(cli._parse_matrix, text) == parse_outcome(cli._parse_matrix_cells, text)
 
 
 class TestInlineVectors:
@@ -339,6 +395,25 @@ class TestDsfpCommand:
         path.write_text("1,nan\n2,3\n", encoding="utf-8")
         assert main(["dsfp", "--payoff", str(path)]) == EXIT_INPUT
 
+    def check_tau_rejected(self, fixture_dir, capsys, tau):
+        argv = ["dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv"), "--tau", tau]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: tau must satisfy 2^-512 <= tau < 2^511")
+        assert "Traceback" not in err
+
+    def test_underflowing_tau(self, fixture_dir, capsys):
+        # 4 tau^2 would underflow to 0 in contraction_factor
+        self.check_tau_rejected(fixture_dir, capsys, "1e-306")
+
+    def test_subnormal_tau(self, fixture_dir, capsys):
+        # 1/tau would overflow to inf; this once read "probs must have finite entries"
+        self.check_tau_rejected(fixture_dir, capsys, "1e-310")
+
+    def test_huge_tau(self, fixture_dir, capsys):
+        # 4 tau^2 would overflow to inf
+        self.check_tau_rejected(fixture_dir, capsys, "1e200")
+
 
 class TestScsaCommand:
     def test_hand_evaluated(self, capsys):
@@ -459,12 +534,6 @@ class TestNumericalFailure:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
-
-    def test_underflowing_tau(self, fixture_dir, capsys):
-        # 4 tau^2 underflows to 0 in contraction_factor: ZeroDivisionError
-        self.check([
-            "dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv"), "--tau", "1e-306",
-        ], capsys)
 
     @pytest.mark.parametrize("exc", [
         RuntimeError("dense symmetric eigensolve failed"),

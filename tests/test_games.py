@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import softlip.games as games_module
+import softlip.opnorm as opnorm_module
 from softlip.games import (
+    TAU_LIMIT,
+    TAU_MIN,
     DsfpConfig,
+    DsfpError,
     MatrixGame,
+    _upper_norms,
     contraction_factor,
     dsfp_map,
     dsfp_solve,
@@ -13,7 +19,13 @@ from softlip.games import (
     shannon_entropy,
     tau_min,
 )
-from softlip.opnorm import opnorm_two, vector_norm
+from softlip.opnorm import (
+    NormOrder,
+    interpolation_bound,
+    opnorm_p_estimate,
+    opnorm_two,
+    vector_norm,
+)
 
 MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -286,3 +298,188 @@ class TestValidation:
             dsfp_solve(game, DsfpConfig(tau=1.0, y0=np.array([0.9, 0.9])))
         with pytest.raises(ValueError):
             dsfp_map(game, 1.0, np.array([-0.5, 1.5]))
+
+
+def seeded_payoffs():
+    """Square and non-square payoffs from 1e-3 to 1e3, signed and nonnegative,
+    plus constant and rank-one ones on which a bound is tight."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for shape in [(5, 5), (8, 3), (3, 9), (40, 40), (30, 70)]:
+        for scale in (1e-3, 1.0, 1e3):
+            a = scale * rng.standard_normal(shape)
+            out += [a, np.abs(a)]
+    out += [np.full((6, 6), 3.1), np.ones((1, 6)), np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0])]
+    return out
+
+
+class TestUpperNorms:
+    @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 7.0])
+    def test_between_realized_ratio_and_interpolation(self, p):
+        order = NormOrder.of(p)
+        outward = 1.0 + games_module._UPPER_SLACK
+        for a in seeded_payoffs():
+            ends = _upper_norms(a, order)
+            for mat, upper in zip((a, a.T), ends):
+                assert opnorm_p_estimate(mat, order).lower <= upper
+                assert upper <= outward * interpolation_bound(mat, order)
+
+    def test_riesz_thorin_wins_on_random_payoffs(self):
+        a = np.random.default_rng(5).standard_normal((60, 90))
+        for mat, upper in zip((a, a.T), _upper_norms(a, NormOrder.of(3))):
+            assert upper < 0.5 * interpolation_bound(mat, 3)
+
+    def test_never_above_interpolation(self, monkeypatch):
+        # an eigensolve that rounds ||A||_2 far up still leaves the old bound
+        monkeypatch.setattr(games_module, "opnorm_two", lambda a: 1e6)
+        a = np.random.default_rng(8).standard_normal((6, 9))
+        outward = 1.0 + games_module._UPPER_SLACK
+        for p in (1.5, 3.0):
+            for mat, upper in zip((a, a.T), _upper_norms(a, NormOrder.of(p))):
+                assert upper == outward * interpolation_bound(mat, p)
+
+    @pytest.mark.parametrize("p", [1, "inf"])
+    def test_canonical_ends_are_exact_sums(self, p):
+        a = np.random.default_rng(6).standard_normal((7, 4))
+        order = NormOrder.of(p)
+        ends = _upper_norms(a, order)
+        assert ends == (opnorm_p_estimate(a, order).upper, opnorm_p_estimate(a.T, order).upper)
+
+    def test_tau_min_two_is_the_eigensolve_value(self):
+        for shape in [(5, 5), (6, 12), (12, 6)]:
+            game = random_game(41, shape)
+            assert tau_min(game, 2) == opnorm_p_estimate(game.a, 2).upper / 2.0
+
+    def test_safe_equals_nominal_at_p_two(self):
+        game = random_game(43, (6, 12))
+        nominal, safe = contraction_factor(game, 0.7, 2)
+        assert safe == nominal
+
+    def test_large_payoff_general_p_answers(self, monkeypatch):
+        # above MAX_DENSE_DIM the two-norm fallback bracket stands in for ||A||_2
+        def fail(*args, **kwargs):
+            raise AssertionError("no eigensolve above MAX_DENSE_DIM")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        game = MatrixGame(np.random.default_rng(47).standard_normal((600, 600)))
+        threshold = tau_min(game, 3)
+        outward = 1.0 + games_module._UPPER_SLACK
+        assert vector_norm(game.a[:, 0], 3) < 2.0 * threshold  # the ratio at e_0
+        assert 2.0 * threshold <= outward * interpolation_bound(game.a, 3)
+        nominal, safe = contraction_factor(game, 1.01 * threshold, 3)
+        assert nominal < 1.0 and math.isfinite(safe)
+
+    def test_failed_eigensolve_falls_back(self, monkeypatch):
+        game = random_game(53, (6, 9))
+        order = NormOrder.of(3)
+        before = _upper_norms(game.a, order)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        after = _upper_norms(game.a, order)
+        for mat, old, new in zip((game.a, game.a.T), before, after):
+            assert old <= new <= (1.0 + games_module._UPPER_SLACK) * interpolation_bound(mat, order)
+
+
+def reference_solve(game, config):
+    """The solver loop on the public, validated dsfp_map and vector_norm."""
+    y = np.full(game.m, 1.0 / game.m) if isinstance(config.y0, str) else config.y0.copy()
+    trace, clamps, iterations = [], 0, 0
+    for k in range(1, config.max_iter + 1):
+        mapped = dsfp_map(game, config.tau, y)
+        clamps += int(mapped.clamped)
+        y_next = (1.0 - config.alpha) * y + config.alpha * mapped.probs
+        disp = vector_norm(y_next - y, config.p)
+        trace.append((k, disp))
+        y, iterations = y_next, k
+        if disp <= config.tol * config.alpha:
+            break
+    final = dsfp_map(game, config.tau, y)
+    clamps += int(final.clamped)
+    return y, tuple(trace), iterations, vector_norm(final.probs - y, config.p), clamps
+
+
+class TestSolverLoop:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    @pytest.mark.parametrize("case", ["random", "nonsquare", "saturated"])
+    def test_same_bits_as_the_public_map(self, case, alpha, p):
+        if case == "saturated":
+            # softmax entries underflow, so clamps fire on every step
+            game = MatrixGame(800.0 * random_game(59).a)
+            config = DsfpConfig(tau=1.0, alpha=alpha, p=p, tol=1e-12, max_iter=40)
+        else:
+            game = random_game(61, (5, 5) if case == "random" else (4, 7))
+            config = DsfpConfig(tau=1.01 * tau_min(game, p), alpha=alpha, p=p, tol=1e-12)
+        res = dsfp_solve(game, config)
+        y, trace, iterations, residual, clamps = reference_solve(game, config)
+        assert res.y_star.tobytes() == y.tobytes()
+        assert res.trace == trace
+        assert res.iterations == iterations
+        assert res.residual == residual
+        assert res.clamp_events == clamps
+        if case == "saturated":
+            assert clamps > 0
+
+    def test_non_finite_iterate_raises(self):
+        # lam * (-(A y)) is +inf in every entry, so the first softmax is NaN
+        game = MatrixGame(np.full((2, 2), -1e300))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DsfpError, match="step 1"):
+            dsfp_solve(game, DsfpConfig(tau=1e-10))
+
+    @pytest.mark.parametrize("p, eigh, eigvalsh", [
+        (2, 1, 0), (3, 0, 1), (1.5, 0, 1), (1, 0, 0), ("inf", 0, 0),
+    ])
+    def test_diagnostic_solves_per_call(self, p, eigh, eigvalsh, monkeypatch):
+        counts = {"eigh": 0, "eigvalsh": 0, "power": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(opnorm_module, "_boyd_lower", counting("power", opnorm_module._boyd_lower))
+        game = random_game(67, (6, 9))
+        dsfp_solve(game, DsfpConfig(tau=2.0, p=p))
+        assert counts == {"eigh": eigh, "eigvalsh": eigvalsh, "power": 0}
+        tau_min(game, p)
+        assert counts == {"eigh": 2 * eigh, "eigvalsh": 2 * eigvalsh, "power": 0}
+
+
+class TestTauRange:
+    def test_constants_are_the_normal_float_edges(self):
+        tiny = np.finfo(np.float64).tiny
+        for tau in (TAU_MIN, np.nextafter(TAU_MIN, 0.0), np.nextafter(TAU_LIMIT, 0.0), TAU_LIMIT):
+            tau = float(tau)
+            normal = all(
+                math.isfinite(v) and v >= tiny for v in (1.0 / tau, 4.0 * tau * tau)
+            )
+            assert normal == (TAU_MIN <= tau < TAU_LIMIT)
+        DsfpConfig(tau=TAU_MIN)
+        DsfpConfig(tau=float(np.nextafter(TAU_LIMIT, 0.0)))
+
+    @pytest.mark.parametrize("tau", [
+        0.0, -1.0, math.nan, math.inf, 1e-310, 1e-200, float(np.nextafter(TAU_MIN, 0.0)),
+        TAU_LIMIT, 1e300,
+    ])
+    def test_rejected_everywhere_with_the_minimum(self, tau):
+        game = MatrixGame(MATCHING_PENNIES)
+        match = r"2\^-512 <= tau < 2\^511 \(minimum 7\.458"
+        with pytest.raises(ValueError, match=match):
+            DsfpConfig(tau=tau)
+        with pytest.raises(ValueError, match=match):
+            dsfp_map(game, tau, np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=match):
+            contraction_factor(game, tau, 2)
+
+    def test_smallest_tau_solves(self):
+        # 1/tau and 4 tau^2 are normal, so the solve and both factors answer
+        game = MatrixGame(np.array([[1e-150, 0.0], [0.0, 1e-150]]))
+        res = dsfp_solve(game, DsfpConfig(tau=TAU_MIN))
+        assert res.converged
+        assert math.isfinite(res.contraction_safe)

@@ -4,7 +4,9 @@ The files under tests/golden/ were written by the CLI before the code they
 guard was refactored: the `estimate` goldens before the estimator was
 batched, the general-p `jacobian-norm` and `dsfp` ones before the power
 iteration moved onto `row_norms`, the others before the CLI's parsers and
-error handling were consolidated. Each command runs from a scratch working
+error handling were consolidated. `dsfp_tau_auto_p3` was rewritten once,
+when `tau auto` at general p moved from the interpolation bound to the
+smaller Riesz-Thorin upper end (tau 1.4485 -> 1.1262, 8 -> 10 iterations). Each command runs from a scratch working
 directory holding a copy of fixtures/, with relative paths, so the
 manifest's argv and the result's path fields do not depend on where the
 repository lives. The timestamp is the one field excluded from

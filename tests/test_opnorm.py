@@ -10,6 +10,7 @@ from softlip.opnorm import (
     NormEstimate,
     NormOrder,
     interpolation_bound,
+    riesz_thorin_bound,
     opnorm_inf,
     opnorm_one,
     opnorm_p_estimate,
@@ -254,6 +255,33 @@ class TestInterpolationBound:
 
     def test_zero_matrix(self):
         assert interpolation_bound(np.zeros((4, 4)), 1.7) == 0.0
+
+
+class TestRieszThorinBound:
+    def test_reduces_to_the_given_norms(self):
+        assert riesz_thorin_bound(3.0, 2.0, 5.0, 1) == 3.0
+        assert riesz_thorin_bound(3.0, 2.0, 5.0, 2) == 2.0
+        assert riesz_thorin_bound(3.0, 2.0, 5.0, "inf") == 5.0
+
+    def test_exponents(self):
+        # p = 4/3 gives theta = 1/2 against the 1-norm; p = 4 gives 1/2 against inf
+        assert riesz_thorin_bound(9.0, 4.0, 100.0, 4.0 / 3.0) == pytest.approx(6.0, rel=1e-15)
+        assert riesz_thorin_bound(100.0, 4.0, 9.0, 4.0) == pytest.approx(6.0, rel=1e-15)
+        assert riesz_thorin_bound(0.0, 0.0, 0.0, 3) == 0.0
+
+    def test_bounds_the_power_iteration_ratio(self):
+        rng = np.random.default_rng(2026)
+        for shape in [(4, 4), (7, 3), (3, 9), (25, 25)]:
+            a = rng.standard_normal(shape)
+            one, two, inf = opnorm_one(a), opnorm_two(a), opnorm_inf(a)
+            for p in (1.1, 1.5, 3.0, 10.0):
+                bound = riesz_thorin_bound(one, two, inf, p)
+                assert opnorm_p_estimate(a, p).lower <= bound
+
+    def test_sharper_than_interpolation_on_a_random_square(self):
+        a = np.random.default_rng(7).standard_normal((60, 60))
+        bound = riesz_thorin_bound(opnorm_one(a), opnorm_two(a), opnorm_inf(a), 3)
+        assert bound < 0.5 * interpolation_bound(a, 3)
 
 
 class TestPEstimate:
