@@ -8,10 +8,11 @@ JSON documents {"manifest": ..., "result": ...} whose numeric fields carry
 17 significant digits, so re-running a manifest's command reproduces the
 report byte-for-byte (the timestamp sits in its own field).
 
-Exit codes: 0 success, 2 input error, 3 solver did not converge, 4 numerical
-failure (a solver produced non-finite values, an eigensolve failed, or
-float arithmetic raised, such as a division by a product that underflowed
-to zero).
+Exit codes: 0 success, 2 input error (including a `dsfp` tau so small for
+its payoff that the contraction factor overflows), 3 solver did not
+converge, 4 numerical failure (a solver produced non-finite values, an
+eigensolve failed, or float arithmetic raised, such as a division by a
+product that underflowed to zero).
 """
 
 from __future__ import annotations
@@ -319,8 +320,8 @@ def cmd_jacobian_norm(args, argv: list[str]) -> int:
     x = Logits(vec)
     lam = args.lam
     order = args.p
-    est = local_lipschitz(x, lam, order)
     s = softmax(x, lam)
+    est = local_lipschitz(s, lam, order)
     closed = lam * closed_form_linf(s)
     bound = global_bound(lam)
     print(
@@ -527,6 +528,13 @@ def cmd_dsfp(args, argv: list[str]) -> int:
         max_iter=args.max_iter,
     )
     res = dsfp_solve(game, config)
+    if not (math.isfinite(res.contraction_nominal) and math.isfinite(res.contraction_safe)):
+        # ||A||_p^2 / (4 tau^2) overflowed: a true "not certified" that no
+        # report can carry, so it is an input error before any output
+        raise InputError(
+            f"--tau {format_float(resolved_tau)} is too small for this payoff: the contraction "
+            "factor ||A||_p^2 / (4 tau^2) overflows float64; use a larger tau"
+        )
     print(
         f"dsfp: converged={'true' if res.converged else 'false'} "
         f"iterations={res.iterations} residual={format_float(res.residual)}"

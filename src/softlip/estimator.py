@@ -26,8 +26,16 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from softlip.core import Logits, Temperature, _scaled_logits, _softmax_kernel, jacobian, softmax
-from softlip.opnorm import NormOrder, row_norms, top_eigenvector, vector_norm
+from softlip.core import (
+    Logits,
+    Temperature,
+    _scaled_logits,
+    _secular_witness,
+    _softmax_kernel,
+    jacobian,  # not called here; perfbench/spans.py wraps this name
+    softmax,
+)
+from softlip.opnorm import NormOrder, row_norms, vector_norm
 
 MODE_RANDOM = "random-gaussian-normalized"
 MODE_TOP_EIGENVECTOR = "top-eigenvector"
@@ -224,7 +232,8 @@ def sample_perturbation(
     it onto the epsilon sphere of the spec's norm (redrawing the
     measure-zero all-zero sample). Top-eigenvector mode draws nothing, so
     `rng` may be None there; it returns epsilon times the unit top
-    eigenvector of the unit-temperature Jacobian at `base`, matching the
+    eigenvector of the unit-temperature Jacobian at `base` (from its
+    secular equation, in O(n), first nonzero entry positive), matching the
     near-attaining example construction.
     """
     if n < 2:
@@ -232,8 +241,7 @@ def sample_perturbation(
     if spec.mode == MODE_TOP_EIGENVECTOR:
         if base is None:
             raise ValueError("top-eigenvector mode needs the base input")
-        v = top_eigenvector(jacobian(softmax(base), 1.0).matrix)
-        return spec.epsilon * v
+        return spec.epsilon * _secular_witness(softmax(base).probs)
     g = _draw(rng, n)
     return g * (spec.epsilon / vector_norm(g, spec.p))
 

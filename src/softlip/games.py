@@ -37,13 +37,12 @@ from softlip.opnorm import (
     MAX_DENSE_DIM,
     NormOrder,
     OpNormError,
-    _interpolate,
+    _outward_upper,
     _two_norm_fallback_bracket,
     opnorm_inf,
     opnorm_one,
     opnorm_p_estimate,
     opnorm_two,
-    riesz_thorin_bound,
     row_norms,
 )
 
@@ -54,13 +53,6 @@ TAU_MIN = 2.0**-512
 
 #: Accepted tau stay below this: 4 * TAU_LIMIT^2 = 2^1024 overflows.
 TAU_LIMIT = 2.0**511
-
-#: Relative outward rounding of the general-p upper ends. The eigenvalue
-#: solve's ||A||_2 fell up to 2.6e-15 below the ratio its eigenvector
-#: realizes (payoffs up to 512 x 512), and on constant and rank-one payoffs,
-#: where the bounds are tight, the unrounded bound fell below a realized ratio.
-_UPPER_SLACK = 2.0**-40
-
 
 class DsfpError(RuntimeError):
     """Raised when the iteration produces non-finite values."""
@@ -185,13 +177,12 @@ def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
 
     p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
     p = 2: one eigensolve, opnorm_p_estimate(A, 2).upper, for both sides.
-    General p: min(interpolation, Riesz-Thorin) per side, from ||A||_1,
-    ||A||_inf and ||A||_2 = ||A^T||_2, raised by the relative
-    _UPPER_SLACK. Since ||A||_2^2 <= ||A||_1 ||A||_inf, Riesz-Thorin is
-    the smaller in exact arithmetic; the min keeps a rounded-up ||A||_2
-    from ever giving more than the interpolation bound. Above MAX_DENSE_DIM, or when the eigensolve fails,
-    ||A||_2 is replaced by the upper end of the certified two-norm fallback
-    bracket, so no payoff goes unanswered.
+    General p: `opnorm._outward_upper` per side, the smaller of the
+    interpolation and Riesz-Thorin bounds from ||A||_1, ||A||_inf and
+    ||A||_2 = ||A^T||_2, raised by the relative `opnorm._UPPER_SLACK`.
+    Above MAX_DENSE_DIM, or when the eigensolve fails, ||A||_2 is replaced
+    by the upper end of the certified two-norm fallback bracket, so no
+    payoff goes unanswered.
     """
     if order.is_two:
         two = opnorm_p_estimate(a, order).upper
@@ -208,11 +199,7 @@ def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
             two = opnorm_two(a)
         except OpNormError as exc:
             two = exc.bracket.upper
-    outward = 1.0 + _UPPER_SLACK
-    return (
-        outward * min(_interpolate(one, inf, order), riesz_thorin_bound(one, two, inf, order)),
-        outward * min(_interpolate(inf, one, order), riesz_thorin_bound(inf, two, one, order)),
-    )
+    return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
 
 
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:

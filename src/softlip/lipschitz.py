@@ -1,29 +1,48 @@
 """Local and global Lipschitz analysis of the softmax operator.
 
 The global constant is lam/2 in every lp norm. The local constant at a
-point is the induced p-norm of the Jacobian there; for p in {1, inf} it
-has the closed form lam * max_i 2 s_i (1 - s_i), and for p = 2 it is lam
-times the top eigenvalue of Diag(s) - s s^T, a root of the secular
-equation of that rank-one update, found in O(n) without forming the
-matrix. This module computes those constants, builds the witnesses that
-show lam/2 is sharp (an attaining point for p in {1, inf}, an interior
-sequence approaching it for 1 < p < inf, and a concrete near-attaining
-secant pair), checks co-coercivity, and evaluates the refined
-attention-layer bound that the sharp constant yields.
+point is the induced p-norm of the Jacobian J = lam (Diag(s) - s s^T)
+there, and no order needs the n x n matrix: for p in {1, inf} it has the
+closed form lam * max_i 2 s_i (1 - s_i); for p = 2 it is lam times the top
+eigenvalue of Diag(s) - s s^T, a root of the secular equation of that
+rank-one update; for 1 < p < inf it is bracketed by a power iteration on
+the O(n) product V -> J V below and, above, by the smallest of the
+interpolation bound, the Riesz-Thorin bound from ||J||_1 = ||J||_inf and
+||J||_2, and lam/2. This module computes those constants, builds the
+witnesses that show lam/2 is sharp (an attaining point for p in {1, inf},
+an interior sequence approaching it for 1 < p < inf, and a concrete
+near-attaining secant pair), checks co-coercivity, and evaluates the
+refined attention-layer bound that the sharp constant yields.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from softlip.core import Logits, SimplexPoint, Temperature, jacobian, m_of_s, softmax
+from softlip.core import (
+    Logits,
+    SimplexPoint,
+    Temperature,
+    _jacobian_times,
+    _secular_witness,
+    jacobian,  # not called here; perfbench/spans.py wraps this name
+    softmax,
+)
 from softlip.fixtures import attaining_logits, example_logits
-from softlip.opnorm import NormEstimate, NormOrder, opnorm_p_estimate, top_eigenvector, vector_norm
+from softlip.opnorm import (
+    NormEstimate,
+    NormOrder,
+    _boyd_lower,
+    _certified_bracket,
+    _outward_upper,
+    _restart_block,
+    opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
+    vector_norm,
+)
 
 
 @dataclass(frozen=True)
@@ -118,84 +137,12 @@ def closed_form_linf(s) -> float:
     return float((2.0 * probs * (1.0 - probs)).max())
 
 
-def _float_bits(x: float) -> int:
-    # For floats >= 0 the bit patterns, read as integers, keep their order.
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _bits_float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-
-def _secular_witness(probs: np.ndarray) -> np.ndarray:
-    """Unit top eigenvector of Diag(s) - s s^T, in O(n) time and memory.
-
-    When the largest entry is tied (s_i1 == s_i2), (e_i1 - e_i2) / sqrt(2)
-    is an exact eigenvector for mu = s_(1). Otherwise mu is the unique root
-    in (s_(2), s_(1)) of the secular equation of the rank-one update
-    (Golub 1973, Some modified matrix eigenvalue problems)
-
-        f(mu) = 1 - sum_i s_i^2 / (s_i - mu) = 0,
-
-    decreasing between the two poles, and w_i = s_i / (s_i - mu). The root
-    is bisected in d = mu - o, its offset from the pole o in {s_(2), s_(1)}
-    on its side of the midpoint, so s_i - mu = (s_i - o) - d keeps its
-    relative accuracy; d is bisected over float bit patterns, which reaches
-    adjacent floats in at most 63 steps. Saturated rows stay accurate:
-    the i1 term is taken as (s_i1 (1 - s_i1) - mu) / (s_i1 - mu), which
-    does not cancel when s_i1 is near 1; s_i^2 is never formed, since it
-    underflows for s_i below 1e-154; and w is scaled by |d| <= |s_i - mu|,
-    so no entry overflows.
-    """
-    n = probs.size
-    i2, i1 = np.argpartition(probs, n - 2)[n - 2:]
-    s1, s2 = float(probs[i1]), float(probs[i2])
-    if s1 == s2:
-        wit = np.zeros(n)
-        wit[i1], wit[i2] = math.sqrt(0.5), -math.sqrt(0.5)
-        return wit
-    rest = probs.copy()
-    rest[i1] = 0.0
-    diag = s1 * (1.0 - s1)  # entry (i1, i1) of Diag(s) - s s^T
-    buf = np.empty(n)
-
-    def secular(shifted: np.ndarray, origin: float, d: float) -> float:
-        # f(origin + d), with shifted = probs - origin
-        np.subtract(shifted, d, out=buf)
-        np.divide(rest, buf, out=buf)
-        return (diag - origin - d) / (s1 - origin - d) - float(rest @ buf)
-
-    half = 0.5 * (s1 - s2)
-    shifted = probs - s2
-    if secular(shifted, s2, half) > 0.0:  # the root lies above the midpoint
-        origin, sign = s1, -1.0
-        shifted = probs - s1
-    else:
-        origin, sign = s2, 1.0
-    lo, hi = 0, _float_bits(half)  # |d| lies in (lo, hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (secular(shifted, origin, sign * _bits_float(mid)) > 0.0) == (sign > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    dist = _bits_float(lo or hi)
-    wit = probs * (dist / (shifted - sign * dist))
-    wit /= np.abs(wit).max()
-    return wit / vector_norm(wit, 2.0)
-
-
-def _m_of_s_times(probs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(Diag(s) - s s^T) w in O(n): entry i is s_i (w_i - s.w).
-
-    At the largest entry, w_i - s.w cancels when s_i is near 1, so there it
-    is taken as w_i (1 - s_i) - sum_{j != i} s_j w_j.
-    """
-    i = int(probs.argmax())
-    out = probs * (w - float(probs @ w))
-    others = float(probs[:i] @ w[:i]) + float(probs[i + 1:] @ w[i + 1:])
-    out[i] = probs[i] * (w[i] * (1.0 - probs[i]) - others)
-    return out
+def _two_norm(probs: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
+    """||J||_2 at lam as the ratio ||J w||_2 / ||w||_2 that the secular top
+    eigenvector w realizes, with J w formed in O(n); and w."""
+    wit = _secular_witness(probs)
+    val = vector_norm(_jacobian_times(probs, lam)(wit[None])[0], 2.0) / vector_norm(wit, 2.0)
+    return val, wit
 
 
 def global_bound(t: Union[Temperature, float]) -> float:
@@ -208,42 +155,49 @@ def local_lipschitz(
 ) -> NormEstimate:
     """Bracket of the local Lipschitz constant ||J(x)||_p of the softmax.
 
-    For p in {1, inf} the O(n) closed form lam * max_i 2 s_i (1 - s_i) is
-    used (exact, bypassing generic matrix norms). p = 2 is exact too, also
-    in O(n) time and memory: the top eigenvector w of the Jacobian comes
-    from its secular equation (`_secular_witness`), and the value is the
-    realized ratio ||J w||_2 / ||w||_2 with J w formed without J. Other
-    orders return the certified power-iteration bracket on the dense
-    Jacobian, with the upper end capped at the global constant lam/2.
+    `x` holds the logits, or is the SimplexPoint softmax(x, lam) itself:
+    J = lam (Diag(s) - s s^T) depends on x only through s, so a caller that
+    already has the point passes it. No order forms the n x n matrix. For
+    p in {1, inf} the O(n) closed form lam * max_i 2 s_i (1 - s_i) is used
+    (exact). p = 2 is exact too: the top eigenvector w of the Jacobian
+    comes from its secular equation (`_secular_witness`), and the value is
+    the realized ratio ||J w||_2 / ||w||_2. Other orders return a
+    certified bracket. Its lower end is the power iteration's best ratio,
+    run on the O(n) row map V -> lam (V o s - (V s) s^T) (J is symmetric,
+    so the map serves as its own transpose). Its upper end is the smallest
+    of the interpolation bound and the Riesz-Thorin bound from
+    ||J||_1 = ||J||_inf and ||J||_2, rounded outward (`_outward_upper`),
+    and the global constant lam/2; `method` names the one that won.
     """
     order = NormOrder.of(p)
     lam = Temperature.of(t).lam
-    s = softmax(x, lam)
+    s = x if isinstance(x, SimplexPoint) else softmax(x, lam)
+    probs = s.probs
     if order.is_one or order.is_infinity:
         val = lam * closed_form_linf(s)
-        i = int((s.probs * (1.0 - s.probs)).argmax())
+        i = int((probs * (1.0 - probs)).argmax())
         if order.is_one:
             wit = np.zeros(s.n)
             wit[i] = 1.0
         else:
             # Row i of Diag(s) - s s^T in O(n), with m_of_s's arithmetic; its
             # sign pattern (+1 at i, -1 off it) realizes the row sum.
-            row = 0.0 - s.probs[i] * s.probs
-            row[i] = s.probs[i] - s.probs[i] * s.probs[i]
+            row = 0.0 - probs[i] * probs
+            row[i] = probs[i] - probs[i] * probs[i]
             wit = np.sign(row)
         return NormEstimate(val, val, exact=True, method="2s(1-s) closed form", witness=wit)
+    two, wit = _two_norm(probs, lam)
     if order.is_two:
-        wit = _secular_witness(s.probs)
-        val = vector_norm(lam * _m_of_s_times(s.probs, wit), 2.0) / vector_norm(wit, 2.0)
-        return NormEstimate(val, val, exact=True, method="secular equation", witness=wit)
-    est = opnorm_p_estimate(jacobian(s, lam).matrix, order)
+        return NormEstimate(two, two, exact=True, method="secular equation", witness=wit)
+    one = lam * closed_form_linf(s)  # ||J||_1 = ||J||_inf
+    upper, bound = _outward_upper(one, two, one, order)
     cap = global_bound(lam)
-    if est.upper <= max(cap, est.lower):
-        return est
-    # The interpolation bound can round past the theorem's lam/2.
-    return NormEstimate.bracket(
-        est.lower, max(est.lower, cap), "power iteration + lam/2 cap", est.witness
-    )
+    if cap < upper:
+        upper, bound = cap, "lam/2 cap"
+    apply = _jacobian_times(probs, lam)
+    rng = np.random.default_rng(0)
+    lower, witness = _boyd_lower(apply, apply, order, _restart_block(s.n, rng))
+    return _certified_bracket(lower, upper, f"power iteration + {bound}", witness)
 
 
 def witness_attained(n: int, p: Union[NormOrder, float, str]) -> tuple[Logits, float]:
@@ -295,7 +249,7 @@ def witness_limit_sequence(
         c = 2.0 ** (-1.0 / order.p)
         v = np.zeros(n)
         v[0], v[1] = c, -c
-        certified = vector_norm(m_of_s(s) @ v, order) / vector_norm(v, order)
+        certified = vector_norm(_jacobian_times(s)(v[None])[0], order) / vector_norm(v, order)
         steps.append(
             LimitSequenceStep(
                 k=k,
@@ -333,7 +287,7 @@ def witness_example_pair(
         raise ValueError("eps_pert must be positive")
     order = NormOrder.of(p)
     x = Logits(example_logits(n, K))
-    v = top_eigenvector(jacobian(softmax(x), 1.0).matrix)
+    v = _secular_witness(softmax(x).probs)
     y = Logits(x.values + eps_pert * v)
     return WitnessPair(x=x, y=y, p=order, lam=1.0)
 

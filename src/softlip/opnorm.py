@@ -5,7 +5,12 @@ singular value, max row sum). For general p the norm is intractable to
 compute exactly, so it is reported as a certified bracket: the lower end
 is a realized ratio ||A v||_p / ||v||_p for a stored witness v found by
 nonlinear power iteration, and the upper end is the interpolation bound
-||A||_1^(1/p) * ||A||_inf^(1-1/p).
+||A||_1^(1/p) * ||A||_inf^(1-1/p). The power iteration (`_boyd_lower`)
+sees the matrix only through its row maps V -> V A^T and U -> U A, so an
+operator with a cheap product (the softmax Jacobian, say) never needs its
+dense matrix; `_outward_upper` is the smaller of the interpolation and
+Riesz-Thorin bounds from upper ends of ||A||_1, ||A||_2 and ||A||_inf,
+rounded outward.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,12 +28,22 @@ P_COERCE_TO_INF = 1e6
 #: Spellings of p = infinity that NormOrder.of accepts.
 INFINITY_NAMES = ("inf", "infinity", "oo")
 
+#: Smallest positive normal float64.
+_TINY = float(np.finfo(np.float64).tiny)
+
 #: Largest matrix side accepted by the dense exact-norm routines.
 MAX_DENSE_DIM = 512
 
 _BOYD_RESTARTS = 8
 _BOYD_MAX_ITER = 500
 _BOYD_STALL_TOL = 1e-13
+
+#: Relative outward rounding of upper ends built from computed norms
+#: (`_outward_upper`). A two-norm from an eigenvalue solve fell up to
+#: 2.6e-15 below the ratio its eigenvector realizes (matrices up to
+#: 512 x 512), and on constant and rank-one matrices, where the bounds are
+#: tight, the unrounded bound fell below a realized ratio.
+_UPPER_SLACK = 2.0**-40
 
 
 class OpNormError(RuntimeError):
@@ -350,12 +365,23 @@ def riesz_thorin_bound(
     return inf ** (1.0 - theta) * two**theta
 
 
-def _dual_scale(U: np.ndarray, expo: float) -> np.ndarray:
-    # sign(u) * |u|^expo rowwise, computed scale-invariantly; zero stays zero.
-    absU = np.abs(U)
-    m = absU.max(axis=1, keepdims=True)
-    m[m == 0.0] = 1.0
-    return np.sign(U) * (absU / m) ** expo
+def _outward_upper(one: float, two: float, inf: float, order: NormOrder) -> tuple[float, str]:
+    """A certified upper end of ||A||_p for a general order, and which bound
+    gave it ("interpolation" or "Riesz-Thorin").
+
+    `one`, `two` and `inf` are upper ends of ||A||_1, ||A||_2 and
+    ||A||_inf, or the computed values themselves. The smaller of the
+    interpolation and Riesz-Thorin bounds is raised by the relative
+    _UPPER_SLACK. Since ||A||_2^2 <= ||A||_1 ||A||_inf, Riesz-Thorin is the
+    smaller in exact arithmetic; the min keeps a rounded-up two-norm from
+    ever giving more than the interpolation bound.
+    """
+    interpolated = _interpolate(one, inf, order)
+    rt = riesz_thorin_bound(one, two, inf, order)
+    outward = 1.0 + _UPPER_SLACK
+    if rt < interpolated:
+        return outward * rt, "Riesz-Thorin"
+    return outward * interpolated, "interpolation"
 
 
 def _restart_block(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -372,26 +398,50 @@ def _restart_block(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _boyd_lower(
-    arr: np.ndarray, order: NormOrder, V0: np.ndarray, max_iter: int = _BOYD_MAX_ITER
+    apply: Callable[[np.ndarray], np.ndarray],
+    apply_t: Callable[[np.ndarray], np.ndarray],
+    order: NormOrder,
+    V0: np.ndarray,
+    max_iter: int = _BOYD_MAX_ITER,
 ) -> tuple[float, np.ndarray]:
     """Best realized ratio ||A v||_p over the restart rows of V0.
 
-    One dual-norm power sweep per iteration, all restarts advanced as a
-    block of rows: u = A v, then v <- psi_q(A^T psi_p(u)) normalized in lp,
-    where psi_r(t) = sign(t) |t|^(r-1). Every norm is a `row_norms` call.
-    Returns (ratio, witness) with the ratio recomputed from the witness so
-    it is reproducible to the last ulp.
+    A enters only through its row maps: apply(V) = V A^T (each row v to
+    A v) and apply_t(U) = U A (each row u to A^T u). One dual-norm power
+    sweep per iteration, all restarts advanced as a block of rows: u = A v,
+    then v <- psi_q(A^T psi_p(u)) normalized in lp, where
+    psi_r(t) = sign(t) |t|^(r-1). Each map scales its rows by their max
+    entry first, and that one |U| / max gives both the sweep's ratio and
+    psi_p; norms within the loop are vectorized (`row_norms` takes its
+    root in Python floats). A row mapped to 0 (the all-ones restart of a
+    matrix with zero row sums, say) stays 0 rather than dividing by its
+    zero norm; its ratio was recorded on the sweep before. Returns
+    (ratio, witness), the ratio measured once more from the witness through
+    `apply` and `row_norms`, so it is reproducible to the last ulp.
     """
     p = order.p
+    inv_p, dual_expo = 1.0 / p, 1.0 / (p - 1.0)
+    # Below tiny^(1/e), x^e with e > 1 underflows, and libm's pow takes a
+    # slow path there (ten times slower per entry); such entries are zeroed
+    # first, which moves a row's p-th power sum (at least 1) by less than
+    # n 2^-1022.
+    floor_u = _TINY**dual_expo if p > 2.0 else 0.0  # for D = R^(p-1)
+    floor_w = _TINY ** (p - 1.0) if p < 2.0 else 0.0  # for T^(1/(p-1))
     norms = row_norms(V0, order)
     V = V0 / np.where(norms == 0.0, 1.0, norms)[:, None]
     best_ratio = -1.0
     best_witness = V[0].copy()
     stalled = 0
     for _ in range(max_iter):
-        U = V @ arr.T
-        ratios = row_norms(U, order)
-        j = int(np.argmax(ratios))
+        U = apply(V)
+        R = np.abs(U)
+        m = R.max(axis=1)
+        R /= np.maximum(m, _TINY)[:, None]  # a zero row stays zero
+        if floor_u:
+            np.putmask(R, R < floor_u, 0.0)
+        D = R ** (p - 1.0)  # |psi_p(u)| / max|u|^(p-1)
+        ratios = m * np.vecdot(R, D) ** inv_p  # ||u||_p, since ||v||_p = 1
+        j = int(ratios.argmax())
         if ratios[j] > best_ratio + _BOYD_STALL_TOL * max(1.0, best_ratio):
             best_ratio = float(ratios[j])
             best_witness = V[j].copy()
@@ -400,12 +450,34 @@ def _boyd_lower(
             stalled += 1
             if stalled >= 2:
                 break
-        V_next = _dual_scale(_dual_scale(U, p - 1.0) @ arr, 1.0 / (p - 1.0))
-        norms = row_norms(V_next, order)
-        dead = (norms == 0.0)[:, None]
-        V = np.where(dead, V, V_next / np.where(dead, 1.0, norms[:, None]))
-    lower = vector_norm(arr @ best_witness, order) / vector_norm(best_witness, order)
+        W = apply_t(np.copysign(D, U))
+        T = np.abs(W)
+        T /= np.maximum(T.max(axis=1), _TINY)[:, None]
+        if floor_w:
+            np.putmask(T, T < floor_w, 0.0)
+        mag = T**dual_expo  # |psi_q(w)|, up to scale
+        norms = np.vecdot(T, mag) ** inv_p  # |psi_q|^p = T^(q-1) T; 0 or >= 1
+        V = np.copysign(mag, W) / np.maximum(norms, _TINY)[:, None]
+    w = best_witness[None]
+    lower = float(row_norms(apply(w), order)[0] / row_norms(w, order)[0])
     return lower, best_witness
+
+
+def _certified_bracket(
+    lower: float, upper: float, method: str, witness: np.ndarray
+) -> NormEstimate:
+    """The bracket [lower, upper] of a power iteration: an upper end below
+    its realized ratio by rounding noise (relative 1e-9) is lifted onto it,
+    and anything more raises OpNormError."""
+    if lower > upper:
+        # The two ends coincide mathematically here; reconcile rounding noise.
+        if lower - upper > 1e-9 * max(1.0, upper):
+            raise OpNormError(
+                f"certified ratio {lower} exceeds upper bound {upper}",
+                NormEstimate(0.0, upper, exact=False, method="inconsistent"),
+            )
+        upper = lower
+    return NormEstimate.bracket(lower, upper, method, witness)
 
 
 def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> NormEstimate:
@@ -441,15 +513,8 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> Norm
         return NormEstimate(val, val, exact=True, method="gram eigensolve", witness=wit)
 
     rng = np.random.default_rng(seed)
-    lower, witness = _boyd_lower(arr, order, _restart_block(arr.shape[1], rng))
+    lower, witness = _boyd_lower(
+        lambda V: V @ arr.T, lambda U: U @ arr, order, _restart_block(arr.shape[1], rng)
+    )
     upper = interpolation_bound(arr, order)
-    if lower > upper:
-        # The two ends coincide mathematically here; reconcile rounding noise.
-        if lower - upper <= 1e-9 * max(1.0, upper):
-            upper = lower
-        else:
-            raise OpNormError(
-                f"certified ratio {lower} exceeds interpolation bound {upper}",
-                NormEstimate(0.0, upper, exact=False, method="inconsistent"),
-            )
-    return NormEstimate.bracket(lower, upper, "power iteration + interpolation", witness)
+    return _certified_bracket(lower, upper, "power iteration + interpolation", witness)

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import softlip.cli as cli
+import softlip.lipschitz as lipschitz_module
 from softlip.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -230,6 +233,23 @@ class TestJacobianNormCommand:
         assert main(["jacobian-norm"]) == EXIT_INPUT
         assert main(["jacobian-norm", "--inline", "0,0", "--logits-file", "x.csv"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("p", ["1", "2", "1.5"])
+    def test_one_softmax_per_run(self, p, monkeypatch, capsys):
+        # the point local_lipschitz works at also gives the report's closed
+        # form and clamp flag
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, lipschitz_module):
+            monkeypatch.setattr(module, "softmax", counting(module.softmax))
+        assert main(["jacobian-norm", "--inline", "ln9-vector(10)", "--p", p]) == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestWitnessCommand:
     def test_example_mode(self, tmp_path):
@@ -414,6 +434,20 @@ class TestDsfpCommand:
         # 4 tau^2 would overflow to inf
         self.check_tau_rejected(fixture_dir, capsys, "1e200")
 
+    def test_overflowing_contraction_factor(self, tmp_path, capsys):
+        # tau is in range, but ||A||^2 / (4 tau^2) = 1e20 / 4e-300 is not a
+        # float; this once printed a line, then failed to serialize inf
+        path = tmp_path / "big.csv"
+        path.write_text("1e10,0\n0,1e10\n", encoding="utf-8")
+        out_path = tmp_path / "r.json"
+        argv = ["dsfp", "--payoff", str(path), "--tau", "1e-150", "--out", str(out_path)]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tau 1e-150 is too small for this payoff")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out_path.exists()
+
 
 class TestScsaCommand:
     def test_hand_evaluated(self, capsys):
@@ -509,23 +543,32 @@ class TestNumericalFailure:
         monkeypatch.setattr(cli, "local_lipschitz", fail)
         self.check(["jacobian-norm", "--inline", "0,0"], capsys)
 
-    @pytest.mark.parametrize("argv", [
-        ["witness", "--mode", "example", "--n", "4"],
-    ], ids=["witness_example"])
-    def test_failed_eigh(self, argv, monkeypatch, capsys):
-        # RuntimeError from the witness's top eigenvector
+    def test_failed_eigh(self, fixture_dir, monkeypatch, capsys):
+        # OpNormError from the p = 2 payoff norm's eigenvector
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        self.check(argv, capsys)
+        self.check(["dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv")], capsys)
 
-    def test_p2_jacobian_norm_needs_no_eigensolve(self, monkeypatch, capsys):
-        # the p = 2 bracket solves the secular equation, so a broken
-        # eigensolver changes nothing
-        argv = ["jacobian-norm", "--inline", "0.3,-1,2", "--p", "2"]
+    @pytest.mark.parametrize("argv", [
+        ["jacobian-norm", "--inline", "0.3,-1,2", "--p", "2"],
+        ["jacobian-norm", "--inline", "0.3,-1,2,0.5,0", "--p", "1.5"],
+        ["witness", "--mode", "example", "--n", "4"],
+        ["estimate", "--matrix", "SCORES", "--mode", "top-eigenvector",
+         "--p-list", "1.5,3", "--trials", "2"],
+    ], ids=["jacobian_norm_p2", "jacobian_norm_p15", "witness_example", "estimate_topeig"])
+    def test_softmax_jacobian_needs_no_eigensolve(
+        self, argv, fixture_dir, tmp_path, monkeypatch, capsys
+    ):
+        # local constants and top eigenvectors of J run on the secular
+        # equation and the O(n) product, so a broken eigensolver changes nothing
+        scores = str(fixture_dir / "attention_scores_8x8.csv")
+        argv = [scores if a == "SCORES" else a for a in argv]
+        monkeypatch.chdir(tmp_path)
+        untimed = functools.partial(re.sub, r'"timestamp": "[^"]*"', "")
         assert main(argv) == 0
-        expected = capsys.readouterr().out
+        expected = untimed(capsys.readouterr().out)
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -533,7 +576,7 @@ class TestNumericalFailure:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         assert main(argv) == 0
-        assert capsys.readouterr().out == expected
+        assert untimed(capsys.readouterr().out) == expected
 
     @pytest.mark.parametrize("exc", [
         RuntimeError("dense symmetric eigensolve failed"),

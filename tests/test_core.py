@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from softlip.core import (
+    _bits_float,
+    _float_bits,
+    _jacobian_times,
     _scaled_logits,
+    _secular_witness,
     _softmax_kernel,
     Logits,
     SimplexPoint,
@@ -255,6 +259,96 @@ class TestMOfS:
     def test_accepts_simplex_point(self):
         s = softmax([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(m_of_s(s), m_of_s(s.probs))
+
+
+def reference_secular_distance(probs):
+    """|mu - o| by plain bisection over float bit patterns, as the secular
+    solve did before it took model steps (its last bracket's lower end,
+    else its upper end), with the origin o chosen the same way."""
+    order = np.argsort(probs, kind="stable")
+    i1 = order[-1]
+    s1, s2 = float(probs[i1]), float(probs[order[-2]])
+    rest = probs.copy()
+    rest[i1] = 0.0
+    diag = s1 * (1.0 - s1)
+
+    def secular(origin, d):
+        return (diag - origin - d) / (s1 - origin - d) - float(rest @ (rest / (probs - origin - d)))
+
+    half = 0.5 * (s1 - s2)
+    origin, sign = (s1, -1.0) if secular(s2, half) > 0.0 else (s2, 1.0)
+    lo, hi = 0, _float_bits(half)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (secular(origin, sign * _bits_float(mid)) > 0.0) == (sign > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return origin, sign, _bits_float(lo or hi)
+
+
+def secular_cases(rng):
+    cases = []
+    for n in (2, 3, 16, 64, 300):
+        for scale in (1e-6, 0.1, 1.0, 4.0, 40.0, 400.0):
+            for lam in (0.25, 1.0, 4.0):
+                x = scale * rng.standard_normal(n)
+                cases.append(softmax(x, lam).probs)
+                x[1] = np.nextafter(x.max(), -np.inf)  # a near tie at the top
+                cases.append(softmax(x, lam).probs)
+    for x in ([0.0, -40.0], [0.0, -100.0, -100.5, -300.0], [0.0, -30.0, -30.0]):
+        cases.append(softmax(x, 4.0).probs)
+    return cases
+
+
+class TestMatrixFreeJacobian:
+    """`_jacobian_times` and `_secular_witness`: J without its n x n matrix."""
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 40.0, 400.0])
+    def test_row_map_matches_the_dense_product(self, scale):
+        rng = np.random.default_rng(int(10 * scale))
+        for n in (2, 7, 64):
+            probs = softmax(scale * rng.standard_normal(n), 2.0).probs
+            W = rng.standard_normal((5, n))
+            dense = W @ (2.0 * m_of_s(probs))
+            got = _jacobian_times(probs, 2.0)(W)
+            np.testing.assert_allclose(got, dense, rtol=1e-12, atol=64 * 2.0 * np.finfo(float).eps)
+
+    def test_top_entry_keeps_relative_accuracy(self):
+        # s_1 rounds to 1: w_1 - s.w would cancel to 0, the guard keeps w_1 (1 - s_1) - ...
+        probs = softmax([0.0, -40.0, -45.0], 1.0).probs
+        assert probs[0] == 1.0
+        w = np.array([[1.0, -1.0, 0.5]])
+        top = _jacobian_times(probs, 1.0)(w)[0, 0]
+        assert top == pytest.approx(probs[0] * (-probs[1] * -1.0 - probs[2] * 0.5), rel=1e-15)
+        assert top != 0.0
+
+    def test_ends_on_the_bisection_bracket(self):
+        # model steps reach the adjacent floats plain bisection ends on
+        for probs in secular_cases(np.random.default_rng(77)):
+            order = np.argsort(probs)
+            if probs[order[-1]] == probs[order[-2]]:
+                continue
+            origin, sign, dist = reference_secular_distance(probs)
+            wit = probs * (dist / ((probs - origin) - sign * dist))
+            wit /= np.abs(wit).max()
+            wit /= np.sqrt(np.vecdot(wit, wit))
+            np.testing.assert_array_equal(np.abs(_secular_witness(probs)), np.abs(wit))
+
+    def test_unit_top_eigenvector_with_positive_lead(self):
+        for probs in secular_cases(np.random.default_rng(78)):
+            if probs.size > 64:
+                continue
+            wit = _secular_witness(probs)
+            assert np.sqrt(wit @ wit) == pytest.approx(1.0, rel=1e-15)
+            assert wit[np.flatnonzero(wit)[0]] > 0.0
+            vals, vecs = np.linalg.eigh(m_of_s(probs))
+            if vals[-1] - vals[-2] > 1e-6 * vals[-1]:  # a well-separated top eigenvalue
+                assert abs(wit @ vecs[:, -1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_tied_top_is_exact(self):
+        wit = _secular_witness(softmax([0.0, 2.0, 2.0, -1.0]).probs)
+        np.testing.assert_array_equal(wit, [0.0, math.sqrt(0.5), -math.sqrt(0.5), 0.0])
 
 
 class TestDomainTypes:

@@ -317,7 +317,7 @@ class TestUpperNorms:
     @pytest.mark.parametrize("p", [1.25, 1.5, 3.0, 7.0])
     def test_between_realized_ratio_and_interpolation(self, p):
         order = NormOrder.of(p)
-        outward = 1.0 + games_module._UPPER_SLACK
+        outward = 1.0 + opnorm_module._UPPER_SLACK
         for a in seeded_payoffs():
             ends = _upper_norms(a, order)
             for mat, upper in zip((a, a.T), ends):
@@ -333,7 +333,7 @@ class TestUpperNorms:
         # an eigensolve that rounds ||A||_2 far up still leaves the old bound
         monkeypatch.setattr(games_module, "opnorm_two", lambda a: 1e6)
         a = np.random.default_rng(8).standard_normal((6, 9))
-        outward = 1.0 + games_module._UPPER_SLACK
+        outward = 1.0 + opnorm_module._UPPER_SLACK
         for p in (1.5, 3.0):
             for mat, upper in zip((a, a.T), _upper_norms(a, NormOrder.of(p))):
                 assert upper == outward * interpolation_bound(mat, p)
@@ -363,7 +363,7 @@ class TestUpperNorms:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         game = MatrixGame(np.random.default_rng(47).standard_normal((600, 600)))
         threshold = tau_min(game, 3)
-        outward = 1.0 + games_module._UPPER_SLACK
+        outward = 1.0 + opnorm_module._UPPER_SLACK
         assert vector_norm(game.a[:, 0], 3) < 2.0 * threshold  # the ratio at e_0
         assert 2.0 * threshold <= outward * interpolation_bound(game.a, 3)
         nominal, safe = contraction_factor(game, 1.01 * threshold, 3)
@@ -380,7 +380,7 @@ class TestUpperNorms:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         after = _upper_norms(game.a, order)
         for mat, old, new in zip((game.a, game.a.T), before, after):
-            assert old <= new <= (1.0 + games_module._UPPER_SLACK) * interpolation_bound(mat, order)
+            assert old <= new <= (1.0 + opnorm_module._UPPER_SLACK) * interpolation_bound(mat, order)
 
 
 def reference_solve(game, config):

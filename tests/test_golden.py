@@ -14,6 +14,14 @@ reproducibility and is blanked on both sides.
 
 A case writes one or more files; the file `out` is compared with
 tests/golden/<case name><suffix of out>.
+
+Three more goldens were rewritten when the softmax Jacobian stopped being
+formed: `jacobian_norm_p15` (its upper end moved to Riesz-Thorin,
+0.46694 -> 0.35216, and `method` with it; the lower end kept its bits),
+`estimate_topeig_mean` (the top eigenvector from the secular equation
+instead of a dense eigensolve; two values moved by 1-2e-16) and
+`witness_limit_sequence_readme` (the O(n) product instead of the dense
+one; one certified ratio moved by one ulp, onto 0.49 itself).
 """
 
 import re

@@ -4,8 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import softlip.core as core
 import softlip.lipschitz as lipschitz
+import softlip.opnorm as opnorm_module
 from softlip.core import m_of_s, softmax
 from softlip.fixtures import example_logits
 from softlip.lipschitz import (
@@ -21,7 +25,13 @@ from softlip.lipschitz import (
     witness_example_pair,
     witness_limit_sequence,
 )
-from softlip.opnorm import opnorm_inf, opnorm_two, vector_norm
+from softlip.opnorm import (
+    opnorm_inf,
+    opnorm_p_estimate,
+    opnorm_two,
+    riesz_thorin_bound,
+    vector_norm,
+)
 
 # Measured secant ratio of the near-attaining pair in R^10 with K = 20 and
 # a 1e-4 step along the top Jacobian eigenvector; norm-independent.
@@ -122,11 +132,27 @@ class TestLocalLipschitz:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_general_p_upper_capped_at_lambda_half(self, p):
-        # the interpolation bound rounds one or two ulps past lam/2 here
+        # the interpolation bound rounds one or two ulps past lam/2 here;
+        # Riesz-Thorin, from ||J||_2 = 0.5 - 1.4e-9, stays below it
         est = local_lipschitz(example_logits(10), 1.0, p)
-        assert est.upper == 0.5
-        assert est.method == "power iteration + lam/2 cap"
+        assert est.upper < 0.5
+        assert est.method == "power iteration + Riesz-Thorin"
         assert not est.exact and est.lower < est.upper
+        # at the uniform point of R^2 every norm of J is exactly lam/2, and
+        # the bounds rounded outward pass it, so the cap wins
+        for lam in (1.0, 3.0):
+            est = local_lipschitz(np.zeros(2), lam, p)
+            assert est.method == "power iteration + lam/2 cap"
+            assert est.exact and est.upper == pytest.approx(lam / 2.0, rel=1e-15)
+
+    def test_logits_or_their_softmax_point(self):
+        x = np.random.default_rng(12).standard_normal(9)
+        for p in (1, 1.5, 2, 3, "inf"):
+            by_logits = local_lipschitz(x, 2.5, p)
+            by_point = local_lipschitz(softmax(x, 2.5), 2.5, p)
+            assert (by_point.lower, by_point.upper) == (by_logits.lower, by_logits.upper)
+            assert by_point.method == by_logits.method
+            np.testing.assert_array_equal(by_point.witness, by_logits.witness)
 
 
 # perfbench's tolerance for exact norms: 1e-12 relative, or 64 ulp at the
@@ -223,6 +249,93 @@ class TestSecularTwoNorm:
         # the top eigenvalue is at least the largest diagonal entry of J
         s = softmax(x, lam).probs
         assert est.lower >= lam * float((s * (1.0 - s)).max()) * (1.0 - 1e-12)
+
+
+def no_dense_jacobian(monkeypatch):
+    """Make every dense route to J or its eigenvectors raise."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the softmax Jacobian must not be formed or factored")
+
+    for module in (core, lipschitz):
+        monkeypatch.setattr(module, "jacobian", fail)
+    monkeypatch.setattr(core, "m_of_s", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+
+def assert_holds(ratio, est, lam):
+    """A ratio realized by the dense power iteration lies under the bracket's
+    upper end; an exact bracket is a point, good to perfbench's tolerance."""
+    assert ratio <= est.upper or (est.exact and close(ratio, est.upper, lam))
+
+
+class TestMatrixFreeGeneralP:
+    """1 < p < inf, p != 2: power iteration on the O(n) product, Riesz-Thorin above."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_needs_no_square_matrix(self, p, monkeypatch):
+        no_dense_jacobian(monkeypatch)
+        n = 2048
+        x = np.random.default_rng(5).standard_normal(n)
+        local_lipschitz(x, 1.0, p)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            est = local_lipschitz(x, 1.0, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+        assert 0.0 < est.lower <= est.upper <= 0.5
+
+    @pytest.mark.parametrize("p", [1, 1.2, 1.5, 2, 3, 7, "inf"])
+    def test_vocabulary_sized_row(self, p):
+        n, lam = 100_000, 2.0
+        x = 4.0 * np.random.default_rng(9).standard_normal(n)
+        local_lipschitz(x[:64], lam, p)  # warm up imports (numpy.random, libm)
+        start = time.perf_counter()
+        est = local_lipschitz(x, lam, p)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < est.lower <= est.upper <= lam / 2.0
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64, 512])
+    def test_bracket_holds_the_dense_power_iteration(self, n):
+        rng = np.random.default_rng(100 + n)
+        for scale in (0.1, 1.0, 4.0, 40.0):
+            x = scale * rng.standard_normal(n)
+            for lam in (0.25, 1.0, 4.0):
+                jac = lam * m_of_s(softmax(x, lam).probs)
+                for p in (1.5, 3.0):
+                    assert_holds(opnorm_p_estimate(jac, p).lower, local_lipschitz(x, lam, p), lam)
+
+    def test_riesz_thorin_end_is_the_scalar_bound(self):
+        x = np.random.default_rng(14).standard_normal(30)
+        lam = 1.5
+        s = softmax(x, lam).probs
+        one = lam * closed_form_linf(s)
+        two = local_lipschitz(x, lam, 2).upper
+        for p in (1.25, 1.5, 3.0, 7.0):
+            est = local_lipschitz(x, lam, p)
+            assert est.method == "power iteration + Riesz-Thorin"
+            assert est.upper == (1.0 + opnorm_module._UPPER_SLACK) * riesz_thorin_bound(one, two, one, p)
+            assert est.upper < min(one, lam / 2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 64),
+    scale=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3]),
+    lam=st.floats(0.25, 4.0),
+    p=st.sampled_from([1.2, 1.5, 3.0, 7.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fuzzed_general_p_brackets(n, scale, lam, p, seed):
+    x = scale * np.random.default_rng(seed).standard_normal(n)
+    est = local_lipschitz(x, lam, p)
+    assert 0.0 <= est.lower <= est.upper <= lam / 2.0
+    jac = lam * m_of_s(softmax(x, lam).probs)
+    w = est.witness
+    assert close(vector_norm(jac @ w, p) / vector_norm(w, p), est.lower, lam)
+    assert_holds(opnorm_p_estimate(jac, p).lower, est, lam)
 
 
 class TestWitnessAttained:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import softlip.opnorm as opnorm
-from softlip.core import m_of_s, softmax
+from softlip.core import _jacobian_times, m_of_s, softmax
 from softlip.lipschitz import local_lipschitz
 from softlip.opnorm import (
     NormEstimate,
@@ -31,13 +31,17 @@ ORACLE_A = np.array([
 ])
 ORACLE_P15_LOWER = 1.8844279427493626
 
-# General-p brackets recorded before the power iteration moved onto
-# `row_norms`, with the column-block iteration and its own vectorized p-norm
-# (numpy's `**` for the root). Each matrix is
-# default_rng(data seed).uniform(-1, 1, shape), bracketed by
-# opnorm_p_estimate(A, p, seed=restart seed); each logit vector is
-# default_rng(data seed).normal(scale=2, size=n), bracketed by
-# local_lipschitz(x, lam, p). Values are (lower, upper) as printed by repr.
+# General-p brackets. Each matrix is default_rng(data seed).uniform(-1, 1,
+# shape), bracketed by opnorm_p_estimate(A, p, seed=restart seed), and was
+# recorded before the power iteration moved onto `row_norms`, with the
+# column-block iteration and its own vectorized p-norm (numpy's `**` for
+# the root). Each logit vector is default_rng(data seed).normal(scale=2,
+# size=n), bracketed by local_lipschitz(x, lam, p); those were re-recorded
+# when the bracket stopped forming the dense Jacobian: the power iteration
+# runs on the O(n) product (lower ends moved by at most 3.4e-13 relative)
+# and the upper end is the Riesz-Thorin bound from ||J||_1 and ||J||_2
+# instead of the interpolation bound. Values are (lower, upper) as printed
+# by repr.
 FROZEN_MATRIX_BRACKETS = [  # (data seed, shape, p, restart seed, lower, upper)
     (1, (4, 4), 1.5, 0, 1.997671064650361, 2.5617807255150247),
     (2, (8, 8), 3.0, 0, 2.9318983747119103, 4.866715035076998),
@@ -53,14 +57,14 @@ FROZEN_MATRIX_BRACKETS = [  # (data seed, shape, p, restart seed, lower, upper)
     (12, (3, 64), 1.5, 0, 3.4198249165761934, 6.404068238266413),
 ]
 FROZEN_JACOBIAN_BRACKETS = [  # (data seed, n, lam, p, lower, upper)
-    (21, 5, 1.0, 1.5, 0.4586254296319847, 0.494215152012275),
-    (22, 5, 1.0, 3.0, 0.039381381733737134, 0.05365868874596937),
-    (23, 16, 2.5, 1.5, 0.367818956833792, 0.5558071755200713),
-    (24, 16, 2.5, 3.0, 0.5058022130454161, 0.6015274594787342),
-    (25, 40, 1.0, 1.5, 0.27580443817839234, 0.4440783092958793),
-    (26, 40, 0.5, 3.0, 0.10407064338336575, 0.18147856004559026),
-    (27, 64, 1.0, 1.5, 0.1158170230227929, 0.20399178607225102),
-    (28, 64, 4.0, 3.0, 1.2163106974714082, 1.2617780092389888),
+    (21, 5, 1.0, 1.5, 0.45862542963198477, 0.46995185191368144),
+    (22, 5, 1.0, 3.0, 0.03938138173373709, 0.04271513444703522),
+    (23, 16, 2.5, 1.5, 0.36781895683378996, 0.40543527912309124),
+    (24, 16, 2.5, 3.0, 0.5058022130454162, 0.5329317089549559),
+    (25, 40, 1.0, 1.5, 0.27580443817829803, 0.31328856817208645),
+    (26, 40, 0.5, 3.0, 0.10407064338336391, 0.11915282359400914),
+    (27, 64, 1.0, 1.5, 0.11581702302277204, 0.1341865078663714),
+    (28, 64, 4.0, 3.0, 1.2163106974714084, 1.230730438292428),
 ]
 
 
@@ -284,7 +288,43 @@ class TestRieszThorinBound:
         assert bound < 0.5 * interpolation_bound(a, 3)
 
 
+class TestOutwardUpper:
+    def test_names_the_smaller_bound(self):
+        a = np.random.default_rng(9).standard_normal((20, 30))
+        one, two, inf = opnorm_one(a), opnorm_two(a), opnorm_inf(a)
+        outward = 1.0 + opnorm._UPPER_SLACK
+        for p in (1.5, 3.0):
+            order = NormOrder.of(p)
+            assert opnorm._outward_upper(one, two, inf, order) == (
+                outward * riesz_thorin_bound(one, two, inf, p), "Riesz-Thorin"
+            )
+            # a two-norm rounded far up leaves the interpolation bound
+            assert opnorm._outward_upper(one, 1e6, inf, order) == (
+                outward * interpolation_bound(a, p), "interpolation"
+            )
+
+    def test_bounds_the_power_iteration_ratio_on_tight_matrices(self):
+        # rank one and constant: every bound is tight, so only the outward
+        # rounding keeps the realized ratio below it
+        for a in (np.full((6, 6), 3.1), np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0])):
+            one, two, inf = opnorm_one(a), opnorm_two(a), opnorm_inf(a)
+            for p in (1.25, 1.5, 3.0, 7.0):
+                upper, _ = opnorm._outward_upper(one, two, inf, NormOrder.of(p))
+                assert opnorm_p_estimate(a, p).lower <= upper
+
+
 class TestPEstimate:
+    def test_rows_mapped_to_zero_drop_out(self):
+        # the e_2 restart maps to 0, and so does the all-ones one (zero row
+        # sums); the iteration stays finite and its ratio stays realized
+        a = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        for p in (1.5, 3.0):
+            est = opnorm_p_estimate(a, p)
+            assert np.all(np.isfinite(est.witness))
+            assert est.lower == vector_norm(a @ est.witness, p) / vector_norm(est.witness, p)
+            assert est.lower == pytest.approx(2.0, rel=1e-12)
+        assert opnorm_p_estimate(np.zeros((3, 3)), 3).lower == 0.0
+
     def test_two_point_core_p3(self):
         est = opnorm_p_estimate(two_point_core(), 3)
         assert est.lower >= 0.5 - 1e-9
@@ -407,8 +447,16 @@ class TestFrozenBoydBrackets:
         assert est.lower == pytest.approx(lower, rel=1e-12, abs=0.0)
         assert est.upper == pytest.approx(upper, rel=1e-12, abs=0.0)
         assert est.lower <= est.upper
-        jac = lam * m_of_s(softmax(x, lam).probs)
-        assert vector_norm(jac @ est.witness, p) / vector_norm(est.witness, p) == est.lower
+        assert est.method == "power iteration + Riesz-Thorin"
+        # the witness realizes `lower` exactly through the O(n) product the
+        # iteration ran on, and through the dense J up to rounding
+        probs = softmax(x, lam).probs
+        w = est.witness
+        assert vector_norm(_jacobian_times(probs, lam)(w[None])[0], p) / vector_norm(w, p) == est.lower
+        jac = lam * m_of_s(probs)
+        assert vector_norm(jac @ w, p) / vector_norm(w, p) == pytest.approx(est.lower, rel=1e-14)
+        # the dense power iteration finds no ratio above the upper end
+        assert opnorm_p_estimate(jac, p).lower <= est.upper
 
 
 class TestMaxoutStrictness:
