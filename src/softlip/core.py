@@ -175,18 +175,38 @@ def _scaled_logits(v: np.ndarray, lam: float) -> np.ndarray:
     """lam * v along the last axis, for `_softmax_kernel`.
 
     A row whose product overflows is scaled after shifting by its max,
-    lam * (v - max v); the kernel's own shift then leaves it unchanged, so
-    finite logits never become inf - inf. Rows whose product is finite keep
-    the bits of lam * v.
+    lam * (v - max v). A finite row that spans more than the float range is
+    shifted here, z - max z, so the entries that overflow to -inf (and
+    give exp 0) raise no warning. The kernel's own shift then leaves both
+    unchanged, so finite logits never become inf - inf. Every other row
+    keeps the bits of lam * v, and the softmax keeps its bits everywhere.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         z = lam * v
-        if np.isfinite(z).all():
+        if math.isfinite(z.max() - z.min()):  # then so is every row's span
             return z
+        top = z.max(-1, keepdims=True)
+        wide = ~np.isfinite(top - z.min(-1, keepdims=True))[..., 0]
         overflowed = ~np.isfinite(z).all(-1)
         rows = v[overflowed]
         z[overflowed] = lam * (rows - rows.max(-1, keepdims=True))
+        shifted = wide & ~overflowed
+        z[shifted] -= top[shifted]
     return z
+
+
+def _softmax_rows(
+    v: np.ndarray, lam: float, finite: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax at inverse temperature lam along the last axis, unvalidated,
+    and the clamp flag of each row (0-d for a vector); each row has the
+    bits and the flag of `softmax` of that row.
+
+    `finite` skips `_scaled_logits`' overflow check for a caller that has
+    bounded every |lam * v| by half the float max, so that neither a
+    product nor a row's span overflows; the bits are the same.
+    """
+    return _softmax_kernel(lam * v if finite else _scaled_logits(v, lam))
 
 
 def log_sum_exp(x, t: Union[Temperature, float] = 1.0) -> float:
@@ -211,9 +231,7 @@ def softmax(x, t: Union[Temperature, float] = 1.0) -> SimplexPoint:
     the shift unless lam * x overflows (see `_scaled_logits`). Output
     entries that underflow to 0 are clamped (see SimplexPoint.clamped).
     """
-    lam = Temperature.of(t).lam
-    v = Logits.of(x).values
-    s, clamped = _softmax_kernel(_scaled_logits(v, lam))
+    s, clamped = _softmax_rows(Logits.of(x).values, Temperature.of(t).lam)
     return SimplexPoint(s, clamped=bool(clamped))
 
 

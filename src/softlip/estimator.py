@@ -29,9 +29,8 @@ import numpy as np
 from softlip.core import (
     Logits,
     Temperature,
-    _scaled_logits,
     _secular_witness,
-    _softmax_kernel,
+    _softmax_rows,
     jacobian,  # not called here; perfbench/spans.py wraps this name
     softmax,
 )
@@ -275,13 +274,6 @@ def _as_inputs(inputs) -> np.ndarray:
     return data
 
 
-def _softmax_rows(v: np.ndarray, lam: float) -> tuple[np.ndarray, int]:
-    """Row-wise softmax of the logits at inverse temperature lam and its
-    clamp count; each row has the bits of `softmax` of that row."""
-    s, clamped = _softmax_kernel(_scaled_logits(v, lam))
-    return s, int(clamped.sum())
-
-
 def empirical_lp(
     inputs: Union[np.ndarray, Sequence],
     t: Union[Temperature, float],
@@ -305,7 +297,8 @@ def empirical_lp(
     lam = Temperature.of(t).lam
     data = _as_inputs(inputs)
     count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
-    base, clamps = _softmax_rows(data, lam)
+    base, clamped = _softmax_rows(data, lam)
+    clamps = int(clamped.sum())
     if spec.mode == MODE_TOP_EIGENVECTOR:
         directions = np.stack([sample_perturbation(n, spec, base=x) for x in data])
     rngs = _generators(spec.seed, count, spec.trials_per_input, epsilon_index)
@@ -327,8 +320,8 @@ def empirical_lp(
         z += delta
         if not np.isfinite(z).all():
             raise ValueError("logits must have finite entries")
-        probs, block_clamps = _softmax_rows(z, lam)
-        clamps += block_clamps
+        probs, clamped = _softmax_rows(z, lam)
+        clamps += int(clamped.sum())
         realized = row_norms(delta, spec.p)
         if not realized.all():
             raise ValueError("epsilon is too small: a perturbation rounds to zero")

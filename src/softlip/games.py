@@ -18,6 +18,14 @@ no power iteration runs for them: p in {1, inf} takes the exact column and
 row sums, p = 2 one dense eigensolve shared by A and A^T (||A^T||_2 =
 ||A||_2), and general p the smaller of the interpolation bound and the
 Riesz-Thorin bound, both built from ||A||_1, ||A||_inf and one ||A||_2.
+That ||A||_2 is rescaled by a power of two at the ends of the float range
+(`opnorm._gram`), so huge and tiny payoffs get finite, nonzero norms.
+
+Both softmaxes of a step are `core._softmax_rows`, the arithmetic of
+`core.softmax`: logits whose product with 1/tau overflows are shifted
+before they are scaled, so a payoff near the float max still answers at a
+small tau. `dsfp_solve` decides once per solve whether that check can be
+skipped, so a step pays nothing for it.
 
 tau must satisfy TAU_MIN <= tau < TAU_LIMIT, that is 2^-512 <= tau < 2^511
 (about 7.5e-155 to 6.7e153): there 1/tau and 4 tau^2 are normal floats, so
@@ -27,16 +35,18 @@ underflows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from softlip.core import TOL_SIMPLEX_PER_ENTRY, SimplexPoint, _softmax_kernel
+from softlip.core import SimplexPoint, _softmax_rows, boundary_point
 from softlip.opnorm import (
     MAX_DENSE_DIM,
     NormOrder,
     OpNormError,
+    _as_matrix,
     _outward_upper,
     _two_norm_fallback_bracket,
     opnorm_inf,
@@ -73,11 +83,9 @@ class MatrixGame:
     a: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.a, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"payoff matrix must be 2-D and non-empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("payoff entries must be finite")
+        arr = _as_matrix(self.a).copy()
+        if arr.size == 0:
+            raise ValueError(f"payoff matrix must be non-empty, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
 
@@ -143,23 +151,28 @@ class DsfpResult:
 
 
 def _check_strategy(y, m: int) -> np.ndarray:
-    arr = np.asarray(y, dtype=np.float64)
-    if arr.shape != (m,):
-        raise ValueError(f"strategy must have shape ({m},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("strategy entries must be finite")
-    if arr.min() < 0.0:
-        raise ValueError("strategy entries must be nonnegative")
-    if abs(float(arr.sum()) - 1.0) > TOL_SIMPLEX_PER_ENTRY * m:
-        raise ValueError("strategy must sum to 1 within tolerance")
+    """A point of the closed simplex with m entries (`core.boundary_point`)."""
+    arr = boundary_point(y)
+    if arr.size != m:
+        raise ValueError(f"strategy must have {m} entries, got {arr.size}")
     return arr
 
 
-def _dsfp_step(a: np.ndarray, lam: float, y: np.ndarray) -> tuple[np.ndarray, bool]:
-    """T(y) at lam = 1/tau and whether either inner softmax clamped, unvalidated."""
-    x, x_clamped = _softmax_kernel(lam * (-(a @ y)))
-    t_y, y_clamped = _softmax_kernel(lam * (a.T @ x))
-    return t_y, bool(x_clamped) or bool(y_clamped)
+def _dsfp_step(
+    a: np.ndarray, lam: float, y: np.ndarray, finite: bool = False
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(T(y), x, clamped) at lam = 1/tau, unvalidated: x = sig_lam(-A y) is
+    the row player's response, and `clamped` covers both inner softmaxes.
+
+    `finite` asserts that 2 lam max|a_ij| is finite. Up to rounding, every
+    logit (an entry of A y or A^T x, with y and x on the simplex) is at
+    most max|a_ij| in magnitude, so every |lam * logit| stays below half
+    the float max, and the softmaxes skip their overflow check with the
+    same bits (`core._softmax_rows`).
+    """
+    x, x_clamped = _softmax_rows(-(a @ y), lam, finite)
+    t_y, y_clamped = _softmax_rows(a.T @ x, lam, finite)
+    return t_y, x, bool(x_clamped) or bool(y_clamped)
 
 
 def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
@@ -168,7 +181,7 @@ def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
     The returned point's `clamped` flag covers both inner softmaxes.
     """
     _check_tau(tau)
-    t_y, clamped = _dsfp_step(game.a, 1.0 / tau, _check_strategy(y, game.m))
+    t_y, _, clamped = _dsfp_step(game.a, 1.0 / tau, _check_strategy(y, game.m))
     return SimplexPoint(t_y, clamped=clamped)
 
 
@@ -260,12 +273,14 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
 
     The start point is validated here, once; the steps run the unvalidated
     kernel behind `dsfp_map`, with the same arithmetic and so the same bits.
+    `x_star` is the final step's inner response sig_{1/tau}(-A y_star).
     """
     if isinstance(config.y0, str):
         y = np.full(game.m, 1.0 / game.m)
     else:
         y = _check_strategy(config.y0, game.m).copy()
     lam = 1.0 / config.tau
+    finite = math.isfinite(2.0 * lam * float(np.abs(game.a).max()))
     alpha = config.alpha
     order = config.p
     trace: list = []
@@ -274,7 +289,7 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     iterations = 0
     clamps = 0
     for k in range(1, config.max_iter + 1):
-        t_y, clamped = _dsfp_step(game.a, lam, y)
+        t_y, _, clamped = _dsfp_step(game.a, lam, y, finite)
         clamps += int(clamped)
         y_next = (1.0 - alpha) * y + alpha * t_y
         if not np.all(np.isfinite(y_next)):
@@ -290,10 +305,9 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         if disp <= config.tol * alpha:
             stopped = True
             break
-    t_y, clamped = _dsfp_step(game.a, lam, y)
+    t_y, x_star, clamped = _dsfp_step(game.a, lam, y, finite)
     clamps += int(clamped)
     residual = float(row_norms((t_y - y)[None], order)[0])
-    x_star = _softmax_kernel((-(game.a @ y)) / config.tau)[0]
     nominal, safe = contraction_factor(game, config.tau, order)
     return DsfpResult(
         y_star=y,

@@ -10,7 +10,8 @@ sees the matrix only through its row maps V -> V A^T and U -> U A, so an
 operator with a cheap product (the softmax Jacobian, say) never needs its
 dense matrix; `_outward_upper` is the smaller of the interpolation and
 Riesz-Thorin bounds from upper ends of ||A||_1, ||A||_2 and ||A||_inf,
-rounded outward.
+rounded outward. The dense 2-norm forms one Gram matrix (`_gram`), rescaled
+by a power of two when the entries lie near either end of the float range.
 """
 
 from __future__ import annotations
@@ -132,14 +133,6 @@ class NormOrder:
             return str(int(self.p))
         return repr(self.p)
 
-    def dual(self) -> "NormOrder":
-        """The Holder conjugate: 1/p + 1/q = 1."""
-        if self.is_one:
-            return NormOrder.infinity()
-        if self.is_infinity:
-            return NormOrder.one()
-        return NormOrder(self.p / (self.p - 1.0))
-
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -161,15 +154,6 @@ class NormEstimate:
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
         if self.exact and self.lower != self.upper:
             raise ValueError("exact estimates must have lower == upper")
-
-    @classmethod
-    def bracket(
-        cls, lower: float, upper: float, method: str, witness: Optional[np.ndarray] = None
-    ) -> "NormEstimate":
-        """The bracket [lower, upper], collapsed onto the witnessed `lower`
-        and marked exact when the two ends agree to relative 1e-9."""
-        exact = (upper - lower) <= 1e-9 * upper if upper > 0.0 else True
-        return cls(lower, lower if exact else upper, exact, method, witness)
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -256,32 +240,62 @@ def opnorm_inf(A) -> float:
 
 def _two_norm_fallback_bracket(arr: np.ndarray) -> NormEstimate:
     # Certified lower: best column two-norm, i.e. the ratio at a basis vector.
-    lower = float(np.sqrt((arr * arr).sum(axis=0).max())) if arr.size else 0.0
-    fro = float(np.sqrt((arr * arr).sum()))
-    upper = min(fro, math.sqrt(opnorm_one(arr) * opnorm_inf(arr)))
-    upper = max(upper, lower)
-    return NormEstimate(lower, upper, exact=False, method="two-norm fallback bracket")
+    lower = float(row_norms(arr.T, 2).max()) if arr.size else 0.0
+    fro = float(row_norms(arr.reshape(1, -1), 2)[0])
+    upper = min(fro, math.sqrt(opnorm_one(arr)) * math.sqrt(opnorm_inf(arr)))
+    return NormEstimate(lower, max(upper, lower), exact=False, method="two-norm fallback bracket")
+
+
+#: Matrices whose largest magnitude lies in [2^-_GRAM_EXPO, 2^_GRAM_EXPO)
+#: form their Gram matrix as they are; its entries then stay inside the
+#: range where LAPACK's symmetric eigensolvers do not rescale internally,
+#: so the results scale bit for bit with the matrix.
+_GRAM_EXPO = 200
+
+
+def _gram(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(B, G, e) with B = A 2^-e and G = B^T B or B B^T, whichever is smaller.
+
+    e is 0 unless max|a_ij| lies outside [2^-200, 2^200); then the exact
+    power of two brings it into [1/2, 1), so G neither overflows nor
+    underflows, and ||A||_2 = 2^e ||B||_2.
+    """
+    m, n = arr.shape
+    expo = 0
+    big = float(np.abs(arr).max()) if arr.size else 0.0
+    if big and not 2.0**-_GRAM_EXPO <= big < 2.0**_GRAM_EXPO:
+        expo = math.frexp(big)[1]
+        arr = np.ldexp(arr, -expo)
+    return arr, arr.T @ arr if n <= m else arr @ arr.T, expo
+
+
+def _unscaled(norm: float, expo: int) -> float:
+    """||A||_2 = 2^e ||B||_2 from `_gram`'s B; OverflowError if not a float."""
+    try:
+        return math.ldexp(norm, expo)
+    except OverflowError:
+        raise OverflowError(f"||A||_2 = {norm!r} * 2^{expo} exceeds the float range") from None
 
 
 def opnorm_two(A) -> float:
     """||A||_2: the largest singular value, via the smaller Gram matrix.
 
-    Dense symmetric eigensolve of A^T A (or A A^T, whichever is smaller);
+    Dense symmetric eigensolve of A^T A (or A A^T, whichever is smaller),
+    rescaled by a power of two at the ends of the float range (`_gram`);
     sizes above MAX_DENSE_DIM are rejected. If the eigensolver fails, an
     OpNormError carrying a certified fallback bracket is raised.
     """
     arr = _as_matrix(A)
-    m, n = arr.shape
-    if max(m, n) > MAX_DENSE_DIM:
-        raise ValueError(f"matrix side {max(m, n)} exceeds dense limit {MAX_DENSE_DIM}")
-    gram = arr.T @ arr if n <= m else arr @ arr.T
+    if max(arr.shape) > MAX_DENSE_DIM:
+        raise ValueError(f"matrix side {max(arr.shape)} exceeds dense limit {MAX_DENSE_DIM}")
+    _, gram, expo = _gram(arr)
     try:
         top = float(np.linalg.eigvalsh(gram)[-1])
     except np.linalg.LinAlgError as exc:
         raise OpNormError(
             f"symmetric eigensolve failed: {exc}", _two_norm_fallback_bracket(arr)
         ) from exc
-    return math.sqrt(max(top, 0.0))
+    return _unscaled(math.sqrt(max(top, 0.0)), expo)
 
 
 def top_eigenvector(mat: np.ndarray) -> np.ndarray:
@@ -301,20 +315,22 @@ def top_eigenvector(mat: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _two_norm_witness(arr: np.ndarray) -> np.ndarray:
-    """A unit vector realizing ||A||_2 to machine precision."""
+def _two_norm_witness(arr: np.ndarray) -> tuple[float, np.ndarray]:
+    """||A||_2 and a unit vector w realizing it to machine precision; the
+    value is the ratio ||A w||_2 / ||w||_2, taken on `_gram`'s rescaled B."""
+    scaled, gram, expo = _gram(arr)
     m, n = arr.shape
     if n <= m:
-        wit = top_eigenvector(arr.T @ arr)
+        wit = top_eigenvector(gram)
     else:
-        wit = arr.T @ top_eigenvector(arr @ arr.T)
+        wit = scaled.T @ top_eigenvector(gram)
         norm = np.linalg.norm(wit)
         if norm == 0.0:  # A == 0; any direction realizes the norm
             wit = np.zeros(n)
             wit[0] = 1.0
         else:
             wit = wit / norm
-    return wit
+    return _unscaled(vector_norm(scaled @ wit, 2.0) / vector_norm(wit, 2.0), expo), wit
 
 
 def interpolation_bound(A, p: Union[NormOrder, float, str]) -> float:
@@ -402,7 +418,6 @@ def _boyd_lower(
     apply_t: Callable[[np.ndarray], np.ndarray],
     order: NormOrder,
     V0: np.ndarray,
-    max_iter: int = _BOYD_MAX_ITER,
 ) -> tuple[float, np.ndarray]:
     """Best realized ratio ||A v||_p over the restart rows of V0.
 
@@ -432,7 +447,7 @@ def _boyd_lower(
     best_ratio = -1.0
     best_witness = V[0].copy()
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(_BOYD_MAX_ITER):
         U = apply(V)
         R = np.abs(U)
         m = R.max(axis=1)
@@ -468,16 +483,16 @@ def _certified_bracket(
 ) -> NormEstimate:
     """The bracket [lower, upper] of a power iteration: an upper end below
     its realized ratio by rounding noise (relative 1e-9) is lifted onto it,
-    and anything more raises OpNormError."""
-    if lower > upper:
-        # The two ends coincide mathematically here; reconcile rounding noise.
-        if lower - upper > 1e-9 * max(1.0, upper):
-            raise OpNormError(
-                f"certified ratio {lower} exceeds upper bound {upper}",
-                NormEstimate(0.0, upper, exact=False, method="inconsistent"),
-            )
-        upper = lower
-    return NormEstimate.bracket(lower, upper, method, witness)
+    and anything more raises OpNormError. The bracket is collapsed onto the
+    witnessed `lower` and marked exact when its ends agree to relative
+    1e-9."""
+    if lower - upper > 1e-9 * max(1.0, upper):
+        raise OpNormError(
+            f"certified ratio {lower} exceeds upper bound {upper}",
+            NormEstimate(0.0, upper, exact=False, method="inconsistent"),
+        )
+    exact = upper - lower <= 1e-9 * upper if upper > 0.0 else True
+    return NormEstimate(lower, lower if exact else upper, exact, method, witness)
 
 
 def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> NormEstimate:
@@ -506,10 +521,9 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> Norm
         return NormEstimate(val, val, exact=True, method="row sums", witness=wit)
     if order.is_two:
         try:
-            wit = _two_norm_witness(arr)
+            val, wit = _two_norm_witness(arr)
         except RuntimeError as exc:
             raise OpNormError(str(exc), _two_norm_fallback_bracket(arr)) from exc
-        val = vector_norm(arr @ wit, 2.0) / vector_norm(wit, 2.0)
         return NormEstimate(val, val, exact=True, method="gram eigensolve", witness=wit)
 
     rng = np.random.default_rng(seed)

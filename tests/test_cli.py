@@ -449,6 +449,22 @@ class TestDsfpCommand:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("rows, flags", [
+        # lam * (A y) overflowed: the solve failed with exit 4
+        (["-1e300,-1e300", "-1e300,-1e300"], ["--tau", "1e-10"]),
+        # A^T A overflowed: "invalid bracket [nan, nan]"
+        (["1e200,-1e200", "-1e200,1e200"], ["--tau", "1e150", "--p", "2"]),
+    ], ids=["overflowing-logits", "overflowing-gram"])
+    def test_extreme_payoff_is_too_small_a_tau(self, tmp_path, capsys, rows, flags):
+        path = tmp_path / "extreme.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["dsfp", "--payoff", str(path), *flags]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.match(r"error: --tau \S+ is too small for this payoff", captured.err)
+        assert captured.err.count("\n") == 1
+
+
 class TestScsaCommand:
     def test_hand_evaluated(self, capsys):
         rc = main(["scsa", "--n", "2", "--nu", "1", "--tau", "2", "--eps", "4",
@@ -456,6 +472,25 @@ class TestScsaCommand:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "refined SCSA Lipschitz bound:      8" in out
+
+    def test_weight_norm_beyond_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "wq.csv"
+        path.write_text("1e308,1e308\n1e308,1e308\n", encoding="utf-8")
+        rc = main(["scsa", "--n", "1", "--nu", "1", "--tau", "1", "--eps", "1",
+                   "--wq-file", str(path), "--wk", "1", "--wv", "1"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ||A||_2 = ") and "exceeds the float range" in err
+
+    def test_huge_matrix_file_weight(self, tmp_path):
+        # A^T A overflowed: the norm was NaN and the report failed to serialize
+        path = tmp_path / "wq.csv"
+        path.write_text("1e200,0\n0,1e200\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        rc = main(["scsa", "--n", "1", "--nu", "1", "--tau", "1", "--eps", "1",
+                   "--wq-file", str(path), "--wk", "1", "--wv", "1", "--json-out", str(out)])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["result"]["wq_norm"] == 1e200
 
     def test_matrix_file_weights(self, tmp_path):
         w = tmp_path / "w.csv"

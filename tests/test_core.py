@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softlip.core import (
     _bits_float,
@@ -10,6 +12,7 @@ from softlip.core import (
     _scaled_logits,
     _secular_witness,
     _softmax_kernel,
+    _softmax_rows,
     Logits,
     SimplexPoint,
     Temperature,
@@ -168,6 +171,34 @@ class TestSoftmaxKernel:
             want = softmax(row, lam)
             np.testing.assert_array_equal(got, want.probs)
             assert flag == want.clamped
+
+
+_EXTREME_LOGITS = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.sampled_from([1e308, -1e308, 1e300, -1e300, 0.0]),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(2, 6)),
+    lam=st.floats(1e-3, 1e3),
+    data=st.data(),
+)
+def test_softmax_rows_match_softmax_bitwise(shape, lam, data):
+    size = shape[0] * shape[1]
+    v = np.array(data.draw(st.lists(_EXTREME_LOGITS, min_size=size, max_size=size))).reshape(shape)
+    s, clamped = _softmax_rows(v, lam)
+    assert clamped.shape == (shape[0],)
+    for row, got, flag in zip(v, s, clamped):
+        want = softmax(row, lam)
+        assert got.tobytes() == want.probs.tobytes()
+        assert bool(flag) == want.clamped
+    if math.isfinite(2.0 * lam * float(np.abs(v).max())):
+        # the check-free path of a caller that bounded lam * v
+        fast, fast_clamped = _softmax_rows(v, lam, finite=True)
+        assert fast.tobytes() == s.tobytes()
+        assert fast_clamped.tolist() == clamped.tolist()
 
 
 class TestJacobian:

@@ -5,6 +5,7 @@ import pytest
 
 import softlip.games as games_module
 import softlip.opnorm as opnorm_module
+from softlip.core import softmax
 from softlip.games import (
     TAU_LIMIT,
     TAU_MIN,
@@ -369,6 +370,14 @@ class TestUpperNorms:
         nominal, safe = contraction_factor(game, 1.01 * threshold, 3)
         assert nominal < 1.0 and math.isfinite(safe)
 
+    def test_tiny_payoff_general_p(self):
+        # the subnormal Gram matrix once gave ||A||_2 = 0 and tau_min = 0
+        a = np.array([[3e-170, 1e-170], [0.0, 2e-170]])
+        threshold = tau_min(MatrixGame(a), 3)
+        assert vector_norm(a[:, 0], 3) < 2.0 * threshold  # the ratio at e_0
+        want = 1e-170 * tau_min(MatrixGame(1e170 * a), 3)
+        assert threshold == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_failed_eigensolve_falls_back(self, monkeypatch):
         game = random_game(53, (6, 9))
         order = NormOrder.of(3)
@@ -423,11 +432,31 @@ class TestSolverLoop:
         if case == "saturated":
             assert clamps > 0
 
-    def test_non_finite_iterate_raises(self):
-        # lam * (-(A y)) is +inf in every entry, so the first softmax is NaN
+    def test_non_finite_iterate_raises(self, monkeypatch):
+        # the step's softmaxes give no NaN on a finite payoff, so a step
+        # that returns one is patched in to reach the guard
+        def nan_step(a, lam, y, finite=False):
+            return np.full(a.shape[1], np.nan), np.full(a.shape[0], np.nan), False
+
+        monkeypatch.setattr(games_module, "_dsfp_step", nan_step)
+        with pytest.raises(DsfpError, match="step 1"):
+            dsfp_solve(MatrixGame(MATCHING_PENNIES), DsfpConfig(tau=1.0))
+
+    def test_overflowing_logits_solve(self):
+        # lam * (-(A y)) = 1e310 overflowed, so the first softmax was NaN and
+        # the solve raised at step 1; the softmaxes now shift first
         game = MatrixGame(np.full((2, 2), -1e300))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DsfpError, match="step 1"):
-            dsfp_solve(game, DsfpConfig(tau=1e-10))
+        res = dsfp_solve(game, DsfpConfig(tau=1e-10))
+        assert res.y_star.tolist() == res.x_star.tolist() == [0.5, 0.5]
+        assert res.converged
+        assert res.contraction_nominal == res.contraction_safe == math.inf
+        assert not res.certified
+
+    def test_x_star_is_the_final_steps_response(self):
+        game = random_game(71, (4, 6))
+        res = dsfp_solve(game, DsfpConfig(tau=0.8, alpha=0.5))
+        want = softmax(-(game.a @ res.y_star), 1.0 / 0.8).probs
+        assert res.x_star.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p, eigh, eigvalsh", [
         (2, 1, 0), (3, 0, 1), (1.5, 0, 1), (1, 0, 0), ("inf", 0, 0),

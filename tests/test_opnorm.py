@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import softlip.opnorm as opnorm
 from softlip.core import _jacobian_times, m_of_s, softmax
@@ -9,6 +11,7 @@ from softlip.lipschitz import local_lipschitz
 from softlip.opnorm import (
     NormEstimate,
     NormOrder,
+    OpNormError,
     interpolation_bound,
     riesz_thorin_bound,
     opnorm_inf,
@@ -83,12 +86,6 @@ class TestNormOrder:
         assert NormOrder.of("inf").label == "inf"
         assert NormOrder.of(3.0).label == "3"
         assert NormOrder.of(1.5).label == "1.5"
-
-    def test_dual(self):
-        assert NormOrder.one().dual().is_infinity
-        assert NormOrder.infinity().dual().is_one
-        assert NormOrder.two().dual().is_two
-        assert NormOrder.of(1.5).dual().p == pytest.approx(3.0)
 
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
@@ -382,7 +379,7 @@ class TestPEstimate:
             a = rng.uniform(-1, 1, size=(5, 5))
             p = NormOrder(float(rng.uniform(1.1, 6.0)))
             est = opnorm_p_estimate(a, p)
-            dual = opnorm_p_estimate(a.T, p.dual())
+            dual = opnorm_p_estimate(a.T, p.p / (p.p - 1.0))
             assert est.lower <= dual.upper + 1e-12
             assert dual.lower <= est.upper + 1e-12
 
@@ -538,3 +535,79 @@ class TestTwoNormFallback:
         with pytest.raises(RuntimeError, match="eigensolve failed") as excinfo:
             top_eigenvector(np.eye(3))
         assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+
+
+def _fail_eigensolve(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+#: [[3, 1], [0, 2]] has A^T A = [[9, 3], [3, 5]], so ||A||_2 = sqrt(7 + sqrt(13)).
+SMALL_TRIANGLE = np.array([[3.0, 1.0], [0.0, 2.0]])
+SMALL_TRIANGLE_NORM = math.sqrt(7.0 + math.sqrt(13.0))
+
+
+class TestTwoNormRange:
+    """The dense 2-norm at the ends of float64, where A^T A overflows or
+    underflows; each case once gave a wrong answer."""
+
+    def test_huge_entries(self):
+        # A^T A overflowed: the norm was NaN
+        assert opnorm_two([[1e200, 0.0], [0.0, 1e200]]) == 1e200
+
+    def test_tiny_entries(self):
+        # A^T A underflowed to 0: the norm was 0
+        assert opnorm_two([[1e-200, 0.0], [0.0, 2e-200]]) == 2e-200
+
+    def test_subnormal_gram_bracket(self):
+        # A^T A was subnormal: an "exact" 2.236e-170 came back
+        a = 1e-170 * SMALL_TRIANGLE
+        est = opnorm_p_estimate(a, 2)
+        assert est.exact
+        assert est.upper == pytest.approx(1e-170 * SMALL_TRIANGLE_NORM, rel=1e-14, abs=0.0)
+        assert opnorm_two(a) == pytest.approx(est.upper, rel=1e-14, abs=0.0)
+        realized = vector_norm(a @ est.witness, 2) / vector_norm(est.witness, 2)
+        assert realized == est.lower
+
+    def test_norm_beyond_the_float_range_raises(self):
+        a = np.full((2, 2), 1e308)  # ||A||_2 = 2e308
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            opnorm_two(a)
+        with pytest.raises(OverflowError, match="exceeds the float range"):
+            opnorm_p_estimate(a, 2)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_fallback_bracket_at_the_ends(self, scale, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", _fail_eigensolve)
+        with pytest.raises(OpNormError) as excinfo:
+            opnorm_two(scale * SMALL_TRIANGLE)
+        bracket = excinfo.value.bracket
+        # the best column two-norm, and sqrt(||A||_1 ||A||_inf) below Frobenius
+        assert bracket.lower == pytest.approx(3.0 * scale, rel=1e-15, abs=0.0)
+        assert bracket.upper == pytest.approx(math.sqrt(12.0) * scale, rel=1e-15, abs=0.0)
+
+
+_SCALE_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(2.0**-20, 1.0, exclude_max=True),
+    st.floats(-1.0, -(2.0**-20), exclude_min=True),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    top=st.floats(0.5, 1.0, exclude_max=True),
+    ks=st.lists(st.integers(-990, 1000), min_size=1, max_size=16),
+    data=st.data(),
+)
+def test_two_norm_scales_by_powers_of_two(shape, top, ks, data):
+    # max|a_ij| lies in [1/2, 1) and no nonzero entry is below 2^-20, so
+    # every ldexp(A, k) is exact and the Gram rescale gives back A's bits
+    size = shape[0] * shape[1]
+    a = np.array(data.draw(st.lists(_SCALE_ENTRIES, min_size=size, max_size=size))).reshape(shape)
+    a.flat[data.draw(st.integers(0, size - 1))] = top
+    two, upper = opnorm_two(a), opnorm_p_estimate(a, 2).upper
+    for k in ks:
+        scaled = np.ldexp(a, k)
+        assert opnorm_two(scaled) == math.ldexp(two, k)
+        assert opnorm_p_estimate(scaled, 2).upper == math.ldexp(upper, k)
