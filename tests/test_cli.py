@@ -448,7 +448,6 @@ class TestDsfpCommand:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not out_path.exists()
 
-
     @pytest.mark.parametrize("rows, flags", [
         # lam * (A y) overflowed: the solve failed with exit 4
         (["-1e300,-1e300", "-1e300,-1e300"], ["--tau", "1e-10"]),
