@@ -18,14 +18,15 @@ no power iteration runs for them: p in {1, inf} takes the exact column and
 row sums, p = 2 one dense eigensolve shared by A and A^T (||A^T||_2 =
 ||A||_2), and general p the smaller of the interpolation bound and the
 Riesz-Thorin bound, both built from ||A||_1, ||A||_inf and one ||A||_2.
-That ||A||_2 is rescaled by a power of two at the ends of the float range
-(`opnorm._gram`), so huge and tiny payoffs get finite, nonzero norms.
+That ||A||_2 is computed on A scaled by a power of two (`opnorm._gram`),
+so huge and tiny payoffs get finite, nonzero norms; a norm beyond the
+float max is taken as inf, still a certified upper end.
 
 Both softmaxes of a step are `core._softmax_rows`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
 before they are scaled, so a payoff near the float max still answers at a
-small tau. `dsfp_solve` decides once per solve whether that check can be
-skipped, so a step pays nothing for it.
+small tau. `dsfp_solve` decides once per solve whether the payoff bounds
+every logit so that check can be skipped, so a step pays nothing for it.
 
 tau must satisfy TAU_MIN <= tau < TAU_LIMIT, that is 2^-512 <= tau < 2^511
 (about 7.5e-155 to 6.7e153): there 1/tau and 4 tau^2 are normal floats, so
@@ -159,19 +160,17 @@ def _check_strategy(y, m: int) -> np.ndarray:
 
 
 def _dsfp_step(
-    a: np.ndarray, lam: float, y: np.ndarray, finite: bool = False
+    a: np.ndarray, lam: float, y: np.ndarray, bounded: bool = False
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """(T(y), x, clamped) at lam = 1/tau, unvalidated: x = sig_lam(-A y) is
     the row player's response, and `clamped` covers both inner softmaxes.
 
-    `finite` asserts that 2 lam max|a_ij| is finite. Up to rounding, every
-    logit (an entry of A y or A^T x, with y and x on the simplex) is at
-    most max|a_ij| in magnitude, so every |lam * logit| stays below half
-    the float max, and the softmaxes skip their overflow check with the
-    same bits (`core._softmax_rows`).
+    `bounded` asserts that every |lam * logit| stays below half the float
+    max (see `dsfp_solve`); the softmaxes then skip their overflow check
+    with the same bits.
     """
-    x, x_clamped = _softmax_rows(-(a @ y), lam, finite)
-    t_y, y_clamped = _softmax_rows(a.T @ x, lam, finite)
+    x, x_clamped = _softmax_rows(-(a @ y), lam, bounded)
+    t_y, y_clamped = _softmax_rows(a.T @ x, lam, bounded)
     return t_y, x, bool(x_clamped) or bool(y_clamped)
 
 
@@ -195,24 +194,28 @@ def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
     ||A||_2 = ||A^T||_2, raised by the relative `opnorm._UPPER_SLACK`.
     Above MAX_DENSE_DIM, or when the eigensolve fails, ||A||_2 is replaced
     by the upper end of the certified two-norm fallback bracket, so no
-    payoff goes unanswered.
+    payoff goes unanswered. An ||A||_2 beyond the float max (OverflowError)
+    gives (inf, inf), still certified upper ends.
     """
-    if order.is_two:
-        two = opnorm_p_estimate(a, order).upper
-        return two, two
-    one, inf = opnorm_one(a), opnorm_inf(a)
-    if order.is_one:
-        return one, inf
-    if order.is_infinity:
-        return inf, one
-    if max(a.shape) > MAX_DENSE_DIM:
-        two = _two_norm_fallback_bracket(a).upper
-    else:
-        try:
-            two = opnorm_two(a)
-        except OpNormError as exc:
-            two = exc.bracket.upper
-    return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
+    try:
+        if order.is_two:
+            two = opnorm_p_estimate(a, order).upper
+            return two, two
+        one, inf = opnorm_one(a), opnorm_inf(a)
+        if order.is_one:
+            return one, inf
+        if order.is_infinity:
+            return inf, one
+        if max(a.shape) > MAX_DENSE_DIM:
+            two = _two_norm_fallback_bracket(a).upper
+        else:
+            try:
+                two = opnorm_two(a)
+            except OpNormError as exc:
+                two = exc.bracket.upper
+        return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
+    except OverflowError:
+        return math.inf, math.inf
 
 
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:
@@ -279,8 +282,13 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         y = np.full(game.m, 1.0 / game.m)
     else:
         y = _check_strategy(config.y0, game.m).copy()
-    lam = 1.0 / config.tau
-    finite = math.isfinite(2.0 * lam * float(np.abs(game.a).max()))
+    lam = 1.0 / float(config.tau)
+    # y and x stay nonnegative with sums within m * 1e-12 of 1
+    # (`core.boundary_point`), so every logit, an entry of A y or A^T x, is
+    # below 2 max|a_ij| in magnitude. With 4 lam max|a_ij| finite, every
+    # |lam * logit| stays below half the float max, and no step pays for the
+    # overflow check (two dot products a step, 3% of dsfp-games' pass time).
+    bounded = math.isfinite(4.0 * lam * float(np.abs(game.a).max()))
     alpha = config.alpha
     order = config.p
     trace: list = []
@@ -289,7 +297,7 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     iterations = 0
     clamps = 0
     for k in range(1, config.max_iter + 1):
-        t_y, _, clamped = _dsfp_step(game.a, lam, y, finite)
+        t_y, _, clamped = _dsfp_step(game.a, lam, y, bounded)
         clamps += int(clamped)
         y_next = (1.0 - alpha) * y + alpha * t_y
         if not np.all(np.isfinite(y_next)):
@@ -305,7 +313,7 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         if disp <= config.tol * alpha:
             stopped = True
             break
-    t_y, x_star, clamped = _dsfp_step(game.a, lam, y, finite)
+    t_y, x_star, clamped = _dsfp_step(game.a, lam, y, bounded)
     clamps += int(clamped)
     residual = float(row_norms((t_y - y)[None], order)[0])
     nominal, safe = contraction_factor(game, config.tau, order)

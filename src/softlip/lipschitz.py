@@ -197,7 +197,8 @@ def local_lipschitz(
     apply = _jacobian_times(probs, lam)
     rng = np.random.default_rng(0)
     lower, witness = _boyd_lower(apply, apply, order, _restart_block(s.n, rng))
-    return _certified_bracket(lower, upper, f"power iteration + {bound}", witness)
+    # a ratio rounded above lam/2 (by an ulp at s = (1/2, 1/2)) is lam/2
+    return _certified_bracket(min(lower, cap), upper, f"power iteration + {bound}", witness)
 
 
 def witness_attained(n: int, p: Union[NormOrder, float, str]) -> tuple[Logits, float]:

@@ -10,8 +10,8 @@ sees the matrix only through its row maps V -> V A^T and U -> U A, so an
 operator with a cheap product (the softmax Jacobian, say) never needs its
 dense matrix; `_outward_upper` is the smaller of the interpolation and
 Riesz-Thorin bounds from upper ends of ||A||_1, ||A||_2 and ||A||_inf,
-rounded outward. The dense 2-norm forms one Gram matrix (`_gram`), rescaled
-by a power of two when the entries lie near either end of the float range.
+rounded outward. The dense 2-norm forms one Gram matrix (`_gram`), of A
+scaled by the power of two that brings its largest entry into [1/2, 1).
 """
 
 from __future__ import annotations
@@ -229,13 +229,15 @@ def vector_norm(v, p: Union[NormOrder, float, str]) -> float:
 def opnorm_one(A) -> float:
     """||A||_1: the maximum absolute column sum. Exact."""
     arr = _as_matrix(A)
-    return float(np.abs(arr).sum(axis=0).max())
+    with np.errstate(over="ignore"):  # a sum above the float max rounds to inf
+        return float(np.abs(arr).sum(axis=0).max())
 
 
 def opnorm_inf(A) -> float:
     """||A||_inf: the maximum absolute row sum. Exact."""
     arr = _as_matrix(A)
-    return float(np.abs(arr).sum(axis=1).max())
+    with np.errstate(over="ignore"):  # a sum above the float max rounds to inf
+        return float(np.abs(arr).sum(axis=1).max())
 
 
 def _two_norm_fallback_bracket(arr: np.ndarray) -> NormEstimate:
@@ -246,26 +248,15 @@ def _two_norm_fallback_bracket(arr: np.ndarray) -> NormEstimate:
     return NormEstimate(lower, max(upper, lower), exact=False, method="two-norm fallback bracket")
 
 
-#: Matrices whose largest magnitude lies in [2^-_GRAM_EXPO, 2^_GRAM_EXPO)
-#: form their Gram matrix as they are; its entries then stay inside the
-#: range where LAPACK's symmetric eigensolvers do not rescale internally,
-#: so the results scale bit for bit with the matrix.
-_GRAM_EXPO = 200
-
-
 def _gram(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(B, G, e) with B = A 2^-e and G = B^T B or B B^T, whichever is smaller.
 
-    e is 0 unless max|a_ij| lies outside [2^-200, 2^200); then the exact
-    power of two brings it into [1/2, 1), so G neither overflows nor
-    underflows, and ||A||_2 = 2^e ||B||_2.
+    The exact power of two 2^e brings max|b_ij| into [1/2, 1) (e = 0 for
+    A = 0), so G neither overflows nor underflows, and ||A||_2 = 2^e ||B||_2.
     """
     m, n = arr.shape
-    expo = 0
-    big = float(np.abs(arr).max()) if arr.size else 0.0
-    if big and not 2.0**-_GRAM_EXPO <= big < 2.0**_GRAM_EXPO:
-        expo = math.frexp(big)[1]
-        arr = np.ldexp(arr, -expo)
+    expo = math.frexp(float(np.abs(arr).max()) if arr.size else 0.0)[1]
+    arr = np.ldexp(arr, -expo)
     return arr, arr.T @ arr if n <= m else arr @ arr.T, expo
 
 
@@ -280,10 +271,10 @@ def _unscaled(norm: float, expo: int) -> float:
 def opnorm_two(A) -> float:
     """||A||_2: the largest singular value, via the smaller Gram matrix.
 
-    Dense symmetric eigensolve of A^T A (or A A^T, whichever is smaller),
-    rescaled by a power of two at the ends of the float range (`_gram`);
-    sizes above MAX_DENSE_DIM are rejected. If the eigensolver fails, an
-    OpNormError carrying a certified fallback bracket is raised.
+    Dense symmetric eigensolve of A^T A (or A A^T, whichever is smaller)
+    of A scaled by a power of two (`_gram`); sizes above MAX_DENSE_DIM are
+    rejected. If the eigensolver fails, an OpNormError carrying a certified
+    fallback bracket is raised.
     """
     arr = _as_matrix(A)
     if max(arr.shape) > MAX_DENSE_DIM:

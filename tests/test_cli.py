@@ -463,6 +463,14 @@ class TestDsfpCommand:
         assert re.match(r"error: --tau \S+ is too small for this payoff", captured.err)
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", ["1", "2", "3", "inf"])
+    def test_norm_beyond_the_float_range(self, tmp_path, capsys, p):
+        # ||A||_p = 2e308: p = 3 exited 4 after a full solve, p = 1 exited 2
+        path = tmp_path / "big.csv"
+        path.write_text("1e308,1e308\n1e308,1e308\n", encoding="utf-8")
+        assert main(["dsfp", "--payoff", str(path), "--tau", "1", "--p", p]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: --tau 1 is too small for this payoff")
+
 
 class TestScsaCommand:
     def test_hand_evaluated(self, capsys):

@@ -196,7 +196,7 @@ def test_softmax_rows_match_softmax_bitwise(shape, lam, data):
         assert bool(flag) == want.clamped
     if math.isfinite(2.0 * lam * float(np.abs(v).max())):
         # the check-free path of a caller that bounded lam * v
-        fast, fast_clamped = _softmax_rows(v, lam, finite=True)
+        fast, fast_clamped = _softmax_rows(v, lam, bounded=True)
         assert fast.tobytes() == s.tobytes()
         assert fast_clamped.tolist() == clamped.tolist()
 

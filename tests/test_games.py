@@ -378,6 +378,14 @@ class TestUpperNorms:
         want = 1e-170 * tau_min(MatrixGame(1e170 * a), 3)
         assert threshold == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, "inf"])
+    def test_norm_beyond_the_float_range(self, p):
+        # ||A||_p = 2e308 for every p: opnorm_two raised OverflowError at
+        # p = 3 while p = 1 answered; inf is still a certified upper end
+        game = MatrixGame(np.full((2, 2), 1e308))
+        assert tau_min(game, p) == math.inf
+        assert contraction_factor(game, 1.0, p) == (math.inf, math.inf)
+
     def test_failed_eigensolve_falls_back(self, monkeypatch):
         game = random_game(53, (6, 9))
         order = NormOrder.of(3)
@@ -435,7 +443,7 @@ class TestSolverLoop:
     def test_non_finite_iterate_raises(self, monkeypatch):
         # the step's softmaxes give no NaN on a finite payoff, so a step
         # that returns one is patched in to reach the guard
-        def nan_step(a, lam, y, finite=False):
+        def nan_step(a, lam, y, bounded=False):
             return np.full(a.shape[1], np.nan), np.full(a.shape[0], np.nan), False
 
         monkeypatch.setattr(games_module, "_dsfp_step", nan_step)
@@ -451,6 +459,17 @@ class TestSolverLoop:
         assert res.converged
         assert res.contraction_nominal == res.contraction_safe == math.inf
         assert not res.certified
+
+    def test_start_off_the_simplex_at_the_float_max(self):
+        # y0 sums to 1 + 1e-12, inside the simplex tolerance, so |A y0| exceeds
+        # max|a_ij| and the logit span lam * (A y0) overflows although
+        # 2 lam max|a_ij| is finite; a solve must neither warn nor fail
+        big = 1e300
+        lam = np.nextafter(np.finfo(np.float64).max / (2.0 * big), 0.0)
+        game = MatrixGame(np.array([[big, big], [-big, -big]]))
+        config = DsfpConfig(tau=1.0 / lam, y0=(0.5 + 5e-13, 0.5 + 5e-13), max_iter=5)
+        res = dsfp_solve(game, config)
+        assert np.all(np.isfinite(res.y_star)) and np.all(np.isfinite(res.x_star))
 
     def test_x_star_is_the_final_steps_response(self):
         game = random_game(71, (4, 6))

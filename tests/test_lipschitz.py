@@ -320,6 +320,13 @@ class TestMatrixFreeGeneralP:
             assert est.upper < min(one, lam / 2.0)
 
 
+def test_ratio_rounded_above_the_cap():
+    # at s = (1/2, 1/2) the realized ratio came out one ulp above lam/2
+    lam = 3.966796875
+    est = local_lipschitz(np.zeros(2), lam, 1.2)
+    assert est.lower == est.upper == lam / 2.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 64),
