@@ -226,7 +226,9 @@ def log_sum_exp(x, t: Union[Temperature, float] = 1.0) -> float:
     lam = Temperature.of(t).lam
     v = Logits.of(x).values
     m = float(v.max())
-    return m + float(np.log(np.exp(lam * (v - m)).sum())) / lam
+    with np.errstate(over="ignore"):  # a shift beyond the float range is -inf: exp gives 0
+        shifted = lam * (v - m)
+    return m + float(np.log(np.exp(shifted).sum())) / lam
 
 
 def softmax(x, t: Union[Temperature, float] = 1.0) -> SimplexPoint:

@@ -12,15 +12,22 @@ its own generator seeded by `subseed`, so results are bit-identical no
 matter how the work is partitioned or ordered. Ties in the maximum break
 toward the lowest input index, then the lowest trial index.
 
+An epsilon sweep runs as one pass over rows in (epsilon, input, trial)
+order: the inputs are validated and their softmax taken once, and blocks
+of rows may span epsilons. Each epsilon keeps its own maximum, ties and
+mean, so row j of a sweep's table is `empirical_lp` with epsilon_index=j,
+the one-epsilon case of the same pass.
+
 Each triple's stream is exactly `np.random.default_rng(subseed(...))`,
 that is `PCG64(SeedSequence(subseed))`. The estimator computes the
-subseeds and their SeedSequence states for a whole block of rows at once
-and hands each state to PCG64's own seeding.
+subseeds and their SeedSequence states for a batch of rows at once, across
+epsilons, and hands each state to PCG64's own seeding.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -63,10 +70,14 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _subseeds(
-    seed: int, input_index: np.ndarray, trial_index: np.ndarray, epsilon_index: int
+    seed: int,
+    input_index: np.ndarray,
+    trial_index: np.ndarray,
+    epsilon_index: Union[int, np.ndarray],
 ) -> np.ndarray:
-    """`subseed(seed, input_index[r], trial_index[r], epsilon_index)` of every
-    row r, as a uint64 array; negative indices wrap modulo 2^64, as there."""
+    """`subseed(seed, input_index[r], trial_index[r], epsilon_index[r])` of
+    every row r, as a uint64 array, for an epsilon index per row (uint64) or
+    one for all; negative indices wrap modulo 2^64, as there."""
     mixed = np.empty((3, len(input_index)), dtype=np.uint64)
     mixed[0], mixed[1], mixed[2] = input_index, trial_index, epsilon_index & _MASK64
     _mix64(mixed)
@@ -155,17 +166,21 @@ def _fixed_seed_type() -> type:
     return FixedSeed
 
 
-def _generators(seed: int, count: int, trials_per_input: int, epsilon_index: int):
-    """Yield `np.random.default_rng(subseed(seed, i, t, epsilon_index))` for
-    the rows (i, t) of `empirical_lp` in order, 0 to count - 1, bit for bit:
-    `PCG64(SeedSequence(subseed))`, with the subseeds and their seed states
-    computed _SEED_ROWS rows at a time, however few rows a block holds."""
+def _generators(seed: int, count: int, trials_per_input: int, *epsilon_indices: int):
+    """Yield `np.random.default_rng(subseed(seed, i, t, j))` for the rows of
+    `_estimate` in order, bit for bit: for each j of `epsilon_indices` in
+    turn, the rows 0 to count - 1, each (i, t) = divmod(row, trials_per_input).
+    Each is `PCG64(SeedSequence(subseed))`, with the subseeds and their seed
+    states computed _SEED_ROWS rows at a time, across epsilon boundaries and
+    however few rows a block holds."""
     fixed = _fixed_seed_type()
     generator, pcg64 = np.random.Generator, np.random.PCG64
-    for start in range(0, count, _SEED_ROWS):
-        rows = np.arange(start, min(start + _SEED_ROWS, count))
-        inputs_of, trials_of = np.divmod(rows, trials_per_input)
-        for state in _seed_states(_subseeds(seed, inputs_of, trials_of, epsilon_index)):
+    epsilons = np.array([j & _MASK64 for j in epsilon_indices], dtype=np.uint64)
+    total = count * len(epsilon_indices)
+    for start in range(0, total, _SEED_ROWS):
+        epsilon_of, pairs = np.divmod(np.arange(start, min(start + _SEED_ROWS, total)), count)
+        inputs_of, trials_of = np.divmod(pairs, trials_per_input)
+        for state in _seed_states(_subseeds(seed, inputs_of, trials_of, epsilons[epsilon_of])):
             yield generator(pcg64(fixed(state)))
 
 
@@ -274,6 +289,108 @@ def _as_inputs(inputs) -> np.ndarray:
     return data
 
 
+def _estimate(
+    inputs, t, specs: Sequence[PerturbationSpec], epsilon_indices: Sequence[int]
+) -> list[EstimateReport]:
+    """One report per spec, specs that differ in epsilon alone, spec j
+    drawing with epsilon index `epsilon_indices[j]`: the kernel of
+    `empirical_lp` and `epsilon_sweep`.
+
+    The inputs and the temperature are validated, and the base softmax
+    taken, once. The (epsilon, input, trial) rows are evaluated in that
+    order, in blocks of at most _BLOCK_ELEMENTS entries that may straddle
+    epsilons. Each row has the bits of a per-pair evaluation with
+    `sample_perturbation`, `softmax` and `vector_norm`; each epsilon keeps
+    its own maximum (first occurrence), mean (added left to right) and
+    clamp count, so no report depends on the block size or on the other
+    epsilons. An error is the one the epsilons raise one at a time, in
+    order: an epsilon's rows fail in one way only, too small (tiny
+    epsilon) or not finite (huge epsilon).
+    """
+    lam = Temperature.of(t).lam
+    data = _as_inputs(inputs)
+    spec = specs[0]
+    count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
+    total = count * len(specs)
+    epsilons = np.array([s.epsilon for s in specs])
+    base, clamped = _softmax_rows(data, lam)
+    clamps = [int(clamped.sum())] * len(specs)
+    best = [-1.0] * len(specs)
+    best_row = [0] * len(specs)
+    sums = [0.0] * len(specs)
+    if spec.mode == MODE_TOP_EIGENVECTOR:
+        # the unit-temperature witness of each input, scaled per epsilon
+        units = np.stack([_secular_witness(s) for s in _softmax_rows(data, 1.0)[0]])
+    else:
+        rngs = _generators(spec.seed, count, spec.trials_per_input, *epsilon_indices)
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        epsilon_of, pairs = np.divmod(np.arange(start, stop), count)
+        inputs_of = pairs // spec.trials_per_input
+        scale = epsilons[epsilon_of]
+        if spec.mode == MODE_TOP_EIGENVECTOR:
+            delta = scale[:, None] * units[inputs_of]
+        else:
+            delta = np.empty((stop - start, n))
+            block_rngs = list(itertools.islice(rngs, stop - start))
+            for rng, row in zip(block_rngs, delta):
+                rng.standard_normal(out=row)
+            for r in np.flatnonzero(~delta.any(axis=1)):  # the measure-zero zero draw
+                while not delta[r].any():
+                    block_rngs[r].standard_normal(out=delta[r])
+            delta *= (scale / row_norms(delta, spec.p))[:, None]
+        z = data[inputs_of]
+        z += delta
+        if not np.isfinite(z).all():
+            # an earlier epsilon in the block may be too small; it fails first
+            bad = int(np.isfinite(z).all(axis=1).argmin())
+            _check_realized(row_norms(delta[:max(0, bad - int(pairs[bad]))], spec.p))
+            raise ValueError("logits must have finite entries")
+        realized = row_norms(delta, spec.p)
+        _check_realized(realized)
+        probs, clamped = _softmax_rows(z, lam)
+        probs -= base[inputs_of]
+        ratio = row_norms(probs, spec.p) / realized
+        for j in range(int(epsilon_of[0]), int(epsilon_of[-1]) + 1):
+            lo, hi = max(j * count, start) - start, min((j + 1) * count, stop) - start
+            clamps[j] += int(clamped[lo:hi].sum())
+            k = lo + int(ratio[lo:hi].argmax())
+            if ratio[k] > best[j]:
+                best[j] = float(ratio[k])
+                best_row[j] = int(pairs[k])
+            if spec.aggregate == "mean":
+                for value in ratio[lo:hi].tolist():
+                    sums[j] += value
+    reports = []
+    for j, s in enumerate(specs):
+        value = best[j] if s.aggregate == "max" else sums[j] / count
+        best_at = divmod(best_row[j], s.trials_per_input)
+        reports.append(EstimateReport(
+            empirical_lp=value,
+            argmax_input_index=best_at[0],
+            argmax_trial=best_at[1],
+            argmax_epsilon_index=epsilon_indices[j],
+            per_epsilon_table=((s.epsilon, value),),
+            lam=lam,
+            p=s.p,
+            inputs_count=data.shape[0],
+            trials_per_input=s.trials_per_input,
+            mode=s.mode,
+            seed=s.seed,
+            aggregate=s.aggregate,
+            clamp_events=clamps[j],
+            bound_exceeded=value > lam / 2.0 + 1e-9,
+        ))
+    return reports
+
+
+def _check_realized(realized: np.ndarray) -> None:
+    """Reject perturbations whose realized norm rounds to zero."""
+    if not realized.all():
+        raise ValueError("epsilon is too small: a perturbation rounds to zero")
+
+
 def empirical_lp(
     inputs: Union[np.ndarray, Sequence],
     t: Union[Temperature, float],
@@ -286,72 +403,10 @@ def empirical_lp(
     rows, say) or a sequence of equal-length vectors. Every (input,
     trial) pair perturbs independently from its subseed and contributes
     the secant ratio with the realized ||d||_p in the denominator. Pass
-    `epsilon_index` to reproduce a single row of an epsilon sweep.
-
-    The pairs are evaluated as rows of arrays, in blocks of at most
-    _BLOCK_ELEMENTS entries taken in (input, trial) order. Each row has the
-    bits of a per-pair evaluation with `sample_perturbation`, `softmax` and
-    `vector_norm`; the maximum keeps its first occurrence, and the mean
-    adds left to right, so the report does not depend on the block size.
+    `epsilon_index` to reproduce a single row of an epsilon sweep: this is
+    the one-epsilon case of the sweep's kernel, `_estimate`.
     """
-    lam = Temperature.of(t).lam
-    data = _as_inputs(inputs)
-    count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
-    base, clamped = _softmax_rows(data, lam)
-    clamps = int(clamped.sum())
-    if spec.mode == MODE_TOP_EIGENVECTOR:
-        directions = np.stack([sample_perturbation(n, spec, base=x) for x in data])
-    rngs = _generators(spec.seed, count, spec.trials_per_input, epsilon_index)
-    best = -1.0
-    best_row = 0
-    total = 0.0
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, count, step):
-        rows = np.arange(start, min(start + step, count))
-        inputs_of, trials_of = np.divmod(rows, spec.trials_per_input)
-        if spec.mode == MODE_TOP_EIGENVECTOR:
-            delta = directions[inputs_of]
-        else:
-            delta = np.empty((rows.size, n))
-            for r in range(rows.size):
-                delta[r] = _draw(next(rngs), n)
-            delta *= (spec.epsilon / row_norms(delta, spec.p))[:, None]
-        z = data[inputs_of]
-        z += delta
-        if not np.isfinite(z).all():
-            raise ValueError("logits must have finite entries")
-        probs, clamped = _softmax_rows(z, lam)
-        clamps += int(clamped.sum())
-        realized = row_norms(delta, spec.p)
-        if not realized.all():
-            raise ValueError("epsilon is too small: a perturbation rounds to zero")
-        probs -= base[inputs_of]
-        ratio = row_norms(probs, spec.p) / realized
-        k = int(ratio.argmax())
-        if ratio[k] > best:
-            best = float(ratio[k])
-            best_row = start + k
-        if spec.aggregate == "mean":
-            for value in ratio.tolist():
-                total += value
-    value = best if spec.aggregate == "max" else total / count
-    best_at = divmod(best_row, spec.trials_per_input)
-    return EstimateReport(
-        empirical_lp=value,
-        argmax_input_index=best_at[0],
-        argmax_trial=best_at[1],
-        argmax_epsilon_index=epsilon_index,
-        per_epsilon_table=((spec.epsilon, value),),
-        lam=lam,
-        p=spec.p,
-        inputs_count=data.shape[0],
-        trials_per_input=spec.trials_per_input,
-        mode=spec.mode,
-        seed=spec.seed,
-        aggregate=spec.aggregate,
-        clamp_events=clamps,
-        bound_exceeded=value > lam / 2.0 + 1e-9,
-    )
+    return _estimate(inputs, t, [spec], [epsilon_index])[0]
 
 
 def epsilon_sweep(
@@ -363,25 +418,33 @@ def epsilon_sweep(
     """Run the estimator at several magnitudes and tabulate the results.
 
     Row j of the table equals empirical_lp with epsilon_index=j, so every
-    row is individually reproducible. The report's headline value and
-    provenance come from the row with the largest aggregate.
+    row is individually reproducible; all rows are evaluated in one pass.
+    The report's headline value and provenance come from the row with the
+    largest aggregate.
     """
     if not len(epsilons):
         raise ValueError("need at least one epsilon")
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("epsilons must be positive")
-    table = []
-    reports = []
+    specs, invalid = [], None
+    for eps in epsilons:
+        try:
+            specs.append(replace(base_spec, epsilon=float(eps)))
+        except ValueError as exc:  # a NaN: it fails after the rows before it
+            invalid = exc
+            break
+    if not specs:
+        raise invalid
+    reports = _estimate(inputs, t, specs, range(len(specs)))
+    if invalid is not None:
+        raise invalid
     best_j = 0
-    for j, eps in enumerate(epsilons):
-        report = empirical_lp(inputs, t, replace(base_spec, epsilon=float(eps)), epsilon_index=j)
-        reports.append(report)
-        table.append((float(eps), report.empirical_lp))
+    for j, report in enumerate(reports):
         if report.empirical_lp > reports[best_j].empirical_lp:
             best_j = j
     return replace(
         reports[best_j],
-        per_epsilon_table=tuple(table),
+        per_epsilon_table=tuple((s.epsilon, r.empirical_lp) for s, r in zip(specs, reports)),
         argmax_epsilon_index=best_j,
         clamp_events=sum(r.clamp_events for r in reports),
         bound_exceeded=any(r.bound_exceeded for r in reports),

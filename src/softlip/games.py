@@ -47,6 +47,7 @@ from softlip.opnorm import (
     MAX_DENSE_DIM,
     NormOrder,
     OpNormError,
+    _SQUARES_MIN,
     _as_matrix,
     _outward_upper,
     _two_norm_fallback_bracket,
@@ -245,8 +246,17 @@ def contraction_factor(
     """
     _check_tau(tau)
     a_norm, at_norm = _upper_norms(game.a, NormOrder.of(p))
-    scale = 4.0 * tau * tau
-    return a_norm * a_norm / scale, a_norm * at_norm / scale
+    return _factor(a_norm, a_norm, float(tau)), _factor(a_norm, at_norm, float(tau))
+
+
+def _factor(a: float, b: float, tau: float) -> float:
+    """a b / (4 tau^2) in Python floats, which overflow to inf silently;
+    where a b overflows (a norm above about 1.3e154), (a / (2 tau)) (b /
+    (2 tau)), which is inf only if the factor is."""
+    product = a * b
+    if product == math.inf:
+        return (a / (2.0 * tau)) * (b / (2.0 * tau))
+    return product / (4.0 * tau * tau)
 
 
 def shannon_entropy(u) -> float:
@@ -300,9 +310,16 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         t_y, _, clamped = _dsfp_step(game.a, lam, y, bounded)
         clamps += int(clamped)
         y_next = (1.0 - alpha) * y + alpha * t_y
-        if not np.all(np.isfinite(y_next)):
-            raise DsfpError(f"non-finite iterate at step {k}")
-        disp = float(row_norms((y_next - y)[None], order)[0])
+        step = y_next - y
+        # p = 2: one dot product gives row_norms' bits whenever its sum is in
+        # range, which a NaN or inf in the iterate is not
+        squares = float(np.vecdot(step, step)) if order.is_two else math.nan
+        if _SQUARES_MIN <= squares < math.inf:
+            disp = math.sqrt(squares)
+        else:
+            if not np.all(np.isfinite(y_next)):
+                raise DsfpError(f"non-finite iterate at step {k}")
+            disp = float(row_norms(step[None], order)[0])
         if k % stride == 0:
             trace.append((k, disp))
             if len(trace) >= _TRACE_CAP:

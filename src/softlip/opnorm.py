@@ -226,18 +226,21 @@ def vector_norm(v, p: Union[NormOrder, float, str]) -> float:
     return float(row_norms(arr, order)[0])
 
 
+def _abs_sums(arr: np.ndarray, axis: int) -> np.ndarray:
+    """The absolute column (axis 0) or row (axis 1) sums; a sum above the
+    float max rounds to inf without a warning."""
+    with np.errstate(over="ignore"):
+        return np.abs(arr).sum(axis=axis)
+
+
 def opnorm_one(A) -> float:
     """||A||_1: the maximum absolute column sum. Exact."""
-    arr = _as_matrix(A)
-    with np.errstate(over="ignore"):  # a sum above the float max rounds to inf
-        return float(np.abs(arr).sum(axis=0).max())
+    return float(_abs_sums(_as_matrix(A), 0).max())
 
 
 def opnorm_inf(A) -> float:
     """||A||_inf: the maximum absolute row sum. Exact."""
-    arr = _as_matrix(A)
-    with np.errstate(over="ignore"):  # a sum above the float max rounds to inf
-        return float(np.abs(arr).sum(axis=1).max())
+    return float(_abs_sums(_as_matrix(A), 1).max())
 
 
 def _two_norm_fallback_bracket(arr: np.ndarray) -> NormEstimate:
@@ -332,10 +335,10 @@ def interpolation_bound(A, p: Union[NormOrder, float, str]) -> float:
     """
     order = NormOrder.of(p)
     arr = _as_matrix(A)
-    one = float(np.abs(arr).sum(axis=0).max())
+    one = float(_abs_sums(arr, 0).max())
     if order.is_one:
         return one
-    inf = float(np.abs(arr).sum(axis=1).max())
+    inf = float(_abs_sums(arr, 1).max())
     if order.is_infinity:
         return inf
     return _interpolate(one, inf, order)
@@ -497,14 +500,14 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> Norm
     order = NormOrder.of(p)
     arr = _as_matrix(A)
     if order.is_one:
-        sums = np.abs(arr).sum(axis=0)
+        sums = _abs_sums(arr, 0)
         j = int(sums.argmax())
         val = float(sums[j])
         wit = np.zeros(arr.shape[1])
         wit[j] = 1.0
         return NormEstimate(val, val, exact=True, method="column sums", witness=wit)
     if order.is_infinity:
-        sums = np.abs(arr).sum(axis=1)
+        sums = _abs_sums(arr, 1)
         i = int(sums.argmax())
         val = float(sums[i])
         wit = np.sign(arr[i])

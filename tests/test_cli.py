@@ -451,8 +451,8 @@ class TestDsfpCommand:
     @pytest.mark.parametrize("rows, flags", [
         # lam * (A y) overflowed: the solve failed with exit 4
         (["-1e300,-1e300", "-1e300,-1e300"], ["--tau", "1e-10"]),
-        # A^T A overflowed: "invalid bracket [nan, nan]"
-        (["1e200,-1e200", "-1e200,1e200"], ["--tau", "1e150", "--p", "2"]),
+        # A^T A overflows, and so does the factor (2e200 / 2e-150)^2
+        (["1e200,-1e200", "-1e200,1e200"], ["--tau", "1e-150", "--p", "2"]),
     ], ids=["overflowing-logits", "overflowing-gram"])
     def test_extreme_payoff_is_too_small_a_tau(self, tmp_path, capsys, rows, flags):
         path = tmp_path / "extreme.csv"
@@ -462,6 +462,19 @@ class TestDsfpCommand:
         assert captured.out == ""
         assert re.match(r"error: --tau \S+ is too small for this payoff", captured.err)
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_norm_whose_square_overflows(self, tmp_path, p):
+        # ||A||^2 = 4e400 overflowed, and the CLI called tau 1e150 too small,
+        # though the factor (2e200 / 2e150)^2 = 1e100 is a float
+        path = tmp_path / "extreme.csv"
+        path.write_text("1e200,-1e200\n-1e200,1e200\n", encoding="utf-8")
+        out_path = tmp_path / "r.json"
+        argv = ["dsfp", "--payoff", str(path), "--tau", "1e150", "--p", p, "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        result = load_report(out_path)["result"]
+        assert result["contraction_nominal"] == pytest.approx(1e100, rel=1e-10)
+        assert result["certified"] is False
 
     @pytest.mark.parametrize("p", ["1", "2", "3", "inf"])
     def test_norm_beyond_the_float_range(self, tmp_path, capsys, p):

@@ -44,6 +44,11 @@ class TestLogSumExp:
     def test_large_logits_no_overflow(self):
         assert log_sum_exp([1000.0, 1000.0]) == 1000.0 + math.log(2.0)
 
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    def test_logits_spanning_beyond_the_float_range(self, lam):
+        # x - max x = -2e308 warned "overflow encountered in subtract"
+        assert log_sum_exp([1e308, -1e308], lam) == 1e308
+
     def test_direct_summation_oracle(self):
         assert log_sum_exp([3.0, 1.0, 0.2]) == pytest.approx(LSE_3_1_02, abs=1e-13)
 

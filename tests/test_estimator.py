@@ -83,6 +83,22 @@ def reference_subseed(seed, *indices):
     return h
 
 
+class ZeroFirst:
+    """A generator whose first draw comes out all zero; the stream still
+    advances past it. The estimator fills rows in place (`out=`),
+    `sample_perturbation` draws by size."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, size=None, out=None):
+        self.draws += 1
+        g = self.rng.standard_normal(size, out=out)
+        if self.draws == 1:
+            g[...] = 0.0
+        return g
+
+
 class TestSeeding:
     """The batched seeding against `np.random.default_rng(subseed(...))`."""
 
@@ -146,18 +162,6 @@ class TestSeeding:
         assert_matches_oracle(empirical_lp(inputs, 1.0, s, epsilon_index=1), inputs, 1.0, s, 1)
 
     def test_zero_draw_is_redrawn_from_the_same_stream(self, monkeypatch):
-        class ZeroFirst:
-            """A generator whose first draw comes out all zero; the stream
-            still advances past it."""
-
-            def __init__(self, rng):
-                self.rng, self.draws = rng, 0
-
-            def standard_normal(self, n):
-                self.draws += 1
-                g = self.rng.standard_normal(n)
-                return np.zeros_like(g) if self.draws == 1 else g
-
         wrapped = []
         batched = estimator._generators
 
@@ -481,3 +485,142 @@ class TestBatchedEquivalence:
         # would divide 0.0 by 0.0 here.
         with pytest.raises(ValueError, match="epsilon is too small"):
             empirical_lp([np.zeros(4)], 1.0, spec(eps=5e-324))
+
+
+def one_epsilon_at_a_time(inputs, lam, s, epsilons):
+    """The sweep as one `empirical_lp` call per epsilon, in order: its
+    reports, or the ValueError the first failing call raises."""
+    try:
+        return [
+            empirical_lp(inputs, lam, replace(s, epsilon=float(e)), epsilon_index=j)
+            for j, e in enumerate(epsilons)
+        ]
+    except ValueError as exc:
+        return exc
+
+
+def assert_sweep_matches(swept, inputs, lam, s, epsilons):
+    """The one-pass sweep against per-epsilon `empirical_lp` and the
+    per-pair oracle, bit for bit; ties across epsilons go to the first."""
+    rows = [oracle(inputs, lam, replace(s, epsilon=e), j) for j, e in enumerate(epsilons)]
+    singles = one_epsilon_at_a_time(inputs, lam, s, epsilons)
+    for single, (value, at, clamps) in zip(singles, rows):
+        assert single.empirical_lp == value
+        assert (single.argmax_input_index, single.argmax_trial) == at
+        assert single.clamp_events == clamps
+    values = [r[0] for r in rows]
+    j = values.index(max(values))
+    assert swept.per_epsilon_table == tuple(zip(epsilons, values))
+    assert swept.argmax_epsilon_index == j
+    assert swept.empirical_lp == values[j]
+    assert (swept.argmax_input_index, swept.argmax_trial) == rows[j][1]
+    assert swept.clamp_events == sum(r[2] for r in rows)
+    assert swept.bound_exceeded == any(v > lam / 2.0 + 1e-9 for v in values)
+
+
+class TestSweepKernel:
+    """`epsilon_sweep` evaluates every (epsilon, input, trial) row in one pass."""
+
+    EPSILONS = [1e-1, 1e-2, 1e-3]
+
+    # 5 inputs x 7 trials = 35 rows per epsilon at n = 6: blocks of 1, 8 and
+    # 50 rows and seed batches of 1, 16 and 40 rows end inside epsilons, and
+    # the defaults take all 105 rows in one block and one batch
+    @pytest.mark.parametrize("block, seed_rows", [
+        (1, 1), (48, 16), (300, 40), (48, 1024), (4096, 16), (4096, 1024),
+    ])
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    def test_blocks_and_seed_batches_straddle_epsilons(
+        self, block, seed_rows, mode, aggregate, monkeypatch
+    ):
+        rng = np.random.default_rng(91)
+        inputs = [rng.normal(size=6) * 4.0 for _ in range(5)]
+        s = spec(p=1.5, trials=7, mode=mode, seed=8, aggregate=aggregate)
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(estimator, "_SEED_ROWS", seed_rows)
+        swept = epsilon_sweep(inputs, 1.0, s, self.EPSILONS)
+        assert_sweep_matches(swept, inputs, 1.0, s, self.EPSILONS)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, "inf"])
+    def test_saturated_head(self, p, monkeypatch):
+        rng = np.random.default_rng(92)
+        inputs = list(400.0 * rng.standard_normal((8, 16)))
+        s = spec(p=p, trials=10, seed=41)
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 16 * 30)
+        swept = epsilon_sweep(inputs, 1.0, s, self.EPSILONS)
+        assert swept.clamp_events > 0
+        assert_sweep_matches(swept, inputs, 1.0, s, self.EPSILONS)
+
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    def test_fortran_ordered_matrix(self, mode, monkeypatch):
+        scores = np.asfortranarray(np.random.default_rng(93).normal(size=(6, 9)))
+        s = spec(p=2, trials=3, mode=mode, seed=2, aggregate="mean")
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 9 * 7)
+        swept = epsilon_sweep(scores, 2.5, s, self.EPSILONS)
+        assert_sweep_matches(swept, [np.array(r) for r in scores], 2.5, s, self.EPSILONS)
+
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    def test_ties_across_epsilons_go_to_the_first(self, aggregate):
+        # top-eigenvector mode draws nothing, so a repeated epsilon repeats
+        # its row, and zero inputs tie every pair within a row too
+        inputs = [np.zeros(5) for _ in range(4)]
+        s = spec(p=3, trials=3, mode=MODE_TOP_EIGENVECTOR, aggregate=aggregate)
+        epsilons = [1e-2, 1e-1, 1e-1, 1e-2]
+        swept = epsilon_sweep(inputs, 1.0, s, epsilons)
+        table = swept.per_epsilon_table
+        assert table[1] == table[2] > table[0] == table[3]
+        assert (swept.argmax_epsilon_index, swept.argmax_input_index, swept.argmax_trial) == (1, 0, 0)
+        assert_sweep_matches(swept, inputs, 1.0, s, epsilons)
+
+    def test_zero_draws_are_redrawn_from_their_own_streams(self, monkeypatch):
+        wrapped = []
+        batched = estimator._generators
+
+        def zero_first(*args):
+            for rng in batched(*args):
+                wrapped.append(ZeroFirst(rng))
+                yield wrapped[-1]
+
+        monkeypatch.setattr(estimator, "_generators", zero_first)
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 4 * 5)  # 5-row blocks, 12-row epsilons
+        rng = np.random.default_rng(94)
+        inputs = [rng.normal(size=4) for _ in range(3)]
+        s = spec(p=2, trials=4, seed=3)
+        swept = epsilon_sweep(inputs, 1.0, s, self.EPSILONS)
+        assert [w.draws for w in wrapped] == [2] * 36
+        rows = [
+            oracle(inputs, 1.0, replace(s, epsilon=e), j,
+                   rng_of=lambda entropy: ZeroFirst(np.random.default_rng(entropy)))
+            for j, e in enumerate(self.EPSILONS)
+        ]
+        assert swept.per_epsilon_table == tuple((e, r[0]) for e, r in zip(self.EPSILONS, rows))
+
+    @pytest.mark.parametrize("epsilons, message", [
+        ([1e-2, float("nan")], "epsilon must be positive"),
+        ([float("nan"), 1e-2], "epsilon must be positive"),
+        ([1e-2, float("inf")], "finite entries"),
+        ([1e-2, 5e-324], "epsilon is too small"),
+        # the first failing epsilon names the error, whatever the later ones
+        ([5e-324, float("inf")], "epsilon is too small"),
+        ([float("inf"), 5e-324], "finite entries"),
+        ([5e-324, float("nan")], "epsilon is too small"),
+        ([float("inf"), float("nan")], "finite entries"),
+    ])
+    @pytest.mark.parametrize("block", [4, 4096])  # blocks of one row, one block
+    def test_errors_are_those_of_one_epsilon_at_a_time(self, epsilons, message, block, monkeypatch):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        inputs = [np.zeros(4), np.ones(4)]
+        s = spec(trials=3)
+        with pytest.raises(ValueError, match=message) as raised:
+            epsilon_sweep(inputs, 1.0, s, epsilons)
+        assert str(raised.value) == str(one_epsilon_at_a_time(inputs, 1.0, s, epsilons))
+
+    @pytest.mark.parametrize("epsilons, message", [
+        ([float("nan")], "epsilon must be positive"),  # its spec fails first
+        ([1e-2, float("nan")], "finite entries"),  # the inputs fail first
+    ])
+    def test_nan_epsilon_after_bad_inputs(self, epsilons, message):
+        with pytest.raises(ValueError, match=message):
+            epsilon_sweep([[0.0, np.inf]], 1.0, spec(), epsilons)
+

@@ -117,6 +117,17 @@ class TestContractionFactor:
         nominal, _ = contraction_factor(game, tau, 2)
         assert nominal == pytest.approx(1.0, rel=1e-12)
 
+    def test_norm_whose_square_overflows(self):
+        # ||A||_2 = 2e200: ||A||^2 overflowed, so the factor read inf
+        # although (2e200 / 2e150)^2 = 1e100 is a float
+        game = MatrixGame(np.array([[1e200, -1e200], [-1e200, 1e200]]))
+        nominal, safe = contraction_factor(game, 1e150, 2)
+        assert nominal == pytest.approx(1e100, rel=1e-12)
+        assert safe == nominal
+        # general p: the same factor from an upper end raised by 2^-40
+        nominal, safe = contraction_factor(game, 1e150, 3)
+        assert 1e100 <= nominal == safe <= 1e100 * (1.0 + 1e-10)
+
     def test_safe_vs_nominal_for_general_p(self):
         # ||A^T||_p differs from ||A||_p away from p = 2, so the factors split
         a = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
@@ -439,6 +450,17 @@ class TestSolverLoop:
         assert res.clamp_events == clamps
         if case == "saturated":
             assert clamps > 0
+
+    def test_step_whose_squares_underflow(self):
+        # equal rows make T constant, sig(0, -500) = (1, 7.1e-218): the first
+        # step's sum of squares, 5e-435, is below 2^-968, so its norm needs
+        # the rescaled row norm, not the square root of the dot product
+        game = MatrixGame(np.array([[0.0, -500.0], [0.0, -500.0]]))
+        config = DsfpConfig(tau=1.0, y0=(1.0, 0.0), max_iter=5)
+        res = dsfp_solve(game, config)
+        y, trace, iterations, residual, clamps = reference_solve(game, config)
+        assert res.trace == trace == ((1, math.exp(-500.0)),)
+        assert (res.iterations, res.residual) == (iterations, residual) == (1, 0.0)
 
     def test_non_finite_iterate_raises(self, monkeypatch):
         # the step's softmaxes give no NaN on a finite payoff, so a step

@@ -206,6 +206,14 @@ class TestExactNorms:
                 (2 * s * (1 - s)).max(), rel=1e-14
             )
 
+    @pytest.mark.parametrize("p", [1, "inf"])
+    def test_sums_beyond_the_float_max(self, p):
+        # the bracket's column and row sums warned "overflow in reduce"
+        a = np.full((2, 2), 1e308)
+        est = opnorm_p_estimate(a, p)
+        assert est.lower == est.upper == math.inf
+        assert interpolation_bound(a, p) == math.inf
+
     def test_symmetric_one_equals_inf(self):
         rng = np.random.default_rng(21)
         a = rng.normal(size=(6, 6))
@@ -256,6 +264,10 @@ class TestInterpolationBound:
 
     def test_zero_matrix(self):
         assert interpolation_bound(np.zeros((4, 4)), 1.7) == 0.0
+
+    def test_sums_beyond_the_float_max(self):
+        # both sums warned "overflow in reduce"; inf is still an upper bound
+        assert interpolation_bound(np.full((2, 2), 1e308), 3) == math.inf
 
 
 class TestRieszThorinBound:
