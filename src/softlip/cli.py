@@ -57,8 +57,10 @@ EXIT_NUMERICAL = 4
 
 _DEFAULT_SEED = 0
 _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-#: A CSV line every one of whose fields `_parse_float` accepts.
-_CSV_LINE_RE = re.compile(rf"\s*{_FLOAT_RE.pattern}\s*(?:,\s*{_FLOAT_RE.pattern}\s*)*")
+#: `str.translate` deletes these characters, the alphabet of a clean CSV
+#: text. Over it, `float` accepts exactly `_FLOAT_RE` plus surrounding
+#: spaces, tabs and CRs, as `_parse_float` after `strip` does.
+_CSV_ALPHABET = dict.fromkeys(map(ord, "0123456789eE+-.,\t\r\n "))
 
 
 class InputError(Exception):
@@ -69,8 +71,9 @@ class InputError(Exception):
 # parsing helpers
 
 
-def _parse_float(text: str, what: str = "") -> float:
-    """The one number parser: decimal or scientific notation, no nan/inf/underscores."""
+def _parse_number(text: str, what: str = "") -> float:
+    """The one number syntax: decimal or scientific notation, no
+    nan/inf/underscores. A value beyond the float range reads as +-inf."""
     token = text.strip()
     if not _FLOAT_RE.fullmatch(token):
         prefix = f"{what}: " if what else ""
@@ -78,10 +81,20 @@ def _parse_float(text: str, what: str = "") -> float:
     return float(token)
 
 
+def _parse_float(text: str, what: str = "") -> float:
+    """A finite number in `_parse_number`'s syntax; one beyond the float
+    range, such as 1e400, is an input error naming `what`."""
+    value = _parse_number(text, what)
+    if not math.isfinite(value):
+        prefix = f"{what}: " if what else ""
+        raise InputError(f"{prefix}non-finite value {text.strip()!r}")
+    return value
+
+
 def _parse_norm_order(text: str, what: str = "") -> NormOrder:
     token = text.strip().lower()
     if token not in INFINITY_NAMES:
-        _parse_float(token, what)
+        _parse_number(token, what)
     return NormOrder.of(token)
 
 
@@ -119,13 +132,14 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 
 def _parse_matrix(text: str, path: str) -> np.ndarray:
-    """The matrix in a CSV text: one regex match and one `float` map per
-    line, then one finiteness check. Any miss falls back to the per-cell
-    parser, which gives the same array or names the first bad field."""
+    """The matrix in a CSV text: one `str.translate` check that the text
+    uses only `_CSV_ALPHABET` (ASCII digits, `eE+-.`, comma, space, tab, CR
+    and LF), one `float` map per line, then one finiteness check. Any miss
+    falls back to the per-cell parser, which gives the same array or names
+    the first bad field."""
     lines = [line for raw in text.split("\n") if (line := raw.rstrip("\r")) != ""]
-    if lines and all(_CSV_LINE_RE.fullmatch(line) for line in lines):
+    if lines and not text.translate(_CSV_ALPHABET):
         try:
-            # float() strips fewer ASCII control characters than \s matches
             rows = [list(map(float, line.split(","))) for line in lines]
         except ValueError:
             rows = []
@@ -148,13 +162,7 @@ def _parse_matrix_cells(text: str, path: str) -> np.ndarray:
         fields = line.split(",")
         parsed = []
         for col, tok in enumerate(fields, start=1):
-            tok = tok.strip()
-            value = _parse_float(tok, f"{path}: line {lineno}, column {col}")
-            if not math.isfinite(value):
-                raise InputError(
-                    f"{path}: line {lineno}, column {col}: non-finite value {tok!r}"
-                )
-            parsed.append(value)
+            parsed.append(_parse_float(tok.strip(), f"{path}: line {lineno}, column {col}"))
         if width is None:
             width = len(parsed)
         elif len(parsed) != width:
@@ -183,7 +191,7 @@ MAX_INLINE_LENGTH = 1_000_000
 
 
 def _length_arg(text: str, what: str, minimum: int = 0) -> int:
-    value = _parse_float(text, what)
+    value = _parse_number(text, what)
     if not (math.isfinite(value) and value >= 0 and value == math.floor(value)):
         raise InputError(f"{what}: length must be a whole number, got {text.strip()!r}")
     if value > MAX_INLINE_LENGTH:

@@ -330,7 +330,11 @@ def _estimate(
         inputs_of = pairs // spec.trials_per_input
         scale = epsilons[epsilon_of]
         if spec.mode == MODE_TOP_EIGENVECTOR:
-            delta = scale[:, None] * units[inputs_of]
+            # inf times a witness's zero entry is NaN, with a warning: an
+            # infinite epsilon's rows stay inf and fail as non-finite below
+            delta = np.full((stop - start, n), np.inf)
+            finite = np.isfinite(scale)[:, None]
+            np.multiply(scale[:, None], units[inputs_of], out=delta, where=finite)
         else:
             delta = np.empty((stop - start, n))
             block_rngs = list(itertools.islice(rngs, stop - start))

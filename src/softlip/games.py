@@ -15,12 +15,14 @@ factor is not below 1.
 
 Both factors read only certified upper ends of ||A||_p and ||A^T||_p, and
 no power iteration runs for them: p in {1, inf} takes the exact column and
-row sums, p = 2 one dense eigensolve shared by A and A^T (||A^T||_2 =
-||A||_2), and general p the smaller of the interpolation bound and the
-Riesz-Thorin bound, both built from ||A||_1, ||A||_inf and one ||A||_2.
-That ||A||_2 is computed on A scaled by a power of two (`opnorm._gram`),
-so huge and tiny payoffs get finite, nonzero norms; a norm beyond the
-float max is taken as inf, still a certified upper end.
+row sums, p = 2 the largest eigenvalue of one Gram matrix (no eigenvector),
+shared by A and A^T (||A^T||_2 = ||A||_2) and raised by the relative
+`opnorm._UPPER_SLACK` (2^-40), and general p the smaller of the
+interpolation bound and the Riesz-Thorin bound, both built from ||A||_1,
+||A||_inf and one ||A||_2. That ||A||_2 is computed on A scaled by a power
+of two (`opnorm._gram`), so huge and tiny payoffs get finite, nonzero
+norms; a norm beyond the float max is taken as inf, still a certified
+upper end.
 
 Both softmaxes of a step are `core._softmax_rows`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
@@ -48,12 +50,14 @@ from softlip.opnorm import (
     NormOrder,
     OpNormError,
     _SQUARES_MIN,
+    _UPPER_SLACK,
     _as_matrix,
     _outward_upper,
+    _two_norm,
     _two_norm_fallback_bracket,
     opnorm_inf,
     opnorm_one,
-    opnorm_p_estimate,
+    opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
     opnorm_two,
     row_norms,
 )
@@ -189,18 +193,21 @@ def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
     """Certified upper ends of (||A||_p, ||A^T||_p), with no power iteration.
 
     p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
-    p = 2: one eigensolve, opnorm_p_estimate(A, 2).upper, for both sides.
+    p = 2: the eigenvalue-only Gram solve behind `opnorm_two`, at any size,
+    raised by the relative `opnorm._UPPER_SLACK` (2^-40, over 300 times the
+    largest eigenvalue-solve error measured up to 512 x 512), for both
+    sides. A failed eigensolve raises OpNormError.
     General p: `opnorm._outward_upper` per side, the smaller of the
     interpolation and Riesz-Thorin bounds from ||A||_1, ||A||_inf and
-    ||A||_2 = ||A^T||_2, raised by the relative `opnorm._UPPER_SLACK`.
-    Above MAX_DENSE_DIM, or when the eigensolve fails, ||A||_2 is replaced
-    by the upper end of the certified two-norm fallback bracket, so no
-    payoff goes unanswered. An ||A||_2 beyond the float max (OverflowError)
-    gives (inf, inf), still certified upper ends.
+    ||A||_2 = ||A^T||_2, raised by the same slack. Above MAX_DENSE_DIM, or
+    when the eigensolve fails, ||A||_2 is replaced by the upper end of the
+    certified two-norm fallback bracket, so no payoff goes unanswered.
+    An ||A||_2 beyond the float max (OverflowError) gives (inf, inf), still
+    certified upper ends.
     """
     try:
         if order.is_two:
-            two = opnorm_p_estimate(a, order).upper
+            two = (1.0 + _UPPER_SLACK) * _two_norm(a)
             return two, two
         one, inf = opnorm_one(a), opnorm_inf(a)
         if order.is_one:
@@ -222,12 +229,12 @@ def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:
     """Contraction threshold ||A||_p / 2, from a certified upper end of ||A||_p.
 
-    That end is exact at p in {1, inf}, the dense eigensolve's value at
-    p = 2, and the smaller of the interpolation and Riesz-Thorin bounds for
-    general p. Any tau strictly above the threshold makes the classical
-    factor < 1. For general p that factor leans on ||A^T||_p = ||A||_p,
-    which only holds at p = 2; compare contraction_factor's safe value
-    before trusting it.
+    That end is exact at p in {1, inf}, the Gram eigenvalue solve's value
+    times 1 + 2^-40 at p = 2, and the smaller of the interpolation and
+    Riesz-Thorin bounds for general p. Any tau strictly above the threshold
+    makes the classical factor < 1. For general p that factor leans on
+    ||A^T||_p = ||A||_p, which only holds at p = 2; compare
+    contraction_factor's safe value before trusting it.
     """
     return _upper_norms(game.a, NormOrder.of(p))[0] / 2.0
 
@@ -238,8 +245,9 @@ def contraction_factor(
     """(nominal, safe) contraction factors of T at regularization tau.
 
     nominal = ||A||_p^2 / (4 tau^2); safe = ||A||_p ||A^T||_p / (4 tau^2),
-    both from the certified upper ends `tau_min` uses (for general p, each
-    side's min of the interpolation and Riesz-Thorin bounds). At p = 2 one
+    both from the certified upper ends `tau_min` uses (at p = 2 the Gram
+    eigenvalue solve's value times 1 + 2^-40; for general p, each side's
+    min of the interpolation and Riesz-Thorin bounds). At p = 2 one
     eigensolve serves both sides, so safe == nominal; they also coincide
     for symmetric payoffs, and elsewhere the safe factor is the provable
     one. tau outside [TAU_MIN, TAU_LIMIT) raises ValueError.

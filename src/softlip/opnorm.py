@@ -282,6 +282,13 @@ def opnorm_two(A) -> float:
     arr = _as_matrix(A)
     if max(arr.shape) > MAX_DENSE_DIM:
         raise ValueError(f"matrix side {max(arr.shape)} exceeds dense limit {MAX_DENSE_DIM}")
+    return _two_norm(arr)
+
+
+def _two_norm(arr: np.ndarray) -> float:
+    """`opnorm_two` of a validated matrix of any size: the largest eigenvalue
+    of `_gram`'s matrix (`eigvalsh`, no eigenvector), with the same
+    OpNormError and OverflowError."""
     _, gram, expo = _gram(arr)
     try:
         top = float(np.linalg.eigvalsh(gram)[-1])

@@ -567,6 +567,22 @@ class TestParserBehavior:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv, option", [
+        (["scsa", "--n", "2", "--nu", "1", "--tau", "2", "--eps", "1e400",
+          "--wq", "1", "--wk", "1", "--wv", "1"], "--eps"),
+        (["scsa", "--n", "2", "--nu", "1", "--tau", "1e400", "--eps", "1e400",
+          "--wq", "1", "--wk", "1", "--wv", "1"], "--tau"),
+        (["estimate", "--matrix", "m.csv", "--eps-list", "1e-2,1e400"], "--eps-list"),
+    ], ids=["scsa_eps", "scsa_tau", "estimate_eps_list"])
+    def test_overflowing_value_names_the_option(self, argv, option, tmp_path, monkeypatch, capsys):
+        # 1e400 read as inf and failed late, or not at all: scsa --eps gave
+        # a bound of 0, scsa --tau a report that could not hold its NaN, and
+        # estimate blamed the logits
+        (tmp_path / "m.csv").write_text("1,2\n3,4\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        assert f"{option}: non-finite value '1e400'" in capsys.readouterr().err
+
     def test_norm_order_spellings(self):
         for text in ("inf", " Infinity ", "OO"):
             assert cli._parse_norm_order(text).is_infinity
@@ -599,11 +615,12 @@ class TestNumericalFailure:
         self.check(["jacobian-norm", "--inline", "0,0"], capsys)
 
     def test_failed_eigh(self, fixture_dir, monkeypatch, capsys):
-        # OpNormError from the p = 2 payoff norm's eigenvector
+        # OpNormError from the p = 2 payoff norm's eigenvalue solve
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         self.check(["dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv")], capsys)
 
     @pytest.mark.parametrize("argv", [

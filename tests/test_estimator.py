@@ -616,6 +616,13 @@ class TestSweepKernel:
             epsilon_sweep(inputs, 1.0, s, epsilons)
         assert str(raised.value) == str(one_epsilon_at_a_time(inputs, 1.0, s, epsilons))
 
+    def test_infinite_epsilon_in_top_eigenvector_mode(self):
+        # inf times the unit witness's zero entries warned "invalid value
+        # encountered in multiply", raised here in place of the ValueError
+        s = spec(p=2, eps=1e-2, trials=3, mode=MODE_TOP_EIGENVECTOR)
+        with pytest.raises(ValueError, match="finite entries"):
+            epsilon_sweep([np.zeros(4)], 1.0, s, [1e-2, float("inf")])
+
     @pytest.mark.parametrize("epsilons, message", [
         ([float("nan")], "epsilon must be positive"),  # its spec fails first
         ([1e-2, float("nan")], "finite entries"),  # the inputs fail first

@@ -112,21 +112,22 @@ class TestContractionFactor:
         assert nominal == pytest.approx(0.25, rel=1e-12)
 
     def test_boundary_tau(self):
+        # the factor reads ||A||_2 raised by 2^-40, so at tau = ||A||_2 / 2
+        # it lies in [1, (1 + 2^-40)^2], up to rounding
         game = random_game(4)
         tau = opnorm_two(game.a) / 2.0
         nominal, _ = contraction_factor(game, tau, 2)
-        assert nominal == pytest.approx(1.0, rel=1e-12)
+        outward = 1.0 + opnorm_module._UPPER_SLACK
+        assert 1.0 <= nominal <= outward * outward * (1.0 + 1e-15)
 
     def test_norm_whose_square_overflows(self):
         # ||A||_2 = 2e200: ||A||^2 overflowed, so the factor read inf
-        # although (2e200 / 2e150)^2 = 1e100 is a float
+        # although (2e200 / 2e150)^2 = 1e100 is a float; at p = 2 and general
+        # p alike the factor reads an upper end raised by 2^-40
         game = MatrixGame(np.array([[1e200, -1e200], [-1e200, 1e200]]))
-        nominal, safe = contraction_factor(game, 1e150, 2)
-        assert nominal == pytest.approx(1e100, rel=1e-12)
-        assert safe == nominal
-        # general p: the same factor from an upper end raised by 2^-40
-        nominal, safe = contraction_factor(game, 1e150, 3)
-        assert 1e100 <= nominal == safe <= 1e100 * (1.0 + 1e-10)
+        for p in (2, 3):
+            nominal, safe = contraction_factor(game, 1e150, p)
+            assert 1e100 <= nominal == safe <= 1e100 * (1.0 + 1e-10)
 
     def test_safe_vs_nominal_for_general_p(self):
         # ||A^T||_p differs from ||A||_p away from p = 2, so the factors split
@@ -358,9 +359,41 @@ class TestUpperNorms:
         assert ends == (opnorm_p_estimate(a, order).upper, opnorm_p_estimate(a.T, order).upper)
 
     def test_tau_min_two_is_the_eigensolve_value(self):
+        outward = 1.0 + opnorm_module._UPPER_SLACK
         for shape in [(5, 5), (6, 12), (12, 6)]:
             game = random_game(41, shape)
-            assert tau_min(game, 2) == opnorm_p_estimate(game.a, 2).upper / 2.0
+            assert tau_min(game, 2) == opnorm_two(game.a) * outward / 2.0
+
+    def test_two_norm_end_is_at_least_the_true_norm(self):
+        # the ratio an eigh eigenvector realizes, the end this once read,
+        # fell below the 40-digit ||A||_2 on 22 of these 60 payoffs
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        rng = np.random.default_rng(20261018)
+        for _ in range(20):
+            u, v = rng.standard_normal(12), rng.standard_normal(12)
+            rank_one = np.outer(u, v)
+            near = rank_one + 1e-8 * rng.standard_normal((12, 12))
+            for a in (rng.standard_normal((12, 12)), near, rank_one):
+                true = max(mp.svd_r(mp.matrix(a.tolist()), compute_uv=False))
+                game = MatrixGame(a)
+                assert mp.mpf(2.0 * tau_min(game, 2)) >= true
+                for factor in contraction_factor(game, 0.5, 2):
+                    assert mp.mpf(factor) >= true * true
+
+    def test_large_payoff_two_norm_is_the_eigensolve(self, monkeypatch):
+        # above MAX_DENSE_DIM, p = 2 still takes the eigenvalue solve, not
+        # opnorm_two's size cap or the fallback bracket
+        def fail(*args, **kwargs):
+            raise AssertionError("fallback bracket used")
+
+        monkeypatch.setattr(games_module, "_two_norm_fallback_bracket", fail)
+        monkeypatch.setattr(opnorm_module, "_two_norm_fallback_bracket", fail)
+        game = MatrixGame(np.random.default_rng(83).standard_normal((600, 600)))
+        outward = 1.0 + opnorm_module._UPPER_SLACK
+        threshold = tau_min(game, 2)
+        assert threshold == opnorm_module._two_norm(game.a) * outward / 2.0
+        assert np.linalg.norm(game.a, 2) <= 2.0 * threshold
 
     def test_safe_equals_nominal_at_p_two(self):
         game = random_game(43, (6, 12))
@@ -500,7 +533,7 @@ class TestSolverLoop:
         assert res.x_star.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("p, eigh, eigvalsh", [
-        (2, 1, 0), (3, 0, 1), (1.5, 0, 1), (1, 0, 0), ("inf", 0, 0),
+        (2, 0, 1), (3, 0, 1), (1.5, 0, 1), (1, 0, 0), ("inf", 0, 0),
     ])
     def test_diagnostic_solves_per_call(self, p, eigh, eigvalsh, monkeypatch):
         counts = {"eigh": 0, "eigvalsh": 0, "power": 0}

@@ -6,7 +6,10 @@ batched, the general-p `jacobian-norm` and `dsfp` ones before the power
 iteration moved onto `row_norms`, the others before the CLI's parsers and
 error handling were consolidated. `dsfp_tau_auto_p3` was rewritten once,
 when `tau auto` at general p moved from the interpolation bound to the
-smaller Riesz-Thorin upper end (tau 1.4485 -> 1.1262, 8 -> 10 iterations). Each command runs from a scratch working
+smaller Riesz-Thorin upper end (tau 1.4485 -> 1.1262, 8 -> 10 iterations),
+and `dsfp_readme` once, when the p = 2 end became the eigenvalue solve's
+||A||_2 times 1 + 2^-40 (tau 1.01 -> 1.0100000000009186; every other
+field kept its bytes). Each command runs from a scratch working
 directory holding a copy of fixtures/, with relative paths, so the
 manifest's argv and the result's path fields do not depend on where the
 repository lives. The timestamp is the one field excluded from
