@@ -48,7 +48,7 @@ from softlip.lipschitz import (
     witness_example_pair,
     witness_limit_sequence,
 )
-from softlip.opnorm import INFINITY_NAMES, NormOrder, opnorm_two
+from softlip.opnorm import _FLOAT_RE, NormOrder, opnorm_two
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,7 +56,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
 _DEFAULT_SEED = 0
-_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 #: `str.translate` deletes these characters, the alphabet of a clean CSV
 #: text. Over it, `float` accepts exactly `_FLOAT_RE` plus surrounding
 #: spaces, tabs and CRs, as `_parse_float` after `strip` does.
@@ -92,10 +91,12 @@ def _parse_float(text: str, what: str = "") -> float:
 
 
 def _parse_norm_order(text: str, what: str = "") -> NormOrder:
-    token = text.strip().lower()
-    if token not in INFINITY_NAMES:
-        _parse_number(token, what)
-    return NormOrder.of(token)
+    """`NormOrder.of`, its ValueError an input error naming `what`."""
+    try:
+        return NormOrder.of(text)
+    except ValueError as exc:
+        prefix = f"{what}: " if what else ""
+        raise InputError(f"{prefix}{exc}") from None
 
 
 def _parse_list(text: str, what: str, parse_item) -> list:
@@ -190,12 +191,15 @@ _GEN_RE = re.compile(r"(?P<name>[a-z0-9-]+)\((?P<args>[^)]*)\)")
 MAX_INLINE_LENGTH = 1_000_000
 
 
-def _length_arg(text: str, what: str, minimum: int = 0) -> int:
+def _length_arg(text: str, what: str = "", minimum: int = 0) -> int:
+    """A whole number from minimum to MAX_INLINE_LENGTH: an inline
+    generator's length or `witness --n`."""
     value = _parse_number(text, what)
+    prefix = f"{what}: " if what else ""
     if not (math.isfinite(value) and value >= 0 and value == math.floor(value)):
-        raise InputError(f"{what}: length must be a whole number, got {text.strip()!r}")
+        raise InputError(f"{prefix}length must be a whole number, got {text.strip()!r}")
     if value > MAX_INLINE_LENGTH:
-        raise InputError(f"{what}: length {int(value)} exceeds the limit {MAX_INLINE_LENGTH}")
+        raise InputError(f"{prefix}length {int(value)} exceeds the limit {MAX_INLINE_LENGTH}")
     if value < minimum:
         raise InputError(f"{what} needs length >= {minimum}")
     return int(value)
@@ -628,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wit = sub.add_parser("witness", help="sharpness witnesses for the lambda/2 bound")
     wit.add_argument("--mode", required=True, choices=["attained", "limit-sequence", "example"])
-    wit.add_argument("--n", type=int, default=10)
+    wit.add_argument("--n", type=_arg_type(_length_arg), default=10)
     wit.add_argument("--p", type=norm_order, default=NormOrder.two())
     wit.add_argument("--K", type=number, default=20.0)
     wit.add_argument("--eps", type=number, default=1e-4, help="perturbation size (example mode)")

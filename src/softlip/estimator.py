@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -197,8 +198,8 @@ class PerturbationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "p", NormOrder.of(self.p))
-        if not self.epsilon > 0.0:
-            raise ValueError("perturbation magnitude epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("perturbation magnitude epsilon must be positive and finite")
         if self.trials_per_input < 1:
             raise ValueError("need at least one trial per input")
         if self.mode not in (MODE_RANDOM, MODE_TOP_EIGENVECTOR):
@@ -330,11 +331,7 @@ def _estimate(
         inputs_of = pairs // spec.trials_per_input
         scale = epsilons[epsilon_of]
         if spec.mode == MODE_TOP_EIGENVECTOR:
-            # inf times a witness's zero entry is NaN, with a warning: an
-            # infinite epsilon's rows stay inf and fail as non-finite below
-            delta = np.full((stop - start, n), np.inf)
-            finite = np.isfinite(scale)[:, None]
-            np.multiply(scale[:, None], units[inputs_of], out=delta, where=finite)
+            delta = scale[:, None] * units[inputs_of]
         else:
             delta = np.empty((stop - start, n))
             block_rngs = list(itertools.islice(rngs, stop - start))

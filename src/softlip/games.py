@@ -21,8 +21,9 @@ shared by A and A^T (||A^T||_2 = ||A||_2) and raised by the relative
 interpolation bound and the Riesz-Thorin bound, both built from ||A||_1,
 ||A||_inf and one ||A||_2. That ||A||_2 is computed on A scaled by a power
 of two (`opnorm._gram`), so huge and tiny payoffs get finite, nonzero
-norms; a norm beyond the float max is taken as inf, still a certified
-upper end.
+norms; a norm beyond the float max is taken as inf, and a failed
+eigensolve gives way to the upper end of the certified two-norm fallback
+bracket, both still certified upper ends.
 
 Both softmaxes of a step are `core._softmax_rows`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
@@ -46,7 +47,6 @@ import numpy as np
 
 from softlip.core import SimplexPoint, _softmax_rows, boundary_point
 from softlip.opnorm import (
-    MAX_DENSE_DIM,
     NormOrder,
     OpNormError,
     _SQUARES_MIN,
@@ -54,11 +54,9 @@ from softlip.opnorm import (
     _as_matrix,
     _outward_upper,
     _two_norm,
-    _two_norm_fallback_bracket,
     opnorm_inf,
     opnorm_one,
     opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
-    opnorm_two,
     row_norms,
 )
 
@@ -193,34 +191,28 @@ def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
     """Certified upper ends of (||A||_p, ||A^T||_p), with no power iteration.
 
     p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
-    p = 2: the eigenvalue-only Gram solve behind `opnorm_two`, at any size,
-    raised by the relative `opnorm._UPPER_SLACK` (2^-40, over 300 times the
-    largest eigenvalue-solve error measured up to 512 x 512), for both
-    sides. A failed eigensolve raises OpNormError.
-    General p: `opnorm._outward_upper` per side, the smaller of the
-    interpolation and Riesz-Thorin bounds from ||A||_1, ||A||_inf and
-    ||A||_2 = ||A^T||_2, raised by the same slack. Above MAX_DENSE_DIM, or
-    when the eigensolve fails, ||A||_2 is replaced by the upper end of the
-    certified two-norm fallback bracket, so no payoff goes unanswered.
-    An ||A||_2 beyond the float max (OverflowError) gives (inf, inf), still
+    Every other p reads one ||A||_2 = ||A^T||_2: `opnorm._two_norm`, or the
+    upper end of the certified fallback bracket that a failed eigensolve's
+    OpNormError carries. p = 2 raises it by the relative
+    `opnorm._UPPER_SLACK` (2^-40, over 300 times the largest
+    eigenvalue-solve error measured up to 512 x 512) for both sides; general
+    p takes `opnorm._outward_upper` per side, the smaller of the
+    interpolation and Riesz-Thorin bounds, raised by the same slack. An
+    ||A||_2 beyond the float max (OverflowError) gives (inf, inf), still
     certified upper ends.
     """
     try:
+        if order.is_one or order.is_infinity:
+            one, inf = opnorm_one(a), opnorm_inf(a)
+            return (one, inf) if order.is_one else (inf, one)
+        try:
+            two = _two_norm(a)
+        except OpNormError as exc:
+            two = exc.bracket.upper
         if order.is_two:
-            two = (1.0 + _UPPER_SLACK) * _two_norm(a)
+            two *= 1.0 + _UPPER_SLACK
             return two, two
         one, inf = opnorm_one(a), opnorm_inf(a)
-        if order.is_one:
-            return one, inf
-        if order.is_infinity:
-            return inf, one
-        if max(a.shape) > MAX_DENSE_DIM:
-            two = _two_norm_fallback_bracket(a).upper
-        else:
-            try:
-                two = opnorm_two(a)
-            except OpNormError as exc:
-                two = exc.bracket.upper
         return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
     except OverflowError:
         return math.inf, math.inf

@@ -17,6 +17,7 @@ scaled by the power of two that brings its largest entry into [1/2, 1).
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -29,11 +30,12 @@ P_COERCE_TO_INF = 1e6
 #: Spellings of p = infinity that NormOrder.of accepts.
 INFINITY_NAMES = ("inf", "infinity", "oo")
 
+#: The one number syntax of text input: decimal or scientific notation,
+#: no nan, inf or underscores.
+_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+
 #: Smallest positive normal float64.
 _TINY = float(np.finfo(np.float64).tiny)
-
-#: Largest matrix side accepted by the dense exact-norm routines.
-MAX_DENSE_DIM = 512
 
 _BOYD_RESTARTS = 8
 _BOYD_MAX_ITER = 500
@@ -99,6 +101,8 @@ class NormOrder:
             text = value.strip().lower()
             if text in INFINITY_NAMES:
                 return cls.infinity()
+            if not _FLOAT_RE.fullmatch(text):
+                raise ValueError(f"cannot parse {text!r} as a number")
             return cls(float(text))
         return cls(float(value))
 
@@ -274,63 +278,48 @@ def _unscaled(norm: float, expo: int) -> float:
 def opnorm_two(A) -> float:
     """||A||_2: the largest singular value, via the smaller Gram matrix.
 
-    Dense symmetric eigensolve of A^T A (or A A^T, whichever is smaller)
-    of A scaled by a power of two (`_gram`); sizes above MAX_DENSE_DIM are
-    rejected. If the eigensolver fails, an OpNormError carrying a certified
-    fallback bracket is raised.
+    The largest eigenvalue (`eigvalsh`, no eigenvector) of A^T A or A A^T,
+    whichever is smaller, of A scaled by a power of two (`_gram`), at any
+    size. A failed eigensolve raises OpNormError carrying the certified
+    fallback bracket; a norm beyond the float max raises OverflowError.
     """
-    arr = _as_matrix(A)
-    if max(arr.shape) > MAX_DENSE_DIM:
-        raise ValueError(f"matrix side {max(arr.shape)} exceeds dense limit {MAX_DENSE_DIM}")
-    return _two_norm(arr)
+    return _two_norm(_as_matrix(A))
 
 
-def _two_norm(arr: np.ndarray) -> float:
-    """`opnorm_two` of a validated matrix of any size: the largest eigenvalue
-    of `_gram`'s matrix (`eigvalsh`, no eigenvector), with the same
-    OpNormError and OverflowError."""
-    _, gram, expo = _gram(arr)
+def _eigensolve(solve, gram: np.ndarray, arr: np.ndarray):
+    """solve(gram) for `_gram`'s matrix of arr; a failed eigensolve raises
+    OpNormError carrying arr's fallback bracket."""
     try:
-        top = float(np.linalg.eigvalsh(gram)[-1])
+        return solve(gram)
     except np.linalg.LinAlgError as exc:
         raise OpNormError(
             f"symmetric eigensolve failed: {exc}", _two_norm_fallback_bracket(arr)
         ) from exc
+
+
+def _two_norm(arr: np.ndarray) -> float:
+    """`opnorm_two` of a validated matrix."""
+    _, gram, expo = _gram(arr)
+    top = float(_eigensolve(np.linalg.eigvalsh, gram, arr)[-1])
     return _unscaled(math.sqrt(max(top, 0.0)), expo)
-
-
-def top_eigenvector(mat: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of a symmetric matrix's largest eigenvalue, with its
-    first nonzero entry positive; a fresh array, not a view of the solve.
-
-    Raises RuntimeError (from numpy's LinAlgError) if the eigensolve fails.
-    """
-    try:
-        _, vecs = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"dense symmetric eigensolve failed: {exc}") from exc
-    v = vecs[:, -1]
-    nonzero = np.nonzero(v)[0]
-    if nonzero.size and v[nonzero[0]] < 0.0:
-        v = -v
-    return v / np.linalg.norm(v)
 
 
 def _two_norm_witness(arr: np.ndarray) -> tuple[float, np.ndarray]:
     """||A||_2 and a unit vector w realizing it to machine precision; the
-    value is the ratio ||A w||_2 / ||w||_2, taken on `_gram`'s rescaled B."""
+    value is the ratio ||A w||_2 / ||w||_2, taken on `_gram`'s rescaled B.
+    The Gram matrix's top eigenvector is taken with its first nonzero entry
+    positive. Fails as `_two_norm` does."""
     scaled, gram, expo = _gram(arr)
-    m, n = arr.shape
-    if n <= m:
-        wit = top_eigenvector(gram)
-    else:
-        wit = scaled.T @ top_eigenvector(gram)
+    vec = _eigensolve(np.linalg.eigh, gram, arr)[1][:, -1]
+    if vec[np.flatnonzero(vec)[0]] < 0.0:
+        vec = -vec
+    wit = vec / np.linalg.norm(vec)
+    n = arr.shape[1]
+    if n > arr.shape[0]:
+        wit = scaled.T @ wit
         norm = np.linalg.norm(wit)
-        if norm == 0.0:  # A == 0; any direction realizes the norm
-            wit = np.zeros(n)
-            wit[0] = 1.0
-        else:
-            wit = wit / norm
+        # A == 0: any direction realizes the norm
+        wit = wit / norm if norm else np.eye(1, n)[0]
     return _unscaled(vector_norm(scaled @ wit, 2.0) / vector_norm(wit, 2.0), expo), wit
 
 
@@ -521,10 +510,7 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> Norm
         wit[wit == 0.0] = 1.0
         return NormEstimate(val, val, exact=True, method="row sums", witness=wit)
     if order.is_two:
-        try:
-            val, wit = _two_norm_witness(arr)
-        except RuntimeError as exc:
-            raise OpNormError(str(exc), _two_norm_fallback_bracket(arr)) from exc
+        val, wit = _two_norm_witness(arr)
         return NormEstimate(val, val, exact=True, method="gram eigensolve", witness=wit)
 
     rng = np.random.default_rng(seed)

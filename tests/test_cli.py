@@ -29,7 +29,7 @@ from softlip.cli import (
 )
 from softlip.fixtures import attaining_logits, example_logits, write_fixtures
 from softlip.games import DsfpError
-from softlip.opnorm import NormEstimate, OpNormError
+from softlip.opnorm import NormEstimate, NormOrder, OpNormError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -279,6 +279,22 @@ class TestWitnessCommand:
         steps = load_report(out_path)["result"]["steps"]
         assert [s["certified_ratio"] for s in steps] == pytest.approx([0.4, 0.49], abs=1e-12)
 
+    @pytest.mark.parametrize("mode", ["example", "limit-sequence", "attained"])
+    @pytest.mark.parametrize("n", ["1000000000000", "2.5", "1e400"])
+    def test_n_is_a_bounded_length(self, mode, n, capsys):
+        # --n 1000000000000 ended in a numpy allocation traceback, exit 1
+        argv = ["witness", "--mode", mode, "--n", n, "--p", "3", "--epsilons", "0.1"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "error: argument --n: length" in err
+        assert "Traceback" not in err
+
+    def test_n_takes_the_length_syntax(self, tmp_path):
+        out_path = tmp_path / "w.json"
+        argv = ["witness", "--mode", "attained", "--n", "5e0", "--p", "1", "--json-out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        assert load_report(out_path)["result"]["n"] == 5
+
     def test_invalid_combination(self):
         assert main(["witness", "--mode", "attained", "--n", "5", "--p", "2"]) == EXIT_INPUT
         assert main(["witness", "--mode", "limit-sequence", "--n", "5", "--p", "2"]) == EXIT_INPUT
@@ -392,6 +408,24 @@ class TestDsfpCommand:
         assert doc["result"]["contraction_nominal"] < 1.0
         assert doc["result"]["no_certificate"] is False
         assert doc["manifest"]["resolved"]["tau"] == doc["result"]["tau"]
+
+    def test_failed_eigensolve_answers_at_p_two(self, fixture_dir, tmp_path, monkeypatch):
+        # p = 2 takes the certified fallback bracket's upper end, as other
+        # p do; it exited 4
+        payoff = fixture_dir / "random_payoff_5x5.csv"
+        two = np.linalg.svd(read_matrix_csv(str(payoff)), compute_uv=False)[0]
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        out_path = tmp_path / "r.json"
+        argv = ["dsfp", "--payoff", str(payoff), "--p", "2", "--tau", "auto", "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        result = load_report(out_path)["result"]
+        assert result["tau"] >= 1.01 * two / 2.0
+        assert result["converged"] is True and result["no_certificate"] is False
 
     def test_low_tau_sets_no_certificate_flag(self, fixture_dir, tmp_path):
         out_path = tmp_path / "r.json"
@@ -590,6 +624,28 @@ class TestParserBehavior:
         with pytest.raises(InputError, match="--p-list: cannot parse 'x'"):
             cli._parse_list("2, x", "--p-list", cli._parse_norm_order)
 
+    @pytest.mark.parametrize("text, want", [
+        ("1_5", "cannot parse '1_5' as a number"),
+        ("\u0663", "3"),  # a decimal digit, as in every number
+        ("1e400", "inf"),
+        (" Inf ", "inf"),
+        ("0.5", "norm order must satisfy p >= 1, got 0.5"),
+    ])
+    def test_norm_order_grammar_is_norm_order_of(self, text, want, capsys):
+        # NormOrder.of read "1_5" as p = 15, which --p rejected
+        try:
+            got = NormOrder.of(text).label
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        rc = main(["jacobian-norm", "--inline", "0,0", "--p", text])
+        captured = capsys.readouterr()
+        if rc == EXIT_OK:
+            assert f"(p={want}," in captured.out
+        else:
+            assert rc == EXIT_INPUT
+            assert f"argument --p: {want}" in captured.err
+
 
 class TestNumericalFailure:
     """Solver and eigensolve failures exit 4 with one `error:` line, no traceback."""
@@ -615,13 +671,16 @@ class TestNumericalFailure:
         self.check(["jacobian-norm", "--inline", "0,0"], capsys)
 
     def test_failed_eigh(self, fixture_dir, monkeypatch, capsys):
-        # OpNormError from the p = 2 payoff norm's eigenvalue solve
+        # OpNormError from a weight file's spectral norm; `dsfp` answers
+        # from the fallback bracket instead (TestDsfpCommand)
         def fail(_):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        self.check(["dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv")], capsys)
+        self.check(["scsa", "--n", "2", "--nu", "1", "--tau", "2", "--eps", "4",
+                    "--wq-file", str(fixture_dir / "random_payoff_5x5.csv"),
+                    "--wk", "1", "--wv", "1"], capsys)
 
     @pytest.mark.parametrize("argv", [
         ["jacobian-norm", "--inline", "0.3,-1,2", "--p", "2"],

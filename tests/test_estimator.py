@@ -357,6 +357,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(eps=0.0)
 
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan"), -1.0])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        # an infinite epsilon in top-eigenvector mode gave a NaN perturbation,
+        # warning "invalid value encountered in multiply"
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            sample_perturbation(
+                4, spec(p=2, eps=eps, trials=1, mode=MODE_TOP_EIGENVECTOR), base=np.zeros(4)
+            )
+
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             spec(trials=0)
@@ -599,13 +608,13 @@ class TestSweepKernel:
     @pytest.mark.parametrize("epsilons, message", [
         ([1e-2, float("nan")], "epsilon must be positive"),
         ([float("nan"), 1e-2], "epsilon must be positive"),
-        ([1e-2, float("inf")], "finite entries"),
+        ([1e-2, float("inf")], "epsilon must be positive and finite"),
         ([1e-2, 5e-324], "epsilon is too small"),
         # the first failing epsilon names the error, whatever the later ones
         ([5e-324, float("inf")], "epsilon is too small"),
-        ([float("inf"), 5e-324], "finite entries"),
+        ([float("inf"), 5e-324], "epsilon must be positive and finite"),
         ([5e-324, float("nan")], "epsilon is too small"),
-        ([float("inf"), float("nan")], "finite entries"),
+        ([float("inf"), float("nan")], "epsilon must be positive and finite"),
     ])
     @pytest.mark.parametrize("block", [4, 4096])  # blocks of one row, one block
     def test_errors_are_those_of_one_epsilon_at_a_time(self, epsilons, message, block, monkeypatch):
@@ -620,7 +629,7 @@ class TestSweepKernel:
         # inf times the unit witness's zero entries warned "invalid value
         # encountered in multiply", raised here in place of the ValueError
         s = spec(p=2, eps=1e-2, trials=3, mode=MODE_TOP_EIGENVECTOR)
-        with pytest.raises(ValueError, match="finite entries"):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             epsilon_sweep([np.zeros(4)], 1.0, s, [1e-2, float("inf")])
 
     @pytest.mark.parametrize("epsilons, message", [

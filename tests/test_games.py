@@ -344,7 +344,7 @@ class TestUpperNorms:
 
     def test_never_above_interpolation(self, monkeypatch):
         # an eigensolve that rounds ||A||_2 far up still leaves the old bound
-        monkeypatch.setattr(games_module, "opnorm_two", lambda a: 1e6)
+        monkeypatch.setattr(games_module, "_two_norm", lambda a: 1e6)
         a = np.random.default_rng(8).standard_normal((6, 9))
         outward = 1.0 + opnorm_module._UPPER_SLACK
         for p in (1.5, 3.0):
@@ -382,36 +382,46 @@ class TestUpperNorms:
                     assert mp.mpf(factor) >= true * true
 
     def test_large_payoff_two_norm_is_the_eigensolve(self, monkeypatch):
-        # above MAX_DENSE_DIM, p = 2 still takes the eigenvalue solve, not
-        # opnorm_two's size cap or the fallback bracket
+        # a side above 512 takes the eigenvalue solve at every p outside
+        # {1, inf}; general p once took the fallback bracket there
         def fail(*args, **kwargs):
             raise AssertionError("fallback bracket used")
 
-        monkeypatch.setattr(games_module, "_two_norm_fallback_bracket", fail)
         monkeypatch.setattr(opnorm_module, "_two_norm_fallback_bracket", fail)
         game = MatrixGame(np.random.default_rng(83).standard_normal((600, 600)))
+        two = opnorm_module._two_norm(game.a)
         outward = 1.0 + opnorm_module._UPPER_SLACK
         threshold = tau_min(game, 2)
-        assert threshold == opnorm_module._two_norm(game.a) * outward / 2.0
+        assert threshold == two * outward / 2.0
         assert np.linalg.norm(game.a, 2) <= 2.0 * threshold
+        one, inf = opnorm_module.opnorm_one(game.a), opnorm_module.opnorm_inf(game.a)
+        upper, _ = opnorm_module._outward_upper(one, two, inf, NormOrder.of(3))
+        assert tau_min(game, 3) == upper / 2.0
 
     def test_safe_equals_nominal_at_p_two(self):
         game = random_game(43, (6, 12))
         nominal, safe = contraction_factor(game, 0.7, 2)
         assert safe == nominal
 
-    def test_large_payoff_general_p_answers(self, monkeypatch):
-        # above MAX_DENSE_DIM the two-norm fallback bracket stands in for ||A||_2
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_failed_eigensolve_answers_at_every_p(self, p, monkeypatch):
+        # the certified fallback bracket stands in for ||A||_2 at p = 2 as
+        # at general p; p = 2 raised OpNormError instead
         def fail(*args, **kwargs):
-            raise AssertionError("no eigensolve above MAX_DENSE_DIM")
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        a = np.random.default_rng(47).standard_normal((40, 30))
+        fallback = opnorm_module._two_norm_fallback_bracket(a).upper
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        game = MatrixGame(np.random.default_rng(47).standard_normal((600, 600)))
-        threshold = tau_min(game, 3)
+        game = MatrixGame(a)
+        threshold = tau_min(game, p)
         outward = 1.0 + opnorm_module._UPPER_SLACK
-        assert vector_norm(game.a[:, 0], 3) < 2.0 * threshold  # the ratio at e_0
-        assert 2.0 * threshold <= outward * interpolation_bound(game.a, 3)
-        nominal, safe = contraction_factor(game, 1.01 * threshold, 3)
+        assert vector_norm(a[:, 0], p) < 2.0 * threshold  # the ratio at e_0
+        assert 2.0 * threshold <= outward * interpolation_bound(a, p)
+        if p == 2:
+            assert 2.0 * threshold == outward * fallback
+            assert np.linalg.svd(a, compute_uv=False)[0] < 2.0 * threshold
+        nominal, safe = contraction_factor(game, 1.01 * threshold, p)
         assert nominal < 1.0 and math.isfinite(safe)
 
     def test_tiny_payoff_general_p(self):

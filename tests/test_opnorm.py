@@ -19,7 +19,6 @@ from softlip.opnorm import (
     opnorm_p_estimate,
     opnorm_two,
     row_norms,
-    top_eigenvector,
     vector_norm,
 )
 
@@ -239,9 +238,12 @@ class TestTwoNorm:
         a = rng.normal(size=(3, 7))
         assert opnorm_two(a) == pytest.approx(np.linalg.svd(a, compute_uv=False)[0], abs=1e-10)
 
-    def test_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            opnorm_two(np.zeros((600, 600)))
+    def test_no_size_cap(self):
+        # sides above 512 were refused, even with a 2 x 2 Gram matrix
+        a = np.ones((513, 2))
+        assert opnorm_two(a) == pytest.approx(opnorm_p_estimate(a, 2).upper, rel=1e-15, abs=0.0)
+        assert opnorm_two(a) == pytest.approx(math.sqrt(1026.0), rel=1e-15, abs=0.0)
+        assert opnorm_two(np.zeros((600, 600))) == 0.0
 
 
 class TestInterpolationBound:
@@ -366,6 +368,14 @@ class TestPEstimate:
         # a view into the eigenvector matrix would keep all n x n of it alive
         a = np.random.default_rng(57).uniform(-1, 1, size=shape)
         assert opnorm_p_estimate(a, 2).witness.base is None
+
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (4, 9)])
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_two_norm_witness_is_a_unit_vector(self, shape, scale):
+        a = scale * np.random.default_rng(58).uniform(-1, 1, size=shape)
+        w = opnorm_p_estimate(a, 2).witness
+        assert w.shape == (shape[1],)
+        assert vector_norm(w, 2) == pytest.approx(1.0, rel=1e-15)
 
     def test_exact_orders_carry_witnesses(self):
         rng = np.random.default_rng(56)
@@ -537,16 +547,7 @@ class TestTwoNormFallback:
         with pytest.raises(OpNormError) as estimate:
             opnorm_p_estimate(a, 2)
         assert estimate.value.bracket == two.value.bracket
-        assert isinstance(estimate.value.__cause__, RuntimeError)
-
-    def test_top_eigenvector_raises_runtime_error(self, monkeypatch):
-        def boom(_):
-            raise np.linalg.LinAlgError("did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", boom)
-        with pytest.raises(RuntimeError, match="eigensolve failed") as excinfo:
-            top_eigenvector(np.eye(3))
-        assert isinstance(excinfo.value.__cause__, np.linalg.LinAlgError)
+        assert isinstance(estimate.value.__cause__, np.linalg.LinAlgError)
 
 
 def _fail_eigensolve(*args, **kwargs):
