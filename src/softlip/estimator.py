@@ -291,34 +291,35 @@ def _as_inputs(inputs) -> np.ndarray:
 
 
 def _estimate(
-    inputs, t, specs: Sequence[PerturbationSpec], epsilon_indices: Sequence[int]
-) -> list[EstimateReport]:
-    """One report per spec, specs that differ in epsilon alone, spec j
-    drawing with epsilon index `epsilon_indices[j]`: the kernel of
-    `empirical_lp` and `epsilon_sweep`.
+    inputs, t, spec: PerturbationSpec, epsilons: Sequence[float], epsilon_indices: Sequence[int]
+) -> EstimateReport:
+    """The report of `spec` run at each of `epsilons`, epsilon j drawing
+    with epsilon index `epsilon_indices[j]`: the kernel of `empirical_lp`
+    and `epsilon_sweep`.
 
     The inputs and the temperature are validated, and the base softmax
     taken, once. The (epsilon, input, trial) rows are evaluated in that
     order, in blocks of at most _BLOCK_ELEMENTS entries that may straddle
     epsilons. Each row has the bits of a per-pair evaluation with
     `sample_perturbation`, `softmax` and `vector_norm`; each epsilon keeps
-    its own maximum (first occurrence), mean (added left to right) and
-    clamp count, so no report depends on the block size or on the other
-    epsilons. An error is the one the epsilons raise one at a time, in
-    order: an epsilon's rows fail in one way only, too small (tiny
-    epsilon) or not finite (huge epsilon).
+    its own maximum (first occurrence) and mean (added left to right), so
+    no table entry depends on the block size or on the other epsilons. The
+    headline value and provenance are those of the first epsilon with the
+    largest aggregate, and clamps are summed over the epsilons. An error
+    is the one the epsilons raise one at a time, in order: an epsilon's
+    rows fail in one way only, too small (tiny epsilon) or not finite
+    (huge epsilon).
     """
     lam = Temperature.of(t).lam
     data = _as_inputs(inputs)
-    spec = specs[0]
     count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
-    total = count * len(specs)
-    epsilons = np.array([s.epsilon for s in specs])
+    total = count * len(epsilons)
+    scales = np.array(epsilons, dtype=np.float64)
     base, clamped = _softmax_rows(data, lam)
-    clamps = [int(clamped.sum())] * len(specs)
-    best = [-1.0] * len(specs)
-    best_row = [0] * len(specs)
-    sums = [0.0] * len(specs)
+    clamps = int(clamped.sum()) * len(epsilons)
+    best = [-1.0] * len(epsilons)
+    best_row = [0] * len(epsilons)
+    sums = [0.0] * len(epsilons)
     if spec.mode == MODE_TOP_EIGENVECTOR:
         # the unit-temperature witness of each input, scaled per epsilon
         units = np.stack([_secular_witness(s) for s in _softmax_rows(data, 1.0)[0]])
@@ -329,7 +330,7 @@ def _estimate(
         stop = min(start + step, total)
         epsilon_of, pairs = np.divmod(np.arange(start, stop), count)
         inputs_of = pairs // spec.trials_per_input
-        scale = epsilons[epsilon_of]
+        scale = scales[epsilon_of]
         if spec.mode == MODE_TOP_EIGENVECTOR:
             delta = scale[:, None] * units[inputs_of]
         else:
@@ -340,9 +341,11 @@ def _estimate(
             for r in np.flatnonzero(~delta.any(axis=1)):  # the measure-zero zero draw
                 while not delta[r].any():
                     block_rngs[r].standard_normal(out=delta[r])
-            delta *= (scale / row_norms(delta, spec.p))[:, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+                delta *= (scale / row_norms(delta, spec.p))[:, None]
         z = data[inputs_of]
-        z += delta
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            z += delta
         if not np.isfinite(z).all():
             # an earlier epsilon in the block may be too small; it fails first
             bad = int(np.isfinite(z).all(axis=1).argmin())
@@ -351,11 +354,11 @@ def _estimate(
         realized = row_norms(delta, spec.p)
         _check_realized(realized)
         probs, clamped = _softmax_rows(z, lam)
+        clamps += int(clamped.sum())
         probs -= base[inputs_of]
         ratio = row_norms(probs, spec.p) / realized
         for j in range(int(epsilon_of[0]), int(epsilon_of[-1]) + 1):
             lo, hi = max(j * count, start) - start, min((j + 1) * count, stop) - start
-            clamps[j] += int(clamped[lo:hi].sum())
             k = lo + int(ratio[lo:hi].argmax())
             if ratio[k] > best[j]:
                 best[j] = float(ratio[k])
@@ -363,27 +366,25 @@ def _estimate(
             if spec.aggregate == "mean":
                 for value in ratio[lo:hi].tolist():
                     sums[j] += value
-    reports = []
-    for j, s in enumerate(specs):
-        value = best[j] if s.aggregate == "max" else sums[j] / count
-        best_at = divmod(best_row[j], s.trials_per_input)
-        reports.append(EstimateReport(
-            empirical_lp=value,
-            argmax_input_index=best_at[0],
-            argmax_trial=best_at[1],
-            argmax_epsilon_index=epsilon_indices[j],
-            per_epsilon_table=((s.epsilon, value),),
-            lam=lam,
-            p=s.p,
-            inputs_count=data.shape[0],
-            trials_per_input=s.trials_per_input,
-            mode=s.mode,
-            seed=s.seed,
-            aggregate=s.aggregate,
-            clamp_events=clamps[j],
-            bound_exceeded=value > lam / 2.0 + 1e-9,
-        ))
-    return reports
+    values = best if spec.aggregate == "max" else [value / count for value in sums]
+    top = values.index(max(values))
+    best_at = divmod(best_row[top], spec.trials_per_input)
+    return EstimateReport(
+        empirical_lp=values[top],
+        argmax_input_index=best_at[0],
+        argmax_trial=best_at[1],
+        argmax_epsilon_index=epsilon_indices[top],
+        per_epsilon_table=tuple(zip(map(float, epsilons), values)),
+        lam=lam,
+        p=spec.p,
+        inputs_count=data.shape[0],
+        trials_per_input=spec.trials_per_input,
+        mode=spec.mode,
+        seed=spec.seed,
+        aggregate=spec.aggregate,
+        clamp_events=clamps,
+        bound_exceeded=values[top] > lam / 2.0 + 1e-9,
+    )
 
 
 def _check_realized(realized: np.ndarray) -> None:
@@ -407,7 +408,7 @@ def empirical_lp(
     `epsilon_index` to reproduce a single row of an epsilon sweep: this is
     the one-epsilon case of the sweep's kernel, `_estimate`.
     """
-    return _estimate(inputs, t, [spec], [epsilon_index])[0]
+    return _estimate(inputs, t, spec, [spec.epsilon], [epsilon_index])
 
 
 def epsilon_sweep(
@@ -427,26 +428,10 @@ def epsilon_sweep(
         raise ValueError("need at least one epsilon")
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("epsilons must be positive")
-    specs, invalid = [], None
-    for eps in epsilons:
-        try:
-            specs.append(replace(base_spec, epsilon=float(eps)))
-        except ValueError as exc:  # a NaN: it fails after the rows before it
-            invalid = exc
-            break
-    if not specs:
-        raise invalid
-    reports = _estimate(inputs, t, specs, range(len(specs)))
-    if invalid is not None:
-        raise invalid
-    best_j = 0
-    for j, report in enumerate(reports):
-        if report.empirical_lp > reports[best_j].empirical_lp:
-            best_j = j
-    return replace(
-        reports[best_j],
-        per_epsilon_table=tuple((s.epsilon, r.empirical_lp) for s, r in zip(specs, reports)),
-        argmax_epsilon_index=best_j,
-        clamp_events=sum(r.clamp_events for r in reports),
-        bound_exceeded=any(r.bound_exceeded for r in reports),
-    )
+    finite = list(itertools.takewhile(math.isfinite, map(float, epsilons)))
+    if len(finite) < len(epsilons):
+        # a NaN or inf raises its spec's error, after the epsilons before it
+        if finite:
+            _estimate(inputs, t, base_spec, finite, range(len(finite)))
+        replace(base_spec, epsilon=float(epsilons[len(finite)]))  # raises
+    return _estimate(inputs, t, base_spec, epsilons, range(len(epsilons)))

@@ -48,12 +48,11 @@ import numpy as np
 from softlip.core import SimplexPoint, _softmax_rows, boundary_point
 from softlip.opnorm import (
     NormOrder,
-    OpNormError,
     _SQUARES_MIN,
     _UPPER_SLACK,
     _as_matrix,
     _outward_upper,
-    _two_norm,
+    _two_norm_upper,
     opnorm_inf,
     opnorm_one,
     opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
@@ -191,31 +190,24 @@ def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
     """Certified upper ends of (||A||_p, ||A^T||_p), with no power iteration.
 
     p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
-    Every other p reads one ||A||_2 = ||A^T||_2: `opnorm._two_norm`, or the
-    upper end of the certified fallback bracket that a failed eigensolve's
-    OpNormError carries. p = 2 raises it by the relative
-    `opnorm._UPPER_SLACK` (2^-40, over 300 times the largest
-    eigenvalue-solve error measured up to 512 x 512) for both sides; general
-    p takes `opnorm._outward_upper` per side, the smaller of the
-    interpolation and Riesz-Thorin bounds, raised by the same slack. An
-    ||A||_2 beyond the float max (OverflowError) gives (inf, inf), still
-    certified upper ends.
+    Every other p reads one ||A||_2 = ||A^T||_2 from
+    `opnorm._two_norm_upper`: the eigenvalue solve, the upper end of the
+    certified fallback bracket if that solve fails, or inf beyond the float
+    max. p = 2 raises it by the relative `opnorm._UPPER_SLACK` (2^-40, over
+    300 times the largest eigenvalue-solve error measured up to 512 x 512)
+    for both sides; general p takes `opnorm._outward_upper` per side, the
+    smaller of the interpolation and Riesz-Thorin bounds, raised by the
+    same slack, as the upper end of `opnorm_p_estimate` is.
     """
-    try:
-        if order.is_one or order.is_infinity:
-            one, inf = opnorm_one(a), opnorm_inf(a)
-            return (one, inf) if order.is_one else (inf, one)
-        try:
-            two = _two_norm(a)
-        except OpNormError as exc:
-            two = exc.bracket.upper
-        if order.is_two:
-            two *= 1.0 + _UPPER_SLACK
-            return two, two
+    if order.is_one or order.is_infinity:
         one, inf = opnorm_one(a), opnorm_inf(a)
-        return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
-    except OverflowError:
-        return math.inf, math.inf
+        return (one, inf) if order.is_one else (inf, one)
+    two = _two_norm_upper(a)
+    if order.is_two:
+        two *= 1.0 + _UPPER_SLACK
+        return two, two
+    one, inf = opnorm_one(a), opnorm_inf(a)
+    return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
 
 
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:

@@ -36,10 +36,7 @@ from softlip.fixtures import attaining_logits, example_logits
 from softlip.opnorm import (
     NormEstimate,
     NormOrder,
-    _boyd_lower,
-    _certified_bracket,
-    _outward_upper,
-    _restart_block,
+    _power_bracket,
     opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
     vector_norm,
 )
@@ -166,8 +163,9 @@ def local_lipschitz(
     run on the O(n) row map V -> lam (V o s - (V s) s^T) (J is symmetric,
     so the map serves as its own transpose). Its upper end is the smallest
     of the interpolation bound and the Riesz-Thorin bound from
-    ||J||_1 = ||J||_inf and ||J||_2, rounded outward (`_outward_upper`),
-    and the global constant lam/2; `method` names the one that won.
+    ||J||_1 = ||J||_inf and ||J||_2, rounded outward, and the global
+    constant lam/2; `method` names the one that won. Both ends come from
+    `opnorm._power_bracket`, the bracket of every general-p norm.
     """
     order = NormOrder.of(p)
     lam = Temperature.of(t).lam
@@ -190,15 +188,11 @@ def local_lipschitz(
     if order.is_two:
         return NormEstimate(two, two, exact=True, method="secular equation", witness=wit)
     one = lam * closed_form_linf(s)  # ||J||_1 = ||J||_inf
-    upper, bound = _outward_upper(one, two, one, order)
-    cap = global_bound(lam)
-    if cap < upper:
-        upper, bound = cap, "lam/2 cap"
     apply = _jacobian_times(probs, lam)
-    rng = np.random.default_rng(0)
-    lower, witness = _boyd_lower(apply, apply, order, _restart_block(s.n, rng))
     # a ratio rounded above lam/2 (by an ulp at s = (1/2, 1/2)) is lam/2
-    return _certified_bracket(min(lower, cap), upper, f"power iteration + {bound}", witness)
+    return _power_bracket(
+        apply, apply, s.n, order, one, two, one, cap=global_bound(lam), cap_name="lam/2 cap"
+    )
 
 
 def witness_attained(n: int, p: Union[NormOrder, float, str]) -> tuple[Logits, float]:

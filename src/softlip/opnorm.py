@@ -2,16 +2,16 @@
 
 Exact closed forms exist for p in {1, 2, inf} (max column sum, largest
 singular value, max row sum). For general p the norm is intractable to
-compute exactly, so it is reported as a certified bracket: the lower end
-is a realized ratio ||A v||_p / ||v||_p for a stored witness v found by
-nonlinear power iteration, and the upper end is the interpolation bound
-||A||_1^(1/p) * ||A||_inf^(1-1/p). The power iteration (`_boyd_lower`)
-sees the matrix only through its row maps V -> V A^T and U -> U A, so an
-operator with a cheap product (the softmax Jacobian, say) never needs its
-dense matrix; `_outward_upper` is the smaller of the interpolation and
-Riesz-Thorin bounds from upper ends of ||A||_1, ||A||_2 and ||A||_inf,
-rounded outward. The dense 2-norm forms one Gram matrix (`_gram`), of A
-scaled by the power of two that brings its largest entry into [1/2, 1).
+compute exactly, so every operator gets one certified bracket
+(`_power_bracket`): the lower end is a realized ratio ||A v||_p / ||v||_p
+for a stored witness v found by nonlinear power iteration, and the upper
+end is the smaller of the interpolation bound ||A||_1^(1/p) *
+||A||_inf^(1-1/p) and the Riesz-Thorin bound from ||A||_1, ||A||_2 and
+||A||_inf, rounded outward (`_outward_upper`). The power iteration
+(`_boyd_lower`) sees A only through its row maps V -> V A^T and U -> U A,
+so an operator with a cheap product (the softmax Jacobian, say) never
+needs its dense matrix. The dense 2-norm forms one Gram matrix (`_gram`),
+of A scaled by the power of two that brings its largest entry into [1/2, 1).
 """
 
 from __future__ import annotations
@@ -208,11 +208,11 @@ def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
         if extreme.any():
             out[extreme] = _rescaled_two_norms(a[extreme])
         return out
+    if order.is_one:
+        return _abs_sums(a, 1)
     a = np.abs(a)
     if order.is_infinity:
         return a.max(axis=1)
-    if order.is_one:
-        return a.sum(axis=1)
     m = a.max(axis=1)
     m[m == 0.0] = 1.0  # an all-zero row still sums to 0
     powered = (a / m[:, None]) ** order.p
@@ -304,6 +304,17 @@ def _two_norm(arr: np.ndarray) -> float:
     return _unscaled(math.sqrt(max(top, 0.0)), expo)
 
 
+def _two_norm_upper(arr: np.ndarray) -> float:
+    """`_two_norm`, the fallback bracket's upper end if the eigensolve fails,
+    or inf beyond the float max: ||A||_2 for an upper end rounded outward."""
+    try:
+        return _two_norm(arr)
+    except OpNormError as exc:
+        return exc.bracket.upper
+    except OverflowError:
+        return math.inf
+
+
 def _two_norm_witness(arr: np.ndarray) -> tuple[float, np.ndarray]:
     """||A||_2 and a unit vector w realizing it to machine precision; the
     value is the ratio ||A w||_2 / ||w||_2, taken on `_gram`'s rescaled B.
@@ -390,8 +401,9 @@ def _outward_upper(one: float, two: float, inf: float, order: NormOrder) -> tupl
     return outward * interpolated, "interpolation"
 
 
-def _restart_block(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Fixed restart seeds as rows: basis vectors, all-ones, then random signs."""
+def _restart_block(n: int) -> np.ndarray:
+    """Fixed restart rows: basis vectors, all-ones, then `default_rng(0)` signs."""
+    rng = np.random.default_rng(0)
     rows = []
     for j in range(min(n, _BOYD_RESTARTS - 2)):
         e = np.zeros(n)
@@ -468,30 +480,44 @@ def _boyd_lower(
     return lower, best_witness
 
 
-def _certified_bracket(
-    lower: float, upper: float, method: str, witness: np.ndarray
+def _power_bracket(
+    apply, apply_t, n: int, order: NormOrder, one: float, two: float, inf: float,
+    cap: float = math.inf, cap_name: str = "cap",
 ) -> NormEstimate:
-    """The bracket [lower, upper] of a power iteration: an upper end below
-    its realized ratio by rounding noise (relative 1e-9) is lifted onto it,
-    and anything more raises OpNormError. The bracket is collapsed onto the
-    witnessed `lower` and marked exact when its ends agree to relative
-    1e-9."""
+    """The certified bracket of ||A||_p for a general order, A an operator on
+    R^n seen through its row maps (`_boyd_lower`), given upper ends (or the
+    values) of ||A||_1, ||A||_2 and ||A||_inf.
+
+    The upper end is `_outward_upper`, or a known bound `cap` (named
+    `cap_name`) where that is smaller; the lower end is `_boyd_lower` over
+    `_restart_block(n)`, clamped to `cap`. An upper end below that realized
+    ratio by rounding noise (relative 1e-9) is lifted onto it, and anything
+    more raises OpNormError. Ends that agree to relative 1e-9 collapse onto
+    the witnessed lower end, marked exact. `method` names the winning bound.
+    """
+    upper, bound = _outward_upper(one, two, inf, order)
+    if cap < upper:
+        upper, bound = cap, cap_name
+    lower, witness = _boyd_lower(apply, apply_t, order, _restart_block(n))
+    lower = min(lower, cap)
     if lower - upper > 1e-9 * max(1.0, upper):
         raise OpNormError(
             f"certified ratio {lower} exceeds upper bound {upper}",
             NormEstimate(0.0, upper, exact=False, method="inconsistent"),
         )
     exact = upper - lower <= 1e-9 * upper if upper > 0.0 else True
+    method = f"power iteration + {bound}"
     return NormEstimate(lower, lower if exact else upper, exact, method, witness)
 
 
-def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> NormEstimate:
+def opnorm_p_estimate(A, p: Union[NormOrder, float, str]) -> NormEstimate:
     """Certified bracket for ||A||_p.
 
-    Canonical orders delegate to the exact routines. For general p the
-    lower bound is the best ratio over _BOYD_RESTARTS deterministic power
-    iteration restarts (seeded by `seed`) and the upper bound is the
-    interpolation bound; `exact` is set when they agree to relative 1e-9.
+    Canonical orders delegate to the exact routines. General p takes
+    `_power_bracket`: the best ratio over _BOYD_RESTARTS fixed power
+    iteration restarts below, and above the smaller of the interpolation and
+    Riesz-Thorin bounds from ||A||_1, `_two_norm_upper` and ||A||_inf,
+    rounded outward; `exact` is set when they agree to relative 1e-9.
     """
     order = NormOrder.of(p)
     arr = _as_matrix(A)
@@ -512,10 +538,7 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str], seed: int = 0) -> Norm
     if order.is_two:
         val, wit = _two_norm_witness(arr)
         return NormEstimate(val, val, exact=True, method="gram eigensolve", witness=wit)
-
-    rng = np.random.default_rng(seed)
-    lower, witness = _boyd_lower(
-        lambda V: V @ arr.T, lambda U: U @ arr, order, _restart_block(arr.shape[1], rng)
+    one, inf = float(_abs_sums(arr, 0).max()), float(_abs_sums(arr, 1).max())
+    return _power_bracket(
+        lambda V: V @ arr.T, lambda U: U @ arr, arr.shape[1], order, one, _two_norm_upper(arr), inf
     )
-    upper = interpolation_bound(arr, order)
-    return _certified_bracket(lower, upper, "power iteration + interpolation", witness)

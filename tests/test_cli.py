@@ -1,15 +1,18 @@
+import contextlib
 import functools
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softlip.cli as cli
@@ -40,6 +43,16 @@ def fixture_dir(tmp_path):
         return FIXTURES
     write_fixtures(tmp_path)
     return tmp_path
+
+
+def run_cli(argv):
+    """`python -m softlip.cli argv` in a fresh process, on this checkout's src."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "softlip.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def load_report(path):
@@ -318,6 +331,17 @@ class TestEstimateCommand:
         assert len(csv_lines) == 1 + 3 * 2
         for line in csv_lines[1:]:
             assert float(line.split(",")[2]) < 0.5
+
+    def test_huge_magnitudes_fail_with_one_error_line(self, tmp_path):
+        # in a fresh process with default warning filters, the overflow in
+        # scaling the draw and in x + d printed two RuntimeWarnings first
+        matrix = tmp_path / "huge.csv"
+        matrix.write_text("1e308,1e308\n1e308,1e308\n", encoding="utf-8")
+        done = run_cli(
+            ["estimate", "--matrix", str(matrix), "--eps-list", "1e308", "--trials", "1"]
+        )
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr == "error: logits must have finite entries\n"
 
     def test_byte_identical_reruns(self, fixture_dir, tmp_path):
         args = [
@@ -742,3 +766,134 @@ def test_cli_start_leaves_numpy_random_unloaded(code):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: every command line ends in a documented exit code, with no
+# exception and no warning but the NormOrder coercion above p = 1e6
+
+_HOSTILE_CSVS = {
+    "huge.csv": "1e308,1e308\n1e308,1e308\n",
+    "max.csv": "1.7976931348623157e308,-1.7976931348623157e308\n-1e308,1e308\n",
+    "subnormal.csv": "1e-310,-1e-310\n2e-310,1e-310\n",
+    "mixed.csv": "1e308,-1e-310,0\n0,5e-324,-1e308\n",
+    "one.csv": "5\n",
+    "column.csv": "1\n2\n3\n",
+    "zeros.csv": "0,0,0\n0,0,0\n",
+}
+# "=@name" stands for a file of the fuzz directory; missing.csv is never written
+_FUZZ_FILES = st.sampled_from(
+    ["@attention_scores_8x8.csv", "@example_logits.csv", "@matching_pennies.csv",
+     "@random_payoff_5x5.csv", "@missing.csv"] + [f"@{name}" for name in _HOSTILE_CSVS]
+)
+_EXTREME_NUMBERS = st.sampled_from([
+    "0", "-0", "1", "-1", "0.5", "2", "1e308", "-1e308", "1.7976931348623157e308",
+    "2.2250738585072014e-308", "1e-310", "5e-324", "1e-320", "1e-400",
+])
+_NUMBERS = st.one_of(
+    _EXTREME_NUMBERS,
+    st.floats(min_value=1e-3, max_value=1e3).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1e400", "-1e400", "nan", "inf", "-inf", "1_5", "abc", "", " 3 ", "\u0663"]),
+)
+_ORDERS = st.one_of(
+    st.sampled_from(["1", "2", "inf", "oo", "INF", "infinity", "1.5", "3", "1e400", "1_5",
+                     "1e6", "1e7", "9e5", "0.5", "0", "-1", "nan", "1.0000001", "abc"]),
+    st.floats(min_value=1.0, max_value=1e7).map(repr),
+)
+_LENGTHS = st.one_of(
+    st.integers(-2, 64).map(str), st.sampled_from(["5e0", "1e400", "2.5", "1_0", "x"])
+)
+_COUNTS = st.one_of(
+    st.integers(-2, 64).map(str), st.integers(0, 10**400).map(str), st.just("1e3")
+)
+
+
+def _comma_list(items):
+    return st.one_of(st.lists(items, min_size=1, max_size=3).map(",".join), st.just(""))
+
+
+_INLINE = st.one_of(
+    st.lists(_NUMBERS, min_size=0, max_size=64).map(",".join),
+    st.builds("ln9-vector({})".format, _LENGTHS),
+    st.builds("example-vector({}, {})".format, _LENGTHS, _NUMBERS),
+    st.builds("example-vector({})".format, _LENGTHS),
+)
+
+
+def _argv(command, required, optional):
+    """[command, "--flag=value", ...]: every required option and a subset of
+    the optional ones, each with a drawn value (None for a bare flag); the
+    "=" keeps a value such as "-1" from reading as an option."""
+
+    def flatten(options):
+        return [command] + [
+            flag if value is None else f"{flag}={value}" for flag, value in options.items()
+        ]
+
+    return st.fixed_dictionaries(required, optional=optional).map(flatten)
+
+
+def _weight(name):
+    """`scsa`'s --name=value, --name-file=path, or neither (None)."""
+    return st.one_of(
+        _NUMBERS.map(f"--{name}={{}}".format),
+        _FUZZ_FILES.map(f"--{name}-file={{}}".format),
+        st.none(),
+    )
+
+
+_FUZZ_ARGV = st.one_of(
+    _argv("jacobian-norm", {}, {
+        "--inline": _INLINE, "--logits-file": _FUZZ_FILES, "--lambda": _NUMBERS,
+        "--p": _ORDERS, "--json-out": st.just("@out.json"),
+    }),
+    _argv("jacobian-norm", {"--inline": _INLINE, "--lambda": _NUMBERS, "--p": _ORDERS}, {}),
+    _argv("witness", {"--mode": st.sampled_from(["attained", "limit-sequence", "example"])}, {
+        "--n": _LENGTHS, "--p": _ORDERS, "--K": _NUMBERS, "--eps": _NUMBERS,
+        "--epsilons": _comma_list(_NUMBERS), "--json-out": st.just("@out.json"),
+    }),
+    _argv("estimate", {"--matrix": _FUZZ_FILES, "--trials": st.integers(0, 3).map(str)}, {
+        "--rowwise": st.none(), "--lambda": _NUMBERS, "--p-list": _comma_list(_ORDERS),
+        "--eps-list": _comma_list(st.one_of(_EXTREME_NUMBERS, _NUMBERS)),
+        "--seed": st.integers(-2**70, 2**70).map(str),
+        "--mode": st.sampled_from(["random-gaussian-normalized", "top-eigenvector"]),
+        "--aggregate": st.sampled_from(["max", "mean"]), "--out": st.just("@out"),
+    }),
+    _argv("dsfp", {"--payoff": _FUZZ_FILES, "--max-iter": st.integers(-1, 50).map(str)}, {
+        "--tau": st.one_of(st.just("auto"), _NUMBERS), "--alpha": _NUMBERS, "--p": _ORDERS,
+        "--tol": _NUMBERS, "--out": st.just("@out.json"),
+    }),
+    st.tuples(
+        _argv("scsa", {"--n": _COUNTS, "--nu": _NUMBERS, "--tau": _NUMBERS, "--eps": _NUMBERS},
+              {"--json-out": st.just("@out.json")}),
+        _weight("wq"), _weight("wk"), _weight("wv"),
+    ).map(lambda parts: parts[0] + [w for w in parts[1:] if w]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_fixtures(root)
+    for name, text in _HOSTILE_CSVS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(argv=_FUZZ_ARGV)
+@example(argv=["estimate", "--matrix=@huge.csv", "--eps-list=1e308", "--trials=1"])
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_dir, argv):
+    argv = [a.replace("=@", f"={fuzz_dir}{os.sep}") for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL)
+    assert "Traceback" not in err.getvalue()
+    for warning in caught:
+        assert re.fullmatch(
+            r"norm order p=\S+ exceeds 1e\+06; treating as infinity", str(warning.message)
+        ), (argv, warning)

@@ -253,6 +253,20 @@ class TestEmpiricalLp:
         with pytest.raises(ValueError):
             empirical_lp([np.zeros(3), np.zeros(4)], 1.0, spec())
 
+    @pytest.mark.parametrize("mode, logit", [
+        (MODE_RANDOM, 0.0), (MODE_RANDOM, 1e308), (MODE_TOP_EIGENVECTOR, 1.5e308),
+    ])
+    def test_huge_magnitudes_fail_without_a_warning(self, mode, logit):
+        # scaling a draw onto the 1e308 sphere, or adding the perturbation
+        # to the logits, overflowed with a RuntimeWarning before the
+        # finiteness check
+        with pytest.raises(ValueError, match="logits must have finite entries"):
+            empirical_lp([[logit, logit]], 1.0, spec(p=2, eps=1e308, trials=3, mode=mode))
+
+    def test_huge_epsilon_fails_after_the_rows_before_it(self):
+        with pytest.raises(ValueError, match="logits must have finite entries"):
+            epsilon_sweep([[1e308, 1e308]], 1.0, spec(p=2, trials=3), [1e-3, 1e308])
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             empirical_lp([], 1.0, spec())

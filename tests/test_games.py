@@ -342,9 +342,19 @@ class TestUpperNorms:
         for mat, upper in zip((a, a.T), _upper_norms(a, NormOrder.of(3))):
             assert upper < 0.5 * interpolation_bound(mat, 3)
 
+    def test_general_p_end_is_the_p_estimate_upper_end(self):
+        # one bracket rule: the game's end is opnorm_p_estimate's upper end
+        rng = np.random.default_rng(12)
+        for shape in [(4, 4), (6, 9), (9, 6), (1, 5), (30, 30)]:
+            a = rng.standard_normal(shape)
+            for p in (1.25, 1.5, 3.0, 7.0):
+                est = opnorm_p_estimate(a, p)
+                if not est.exact:
+                    assert _upper_norms(a, NormOrder.of(p))[0] == est.upper
+
     def test_never_above_interpolation(self, monkeypatch):
         # an eigensolve that rounds ||A||_2 far up still leaves the old bound
-        monkeypatch.setattr(games_module, "_two_norm", lambda a: 1e6)
+        monkeypatch.setattr(games_module, "_two_norm_upper", lambda a: 1e6)
         a = np.random.default_rng(8).standard_normal((6, 9))
         outward = 1.0 + opnorm_module._UPPER_SLACK
         for p in (1.5, 3.0):
