@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -305,6 +306,12 @@ def make_manifest(command: list[str], seed, resolved: dict) -> dict:
     }
 
 
+def _fields_dict(obj, **keys) -> dict:
+    """A report section that mirrors a result dataclass: its fields in
+    declaration order, each under its own name or the key `keys` maps it to."""
+    return {keys.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
+
+
 def _write_report(path: str, manifest: dict, result: dict) -> None:
     Path(path).write_text(dumps_report({"manifest": manifest, "result": result}), encoding="utf-8")
 
@@ -381,17 +388,7 @@ def cmd_witness(args, argv: list[str]) -> int:
             "mode": "limit-sequence",
             "n": args.n,
             "p": args.p,
-            "steps": [
-                {
-                    "k": st.k,
-                    "epsilon": st.epsilon,
-                    "delta": st.delta,
-                    "s": st.s,
-                    "certified_ratio": st.certified_ratio,
-                    "closed_form": st.closed_form,
-                }
-                for st in steps
-            ],
+            "steps": [_fields_dict(st) for st in steps],
         }
         for st in steps:
             print(
@@ -420,25 +417,6 @@ def cmd_witness(args, argv: list[str]) -> int:
         manifest = make_manifest(argv, None, {"mode": args.mode})
         _write_report(args.json_out, manifest, result)
     return EXIT_OK
-
-
-def _report_dict(report) -> dict:
-    return {
-        "empirical_lp": report.empirical_lp,
-        "argmax_input_index": report.argmax_input_index,
-        "argmax_trial": report.argmax_trial,
-        "argmax_epsilon_index": report.argmax_epsilon_index,
-        "per_epsilon_table": [[eps, val] for eps, val in report.per_epsilon_table],
-        "lambda": report.lam,
-        "p": report.p,
-        "inputs_count": report.inputs_count,
-        "trials_per_input": report.trials_per_input,
-        "mode": report.mode,
-        "seed": report.seed,
-        "aggregate": report.aggregate,
-        "clamp_events": report.clamp_events,
-        "bound_exceeded": report.bound_exceeded,
-    }
 
 
 def cmd_estimate(args, argv: list[str]) -> int:
@@ -477,7 +455,7 @@ def cmd_estimate(args, argv: list[str]) -> int:
         "aggregate": args.aggregate,
         "global_bound": global_bound(args.lam),
         "max_empirical_lp": overall,
-        "reports": [_report_dict(r) for r in reports],
+        "reports": [_fields_dict(r, lam="lambda") for r in reports],
     }
     resolved = {
         "seed": seed,
@@ -530,8 +508,6 @@ def cmd_dsfp(args, argv: list[str]) -> int:
         resolved_tau = 1.01 * tau_min(game, order)
     else:
         resolved_tau = _parse_float(args.tau, "--tau")
-    if resolved_tau <= 0.0:
-        raise InputError(f"--tau must be positive, got {resolved_tau}")
     config = DsfpConfig(
         tau=resolved_tau,
         alpha=args.alpha,
@@ -592,17 +568,7 @@ def cmd_scsa(args, argv: list[str]) -> int:
     before = scsa_bound_unrefined(params)
     print(f"refined SCSA Lipschitz bound:      {format_float(bound)}")
     print(f"pre-refinement bound (2x QK terms): {format_float(before)}")
-    result = {
-        "n": params.n,
-        "nu": params.nu,
-        "tau": params.tau,
-        "eps": params.eps,
-        "wq_norm": params.wq_norm,
-        "wk_norm": params.wk_norm,
-        "wv_norm": params.wv_norm,
-        "bound": bound,
-        "pre_refinement_bound": before,
-    }
+    result = {**_fields_dict(params), "bound": bound, "pre_refinement_bound": before}
     if args.json_out:
         manifest = make_manifest(argv, None, {})
         _write_report(args.json_out, manifest, result)

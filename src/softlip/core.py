@@ -94,17 +94,11 @@ class SimplexPoint:
     clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        arr = _frozen_vector(self.probs, "probs")
-        n = arr.size
-        if n < 1:
-            raise ValueError("probability vector must be non-empty")
+        arr = boundary_point(self.probs)
         if arr.min() <= 0.0:
             raise ValueError("probability vector must be strictly positive (interior point)")
         if arr.max() > 1.0:
             raise ValueError("probability entries must not exceed 1")
-        drift = abs(float(arr.sum()) - 1.0)
-        if drift > TOL_SIMPLEX_PER_ENTRY * n:
-            raise ValueError(f"probabilities sum to 1 +/- {drift:.3e}, beyond tolerance")
         object.__setattr__(self, "probs", arr)
 
     @property

@@ -13,17 +13,9 @@ factor and the conservative ||A||_p ||A^T||_p / (4 tau^2) are reported;
 solving proceeds either way, flagged as uncertified when the conservative
 factor is not below 1.
 
-Both factors read only certified upper ends of ||A||_p and ||A^T||_p, and
-no power iteration runs for them: p in {1, inf} takes the exact column and
-row sums, p = 2 the largest eigenvalue of one Gram matrix (no eigenvector),
-shared by A and A^T (||A^T||_2 = ||A||_2) and raised by the relative
-`opnorm._UPPER_SLACK` (2^-40), and general p the smaller of the
-interpolation bound and the Riesz-Thorin bound, both built from ||A||_1,
-||A||_inf and one ||A||_2. That ||A||_2 is computed on A scaled by a power
-of two (`opnorm._gram`), so huge and tiny payoffs get finite, nonzero
-norms; a norm beyond the float max is taken as inf, and a failed
-eigensolve gives way to the upper end of the certified two-norm fallback
-bracket, both still certified upper ends.
+Both factors read only certified upper ends of ||A||_p and ||A^T||_p,
+with no power iteration: the dense upper-end policy `opnorm._upper_norms`
+states which end each order takes.
 
 Both softmaxes of a step are `core._softmax_rows`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
@@ -49,12 +41,8 @@ from softlip.core import SimplexPoint, _softmax_rows, boundary_point
 from softlip.opnorm import (
     NormOrder,
     _SQUARES_MIN,
-    _UPPER_SLACK,
     _as_matrix,
-    _outward_upper,
-    _two_norm_upper,
-    opnorm_inf,
-    opnorm_one,
+    _upper_norms,
     opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
     row_norms,
 )
@@ -186,39 +174,14 @@ def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
     return SimplexPoint(t_y, clamped=clamped)
 
 
-def _upper_norms(a: np.ndarray, order: NormOrder) -> tuple[float, float]:
-    """Certified upper ends of (||A||_p, ||A^T||_p), with no power iteration.
-
-    p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
-    Every other p reads one ||A||_2 = ||A^T||_2 from
-    `opnorm._two_norm_upper`: the eigenvalue solve, the upper end of the
-    certified fallback bracket if that solve fails, or inf beyond the float
-    max. p = 2 raises it by the relative `opnorm._UPPER_SLACK` (2^-40, over
-    300 times the largest eigenvalue-solve error measured up to 512 x 512)
-    for both sides; general p takes `opnorm._outward_upper` per side, the
-    smaller of the interpolation and Riesz-Thorin bounds, raised by the
-    same slack, as the upper end of `opnorm_p_estimate` is.
-    """
-    if order.is_one or order.is_infinity:
-        one, inf = opnorm_one(a), opnorm_inf(a)
-        return (one, inf) if order.is_one else (inf, one)
-    two = _two_norm_upper(a)
-    if order.is_two:
-        two *= 1.0 + _UPPER_SLACK
-        return two, two
-    one, inf = opnorm_one(a), opnorm_inf(a)
-    return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
-
-
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:
-    """Contraction threshold ||A||_p / 2, from a certified upper end of ||A||_p.
+    """Contraction threshold ||A||_p / 2, from the certified upper end of
+    ||A||_p that `opnorm._upper_norms` gives.
 
-    That end is exact at p in {1, inf}, the Gram eigenvalue solve's value
-    times 1 + 2^-40 at p = 2, and the smaller of the interpolation and
-    Riesz-Thorin bounds for general p. Any tau strictly above the threshold
-    makes the classical factor < 1. For general p that factor leans on
-    ||A^T||_p = ||A||_p, which only holds at p = 2; compare
-    contraction_factor's safe value before trusting it.
+    Any tau strictly above the threshold makes the classical factor < 1.
+    For general p that factor leans on ||A^T||_p = ||A||_p, which only
+    holds at p = 2; compare contraction_factor's safe value before
+    trusting it.
     """
     return _upper_norms(game.a, NormOrder.of(p))[0] / 2.0
 
@@ -229,12 +192,11 @@ def contraction_factor(
     """(nominal, safe) contraction factors of T at regularization tau.
 
     nominal = ||A||_p^2 / (4 tau^2); safe = ||A||_p ||A^T||_p / (4 tau^2),
-    both from the certified upper ends `tau_min` uses (at p = 2 the Gram
-    eigenvalue solve's value times 1 + 2^-40; for general p, each side's
-    min of the interpolation and Riesz-Thorin bounds). At p = 2 one
-    eigensolve serves both sides, so safe == nominal; they also coincide
-    for symmetric payoffs, and elsewhere the safe factor is the provable
-    one. tau outside [TAU_MIN, TAU_LIMIT) raises ValueError.
+    both from the certified upper ends of `opnorm._upper_norms`, which
+    `tau_min` uses too. At p = 2 one eigensolve serves both sides, so
+    safe == nominal; they also coincide for symmetric payoffs, and
+    elsewhere the safe factor is the provable one. tau outside
+    [TAU_MIN, TAU_LIMIT) raises ValueError.
     """
     _check_tau(tau)
     a_norm, at_norm = _upper_norms(game.a, NormOrder.of(p))
@@ -259,9 +221,11 @@ def shannon_entropy(u) -> float:
 
 
 def regularized_value(game: MatrixGame, tau: float, x, y) -> float:
-    """The regularized objective x^T A y + tau (H(x) - H(y))."""
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    """The regularized objective x^T A y + tau (H(x) - H(y)).
+
+    tau outside [TAU_MIN, TAU_LIMIT) raises ValueError.
+    """
+    _check_tau(tau)
     xv = _check_strategy(x, game.n)
     yv = _check_strategy(y, game.m)
     return float(xv @ game.a @ yv) + tau * (shannon_entropy(xv) - shannon_entropy(yv))

@@ -307,18 +307,24 @@ def cocoercivity_check(
     return lhs, rhs, lhs >= rhs - 1e-12
 
 
+def _scsa(params: ScsaParams, score_factor: float) -> float:
+    """The SCSA bound with its two score-path terms (W_K and W_Q) times
+    score_factor, applied first."""
+    root = params.eps**-0.5
+    return (
+        score_factor * params.n**2 * params.nu * params.tau * root * params.wk_norm
+        + score_factor * params.n * params.nu * params.tau * root * params.wq_norm
+        + 2.0 * params.n * params.nu * root * params.wv_norm
+    )
+
+
 def scsa_bound(params: ScsaParams) -> float:
     """Refined l2 Lipschitz bound for scaled cosine-similarity attention.
 
     n^2 nu tau eps^(-1/2) ||W_K|| + n nu tau eps^(-1/2) ||W_Q||
     + 2 n nu eps^(-1/2) ||W_V^T||, where eps is the normalization floor.
     """
-    root = params.eps**-0.5
-    return (
-        params.n**2 * params.nu * params.tau * root * params.wk_norm
-        + params.n * params.nu * params.tau * root * params.wq_norm
-        + 2.0 * params.n * params.nu * root * params.wv_norm
-    )
+    return _scsa(params, 1.0)
 
 
 def scsa_bound_unrefined(params: ScsaParams) -> float:
@@ -328,9 +334,4 @@ def scsa_bound_unrefined(params: ScsaParams) -> float:
     score-path terms (W_K and W_Q); the value-path term is unaffected.
     Reported for comparison only.
     """
-    root = params.eps**-0.5
-    return (
-        2.0 * params.n**2 * params.nu * params.tau * root * params.wk_norm
-        + 2.0 * params.n * params.nu * params.tau * root * params.wq_norm
-        + 2.0 * params.n * params.nu * root * params.wv_norm
-    )
+    return _scsa(params, 2.0)

@@ -7,11 +7,15 @@ compute exactly, so every operator gets one certified bracket
 for a stored witness v found by nonlinear power iteration, and the upper
 end is the smaller of the interpolation bound ||A||_1^(1/p) *
 ||A||_inf^(1-1/p) and the Riesz-Thorin bound from ||A||_1, ||A||_2 and
-||A||_inf, rounded outward (`_outward_upper`). The power iteration
-(`_boyd_lower`) sees A only through its row maps V -> V A^T and U -> U A,
-so an operator with a cheap product (the softmax Jacobian, say) never
-needs its dense matrix. The dense 2-norm forms one Gram matrix (`_gram`),
-of A scaled by the power of two that brings its largest entry into [1/2, 1).
+||A||_inf, rounded outward (`_outward_upper`); an infinite upper end is
+never collapsed onto the lower one. The power iteration (`_boyd_lower`)
+sees A only through its row maps V -> V A^T and U -> U A, so an operator
+with a cheap product (the softmax Jacobian, say) never needs its dense
+matrix. The dense 2-norm forms one Gram matrix (`_gram`), of A scaled by
+the power of two that brings its largest entry into [1/2, 1).
+`_upper_norms` is the one policy for certified upper ends of ||A||_p and
+||A^T||_p of a dense matrix without power iteration, which the game
+solver's contraction diagnostics read.
 """
 
 from __future__ import annotations
@@ -80,10 +84,6 @@ class NormOrder:
             )
             p = math.inf
         object.__setattr__(self, "p", p)
-
-    @classmethod
-    def one(cls) -> "NormOrder":
-        return cls(1.0)
 
     @classmethod
     def two(cls) -> "NormOrder":
@@ -237,6 +237,12 @@ def _abs_sums(arr: np.ndarray, axis: int) -> np.ndarray:
         return np.abs(arr).sum(axis=axis)
 
 
+def _one_inf(arr: np.ndarray) -> tuple[float, float]:
+    """(||A||_1, ||A||_inf) of a validated matrix: its largest absolute
+    column and row sums."""
+    return float(_abs_sums(arr, 0).max()), float(_abs_sums(arr, 1).max())
+
+
 def opnorm_one(A) -> float:
     """||A||_1: the maximum absolute column sum. Exact."""
     return float(_abs_sums(_as_matrix(A), 0).max())
@@ -251,7 +257,8 @@ def _two_norm_fallback_bracket(arr: np.ndarray) -> NormEstimate:
     # Certified lower: best column two-norm, i.e. the ratio at a basis vector.
     lower = float(row_norms(arr.T, 2).max()) if arr.size else 0.0
     fro = float(row_norms(arr.reshape(1, -1), 2)[0])
-    upper = min(fro, math.sqrt(opnorm_one(arr)) * math.sqrt(opnorm_inf(arr)))
+    one, inf = _one_inf(arr)
+    upper = min(fro, math.sqrt(one) * math.sqrt(inf))
     return NormEstimate(lower, max(upper, lower), exact=False, method="two-norm fallback bracket")
 
 
@@ -341,18 +348,12 @@ def interpolation_bound(A, p: Union[NormOrder, float, str]) -> float:
     value at p = 1 and p = inf.
     """
     order = NormOrder.of(p)
-    arr = _as_matrix(A)
-    one = float(_abs_sums(arr, 0).max())
-    if order.is_one:
-        return one
-    inf = float(_abs_sums(arr, 1).max())
-    if order.is_infinity:
-        return inf
-    return _interpolate(one, inf, order)
+    return _interpolate(*_one_inf(_as_matrix(A)), order)
 
 
 def _interpolate(one: float, inf: float, order: NormOrder) -> float:
-    """one^(1/p) * inf^(1-1/p) for a general order, 0 for a zero matrix."""
+    """one^(1/p) * inf^(1-1/p), 0 for a zero matrix; exactly `one` at p = 1
+    and `inf` at p = inf, since x^1 = x and x^0 = 1."""
     if one == 0.0 or inf == 0.0:
         return 0.0
     inv_p = 1.0 / order.p
@@ -399,6 +400,32 @@ def _outward_upper(one: float, two: float, inf: float, order: NormOrder) -> tupl
     if rt < interpolated:
         return outward * rt, "Riesz-Thorin"
     return outward * interpolated, "interpolation"
+
+
+def _upper_norms(arr: np.ndarray, order: NormOrder) -> tuple[float, float]:
+    """Certified upper ends of (||A||_p, ||A^T||_p) for a validated matrix,
+    with no power iteration: the dense upper-end policy.
+
+    p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
+    Every other p reads one ||A||_2 = ||A^T||_2 from `_two_norm_upper`:
+    the eigenvalue solve, the upper end of the certified fallback bracket
+    if that solve fails, or inf beyond the float max. p = 2 raises it by
+    the relative _UPPER_SLACK (2^-40, over 300 times the largest
+    eigenvalue-solve error measured up to 512 x 512) for both sides.
+    General p takes `_outward_upper` per side, the smaller of the
+    interpolation and Riesz-Thorin bounds raised by the same slack: the
+    upper end that `opnorm_p_estimate` starts from.
+    """
+    if order.is_two:
+        two = _two_norm_upper(arr) * (1.0 + _UPPER_SLACK)
+        return two, two
+    one, inf = _one_inf(arr)
+    if order.is_one:
+        return one, inf
+    if order.is_infinity:
+        return inf, one
+    two = _two_norm_upper(arr)
+    return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
 
 
 def _restart_block(n: int) -> np.ndarray:
@@ -449,32 +476,35 @@ def _boyd_lower(
     best_ratio = -1.0
     best_witness = V[0].copy()
     stalled = 0
-    for _ in range(_BOYD_MAX_ITER):
-        U = apply(V)
-        R = np.abs(U)
-        m = R.max(axis=1)
-        R /= np.maximum(m, _TINY)[:, None]  # a zero row stays zero
-        if floor_u:
-            np.putmask(R, R < floor_u, 0.0)
-        D = R ** (p - 1.0)  # |psi_p(u)| / max|u|^(p-1)
-        ratios = m * np.vecdot(R, D) ** inv_p  # ||u||_p, since ||v||_p = 1
-        j = int(ratios.argmax())
-        if ratios[j] > best_ratio + _BOYD_STALL_TOL * max(1.0, best_ratio):
-            best_ratio = float(ratios[j])
-            best_witness = V[j].copy()
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 2:
-                break
-        W = apply_t(np.copysign(D, U))
-        T = np.abs(W)
-        T /= np.maximum(T.max(axis=1), _TINY)[:, None]
-        if floor_w:
-            np.putmask(T, T < floor_w, 0.0)
-        mag = T**dual_expo  # |psi_q(w)|, up to scale
-        norms = np.vecdot(T, mag) ** inv_p  # |psi_q|^p = T^(q-1) T; 0 or >= 1
-        V = np.copysign(mag, W) / np.maximum(norms, _TINY)[:, None]
+    # entries near the float max can overflow a sweep's products to inf and
+    # then nan; a nan ratio is never recorded as the best
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_BOYD_MAX_ITER):
+            U = apply(V)
+            R = np.abs(U)
+            m = R.max(axis=1)
+            R /= np.maximum(m, _TINY)[:, None]  # a zero row stays zero
+            if floor_u:
+                np.putmask(R, R < floor_u, 0.0)
+            D = R ** (p - 1.0)  # |psi_p(u)| / max|u|^(p-1)
+            ratios = m * np.vecdot(R, D) ** inv_p  # ||u||_p, since ||v||_p = 1
+            j = int(ratios.argmax())
+            if ratios[j] > best_ratio + _BOYD_STALL_TOL * max(1.0, best_ratio):
+                best_ratio = float(ratios[j])
+                best_witness = V[j].copy()
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled >= 2:
+                    break
+            W = apply_t(np.copysign(D, U))
+            T = np.abs(W)
+            T /= np.maximum(T.max(axis=1), _TINY)[:, None]
+            if floor_w:
+                np.putmask(T, T < floor_w, 0.0)
+            mag = T**dual_expo  # |psi_q(w)|, up to scale
+            norms = np.vecdot(T, mag) ** inv_p  # |psi_q|^p = T^(q-1) T; 0 or >= 1
+            V = np.copysign(mag, W) / np.maximum(norms, _TINY)[:, None]
     w = best_witness[None]
     lower = float(row_norms(apply(w), order)[0] / row_norms(w, order)[0])
     return lower, best_witness
@@ -492,8 +522,9 @@ def _power_bracket(
     `cap_name`) where that is smaller; the lower end is `_boyd_lower` over
     `_restart_block(n)`, clamped to `cap`. An upper end below that realized
     ratio by rounding noise (relative 1e-9) is lifted onto it, and anything
-    more raises OpNormError. Ends that agree to relative 1e-9 collapse onto
-    the witnessed lower end, marked exact. `method` names the winning bound.
+    more raises OpNormError. Finite ends that agree to relative 1e-9
+    collapse onto the witnessed lower end, marked exact; an infinite upper
+    end never does. `method` names the winning bound.
     """
     upper, bound = _outward_upper(one, two, inf, order)
     if cap < upper:
@@ -505,7 +536,7 @@ def _power_bracket(
             f"certified ratio {lower} exceeds upper bound {upper}",
             NormEstimate(0.0, upper, exact=False, method="inconsistent"),
         )
-    exact = upper - lower <= 1e-9 * upper if upper > 0.0 else True
+    exact = upper < math.inf and upper - lower <= 1e-9 * upper
     method = f"power iteration + {bound}"
     return NormEstimate(lower, lower if exact else upper, exact, method, witness)
 
@@ -538,7 +569,7 @@ def opnorm_p_estimate(A, p: Union[NormOrder, float, str]) -> NormEstimate:
     if order.is_two:
         val, wit = _two_norm_witness(arr)
         return NormEstimate(val, val, exact=True, method="gram eigensolve", witness=wit)
-    one, inf = float(_abs_sums(arr, 0).max()), float(_abs_sums(arr, 1).max())
+    one, inf = _one_inf(arr)
     return _power_bracket(
         lambda V: V @ arr.T, lambda U: U @ arr, arr.shape[1], order, one, _two_norm_upper(arr), inf
     )

@@ -492,6 +492,10 @@ class TestDsfpCommand:
         # 4 tau^2 would overflow to inf
         self.check_tau_rejected(fixture_dir, capsys, "1e200")
 
+    def test_negative_tau(self, fixture_dir, capsys):
+        # the one tau rule of the games module, not a second CLI check
+        self.check_tau_rejected(fixture_dir, capsys, "-1")
+
     def test_overflowing_contraction_factor(self, tmp_path, capsys):
         # tau is in range, but ||A||^2 / (4 tau^2) = 1e20 / 4e-300 is not a
         # float; this once printed a line, then failed to serialize inf

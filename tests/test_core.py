@@ -392,6 +392,12 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             SimplexPoint(np.array([1.0, 0.0]))
 
+    def test_simplex_point_checks_the_closed_simplex_first(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SimplexPoint(np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            SimplexPoint(np.array([1.0, 0.0]))
+
     def test_simplex_point_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             SimplexPoint(np.array([0.6, 0.6]))

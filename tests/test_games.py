@@ -354,7 +354,7 @@ class TestUpperNorms:
 
     def test_never_above_interpolation(self, monkeypatch):
         # an eigensolve that rounds ||A||_2 far up still leaves the old bound
-        monkeypatch.setattr(games_module, "_two_norm_upper", lambda a: 1e6)
+        monkeypatch.setattr(opnorm_module, "_two_norm_upper", lambda a: 1e6)
         a = np.random.default_rng(8).standard_normal((6, 9))
         outward = 1.0 + opnorm_module._UPPER_SLACK
         for p in (1.5, 3.0):
@@ -599,6 +599,14 @@ class TestTauRange:
             dsfp_map(game, tau, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match=match):
             contraction_factor(game, tau, 2)
+
+    @pytest.mark.parametrize("tau", [math.inf, 1e-320])
+    def test_regularized_value_rejects_tau(self, tau):
+        # these once gave nan and 0.0 where every other entry point raised
+        game = MatrixGame(MATCHING_PENNIES)
+        u = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match=r"2\^-512 <= tau < 2\^511"):
+            regularized_value(game, tau, u, u)
 
     def test_smallest_tau_solves(self):
         # 1/tau and 4 tau^2 are normal, so the solve and both factors answer

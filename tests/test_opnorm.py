@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -449,6 +450,29 @@ class TestPEstimate:
             assert opnorm_p_estimate(arr, "inf").lower == opnorm_inf(arr)
             assert interpolation_bound(arr, 1) == opnorm_one(arr)
             assert interpolation_bound(arr, "inf") == opnorm_inf(arr)
+
+
+class TestInfiniteUpperEnd:
+    def test_infinite_upper_is_never_exact(self):
+        # ||A||_inf = 2e308 overflows, so both upper bounds are inf; the
+        # finite realized ratio is no proof that the norm is that ratio
+        a = np.array([[1e308, 1e308]])
+        est = opnorm_p_estimate(a, 3)
+        assert est.upper == math.inf
+        assert not est.exact
+        assert est.lower == vector_norm(a @ est.witness, 3) / vector_norm(est.witness, 3)
+        assert est.lower == pytest.approx(2.0 ** (2.0 / 3.0) * 1e308, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_overflowing_sweeps_warn_nothing(self, p):
+        # A^T u overflows to inf inside the power iteration, then inf / inf
+        a = np.array([[1e308], [1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = opnorm_p_estimate(a, p)
+        assert est.lower == pytest.approx(2.0 ** (1.0 / p) * 1e308, rel=1e-12)
+        if p < 2.0:  # ||A||_1 = 2e308 overflows: inf upper end, not exact
+            assert est.upper == math.inf and not est.exact
 
 
 class TestFrozenBoydBrackets:
