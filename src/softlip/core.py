@@ -4,10 +4,10 @@ Everything here is pure and operates on immutable values: inputs are
 validated once at construction and all arrays are frozen (write-protected)
 copies, so values can be shared freely across threads or processes.
 
-The Jacobian lam * (Diag(s) - s s^T) is also available without its n x n
-matrix: `_jacobian_times` applies it to a block of rows in O(n) per row,
-and `_secular_witness` finds its top eigenvector in O(n) from the
-secular equation of the rank-one update.
+Every form of the Jacobian lam * (Diag(s) - s s^T) takes its diagonal from
+`_jacobian_diagonal`. Without the n x n matrix, `_jacobian_times` applies it
+to a block of rows in O(n) per row and `_secular_witness` finds its top
+eigenvector in O(n) from the secular equation of the rank-one update.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def boundary_point(probs) -> np.ndarray:
 class SoftmaxJacobian:
     """The softmax Jacobian lam * (Diag(s) - s s^T) at a simplex point.
 
-    Symmetric and positive semidefinite with zero row sums; construct it
-    via `jacobian`, which guarantees the entrywise formula.
+    Symmetric and positive semidefinite with zero row sums, also where s_i
+    rounds to 1; construct it via `jacobian` (the entrywise formula).
     """
 
     matrix: np.ndarray
@@ -241,8 +241,8 @@ def softmax(x, t: Union[Temperature, float] = 1.0) -> SimplexPoint:
 def jacobian(s, t: Union[Temperature, float] = 1.0) -> SoftmaxJacobian:
     """Exact softmax Jacobian lam * (Diag(s) - s s^T) at the point s.
 
-    Diagonal entries are lam * s_i * (1 - s_i) and off-diagonal entries
-    -lam * s_i * s_j; the matrix is exactly symmetric in floating point.
+    Diagonal entries are lam * s_i * (1 - s_i) (`_jacobian_diagonal`) and
+    off-diagonal ones -lam * s_i * s_j: exactly symmetric in floating point.
     """
     point = SimplexPoint.of(s)
     lam = Temperature.of(t).lam
@@ -258,32 +258,46 @@ def m_of_s(s) -> np.ndarray:
     one-hot vectors (which give the zero matrix) are accepted so witness
     constructions can evaluate it on the closed simplex.
     """
-    if isinstance(s, SimplexPoint):
-        p = s.probs
-    else:
-        p = boundary_point(s)
-    return np.diag(p) - np.outer(p, p)
+    p = s.probs if isinstance(s, SimplexPoint) else boundary_point(s)
+    mat = np.outer(-p, p)
+    np.fill_diagonal(mat, _jacobian_diagonal(p)[0])
+    return mat
+
+
+def _jacobian_diagonal(probs: np.ndarray) -> tuple[np.ndarray, int, float, np.ndarray]:
+    """(d, i, c, r): the diagonal d_j = s_j (1 - s_j) of Diag(s) - s s^T,
+    the index i of the top entry, its c = 1 - s_i, and r = s with r_i = 0.
+
+    The one rule for the diagonal. 1 - s_j is exact from 1/2 up (Sterbenz)
+    but keeps s_j's own rounding, all of 1 - s_j once s_j nears 1, so a top
+    entry above 1/2 takes c = sum(r): relative accuracy, zero row sums. At
+    s_i = 1/2 (the attaining point) the direct form gives exactly 1/4.
+    """
+    i = int(probs.argmax())
+    rest = probs.copy()
+    rest[i] = 0.0
+    comp = 1.0 - probs
+    if probs[i] > 0.5:
+        comp[i] = rest.sum()
+    return probs * comp, i, float(comp[i]), rest
 
 
 def _jacobian_times(probs: np.ndarray, lam: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     """The row map W -> W J of J = lam (Diag(s) - s s^T), in O(n) per row.
 
-    J is symmetric, so each row w goes to J w, whose entry i is
-    lam s_i (w_i - s.w). At the largest entry, w_i - s.w cancels when s_i
-    is near 1, so there it is taken as w_i (1 - s_i) - sum_{j != i} s_j w_j.
-    Both sums of a row come from one product with the n x 2 matrix
-    [s, s with its top entry zeroed].
+    J is symmetric, so each row w goes to J w, whose entry j is
+    lam s_j (w_j - s.w). At the top entry i that cancels when s_i is near 1,
+    so there it is lam s_i (w_i c - r.w), with c = 1 - s_i and r from
+    `_jacobian_diagonal`; both sums come from one product with [s, r].
     """
-    i = int(probs.argmax())
-    top = float(probs[i])
-    sums = np.stack([probs, probs], axis=1)
-    sums[i, 1] = 0.0
-    scaled, scaled_top, rest = lam * probs, lam * top, 1.0 - top
+    _, i, comp, rest = _jacobian_diagonal(probs)
+    sums = np.stack([probs, rest], axis=1)
+    scaled, scaled_top = lam * probs, lam * float(probs[i])
 
     def times(W: np.ndarray) -> np.ndarray:
         dots = W @ sums
         out = scaled * (W - dots[:, :1])
-        out[:, i] = scaled_top * (W[:, i] * rest - dots[:, 1])
+        out[:, i] = scaled_top * (W[:, i] * comp - dots[:, 1])
         return out
 
     return times
@@ -322,8 +336,8 @@ def _secular_witness(probs: np.ndarray) -> np.ndarray:
     every three steps at least halve it: at most 3 x 63 steps, against 63
     for bisection alone and about 8 to 17 in practice. The last bracket is
     the one bisection ends on wherever the sign of f is monotone in t.
-    Saturated rows stay accurate: the i1 term is taken as
-    (s_i1 (1 - s_i1) - mu) / (s_i1 - mu), which does not cancel when s_i1
+    Saturated rows stay accurate: the i1 term is (d_i1 - mu) / (s_i1 - mu)
+    with d_i1 from `_jacobian_diagonal`, which does not cancel when s_i1
     is near 1; s_i^2 is never formed, since it underflows for s_i below
     1e-154; and w is scaled by t <= |s_i - mu|, so no entry overflows.
     """
@@ -334,9 +348,8 @@ def _secular_witness(probs: np.ndarray) -> np.ndarray:
         wit = np.zeros(n)
         wit[min(i1, i2)], wit[max(i1, i2)] = math.sqrt(0.5), -math.sqrt(0.5)
         return wit
-    rest = probs.copy()
-    rest[i1] = 0.0
-    diag = s1 * (1.0 - s1)  # entry (i1, i1) of Diag(s) - s s^T
+    entries, _, _, rest = _jacobian_diagonal(probs)  # its top index is i1, as s1 > s2
+    diag = float(entries[i1])  # entry (i1, i1) of Diag(s) - s s^T
     buf = np.empty(n)
 
     def secular(shifted: np.ndarray, origin: float, d: float) -> float:

@@ -75,8 +75,6 @@ class MatrixGame:
 
     def __post_init__(self):
         arr = _as_matrix(self.a).copy()
-        if arr.size == 0:
-            raise ValueError(f"payoff matrix must be non-empty, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
 

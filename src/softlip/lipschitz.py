@@ -27,6 +27,7 @@ from softlip.core import (
     Logits,
     SimplexPoint,
     Temperature,
+    _jacobian_diagonal,
     _jacobian_times,
     _secular_witness,
     jacobian,  # not called here; perfbench/spans.py wraps this name
@@ -129,9 +130,10 @@ class ScsaParams:
 
 
 def closed_form_linf(s) -> float:
-    """max_i 2 s_i (1 - s_i): the exact 1- and inf-norm of Diag(s) - s s^T."""
+    """max_i 2 s_i (1 - s_i): the exact 1- and inf-norm of Diag(s) - s s^T,
+    from `core._jacobian_diagonal` (accurate where the top s_i nears 1)."""
     probs = s.probs if isinstance(s, SimplexPoint) else np.asarray(s, dtype=np.float64)
-    return float((2.0 * probs * (1.0 - probs)).max())
+    return 2.0 * float(_jacobian_diagonal(probs)[0].max())
 
 
 def _two_norm(probs: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
@@ -173,16 +175,10 @@ def local_lipschitz(
     probs = s.probs
     if order.is_one or order.is_infinity:
         val = lam * closed_form_linf(s)
-        i = int((probs * (1.0 - probs)).argmax())
-        if order.is_one:
-            wit = np.zeros(s.n)
-            wit[i] = 1.0
-        else:
-            # Row i of Diag(s) - s s^T in O(n), with m_of_s's arithmetic; its
-            # sign pattern (+1 at i, -1 off it) realizes the row sum.
-            row = 0.0 - probs[i] * probs
-            row[i] = probs[i] - probs[i] * probs[i]
-            wit = np.sign(row)
+        wit = np.zeros(s.n)
+        wit[int(_jacobian_diagonal(probs)[0].argmax())] = 1.0  # the largest column sum
+        if order.is_infinity:  # row i of J is J e_i; its signs realize the row sum
+            wit = np.sign(_jacobian_times(probs)(wit[None])[0])
         return NormEstimate(val, val, exact=True, method="2s(1-s) closed form", witness=wit)
     two, wit = _two_norm(probs, lam)
     if order.is_two:

@@ -164,6 +164,8 @@ def _as_matrix(A) -> np.ndarray:
     arr = np.asarray(A, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
@@ -255,7 +257,7 @@ def opnorm_inf(A) -> float:
 
 def _two_norm_fallback_bracket(arr: np.ndarray) -> NormEstimate:
     # Certified lower: best column two-norm, i.e. the ratio at a basis vector.
-    lower = float(row_norms(arr.T, 2).max()) if arr.size else 0.0
+    lower = float(row_norms(arr.T, 2).max())
     fro = float(row_norms(arr.reshape(1, -1), 2)[0])
     one, inf = _one_inf(arr)
     upper = min(fro, math.sqrt(one) * math.sqrt(inf))
@@ -269,7 +271,7 @@ def _gram(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     A = 0), so G neither overflows nor underflows, and ||A||_2 = 2^e ||B||_2.
     """
     m, n = arr.shape
-    expo = math.frexp(float(np.abs(arr).max()) if arr.size else 0.0)[1]
+    expo = math.frexp(float(np.abs(arr).max()))[1]
     arr = np.ldexp(arr, -expo)
     return arr, arr.T @ arr if n <= m else arr @ arr.T, expo
 
@@ -521,17 +523,17 @@ def _power_bracket(
     The upper end is `_outward_upper`, or a known bound `cap` (named
     `cap_name`) where that is smaller; the lower end is `_boyd_lower` over
     `_restart_block(n)`, clamped to `cap`. An upper end below that realized
-    ratio by rounding noise (relative 1e-9) is lifted onto it, and anything
-    more raises OpNormError. Finite ends that agree to relative 1e-9
-    collapse onto the witnessed lower end, marked exact; an infinite upper
-    end never does. `method` names the winning bound.
+    ratio by rounding noise (relative 1e-9, at every scale) is lifted onto
+    it, and anything more raises OpNormError. Finite ends that agree to
+    relative 1e-9 collapse onto the witnessed lower end, marked exact; an
+    infinite upper end never does. `method` names the winning bound.
     """
     upper, bound = _outward_upper(one, two, inf, order)
     if cap < upper:
         upper, bound = cap, cap_name
     lower, witness = _boyd_lower(apply, apply_t, order, _restart_block(n))
     lower = min(lower, cap)
-    if lower - upper > 1e-9 * max(1.0, upper):
+    if lower - upper > 1e-9 * upper:
         raise OpNormError(
             f"certified ratio {lower} exceeds upper bound {upper}",
             NormEstimate(0.0, upper, exact=False, method="inconsistent"),

@@ -242,6 +242,17 @@ class TestJacobianNormCommand:
         path.write_text("", encoding="utf-8")
         assert main(["jacobian-norm", "--logits-file", str(path)]) == EXIT_INPUT
 
+    def test_saturated_huge_lambda_is_certified(self, tmp_path):
+        # lam = 1e308 rounds the top softmax entry to 1: its 1 - s_1 must
+        # come from the other entries, or ||J||_1 = ||J||_inf falls below
+        # the realized ratio and the bracket is inconsistent
+        out_path = tmp_path / "r.json"
+        rc = main(["jacobian-norm", "--lambda", "1e308", "--inline", "ln9-vector(5)",
+                   "--p", "9e5", "--json-out", str(out_path)])
+        assert rc == EXIT_OK
+        result = load_report(out_path)["result"]
+        assert 0.0 < result["lower"] <= result["upper"] <= result["closed_form_one_inf"]
+
     def test_requires_exactly_one_source(self):
         assert main(["jacobian-norm"]) == EXIT_INPUT
         assert main(["jacobian-norm", "--inline", "0,0", "--logits-file", "x.csv"]) == EXIT_INPUT

@@ -306,7 +306,7 @@ def reference_secular_distance(probs):
     s1, s2 = float(probs[i1]), float(probs[order[-2]])
     rest = probs.copy()
     rest[i1] = 0.0
-    diag = s1 * (1.0 - s1)
+    diag = s1 * (rest.sum() if s1 > 0.5 else 1.0 - s1)  # 1 - s1 without cancellation
 
     def secular(origin, d):
         return (diag - origin - d) / (s1 - origin - d) - float(rest @ (rest / (probs - origin - d)))

@@ -4,13 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softlip.core as core
 import softlip.lipschitz as lipschitz
 import softlip.opnorm as opnorm_module
-from softlip.core import m_of_s, softmax
+from softlip.core import _jacobian_times, m_of_s, softmax
 from softlip.fixtures import example_logits
 from softlip.lipschitz import (
     ScsaParams,
@@ -110,8 +110,9 @@ class TestLocalLipschitz:
             x = scale * rng.standard_normal(n)
             est = local_lipschitz(x, 1.0, "inf")
             s = softmax(x, 1.0)
-            i = int((s.probs * (1.0 - s.probs)).argmax())
-            np.testing.assert_array_equal(est.witness, np.sign(m_of_s(s)[i]))
+            m = m_of_s(s)
+            i = int(np.diag(m).argmax())
+            np.testing.assert_array_equal(est.witness, np.sign(m[i]))
 
     def test_two_norm_witness_owns_its_data(self):
         # a view would pin the solver's work arrays per estimate
@@ -161,6 +162,23 @@ def close(a, b, lam):
     return abs(a - b) <= max(1e-12 * max(abs(a), abs(b)), 64 * np.finfo(np.float64).eps * lam)
 
 
+def exact_core(mp, x, lam):
+    """Diag(s) - s s^T of the exact softmax s of x at lam, in mpmath at the
+    working precision, and that s."""
+    e = [mp.exp(lam * mp.mpf(float(v))) for v in x]
+    total = mp.fsum(e)
+    s = [v / total for v in e]
+    n = len(s)
+    return mp.matrix([[(s[i] if i == j else 0) - s[i] * s[j] for j in range(n)]
+                      for i in range(n)]), s
+
+
+def mp_norm(mp, v, p):
+    """The lp norm of an mpmath vector (mpmath's own `norm` rounds the
+    order of its root down to an integer)."""
+    return mp.fsum(abs(t) ** p for t in v) ** (1 / mp.mpf(p))
+
+
 class TestSecularTwoNorm:
     """p = 2 from the secular equation, against the dense eigensolve."""
 
@@ -203,13 +221,13 @@ class TestSecularTwoNorm:
     ])
     def test_saturated_rows_keep_relative_accuracy(self, x, lam):
         # s_1 rounds to 1 and the constant is tiny: computed directly, both
-        # 1 - s_1^2 / (s_1 - mu) and w_1 - s.w would lose every digit
+        # 1 - s_1^2 / (s_1 - mu) and w_1 - s.w would lose every digit. The
+        # oracle is the Jacobian of the exact softmax at x, whose 1 - s_1
+        # (down to 2e-174 here) needs hundreds of digits.
         mp = pytest.importorskip("mpmath")
-        s = softmax(x, lam).probs
-        assert s[0] == 1.0
-        with mp.workdps(60):
-            m = mp.matrix([[(si if i == j else 0) - mp.mpf(si) * sj for j, sj in enumerate(s)]
-                           for i, si in enumerate(s)])
+        assert softmax(x, lam).probs[0] == 1.0
+        with mp.workdps(400):
+            m, _ = exact_core(mp, x, lam)
             exact = lam * float(max(mp.eigsy(m, eigvals_only=True)))
         assert local_lipschitz(x, lam, 2).lower == pytest.approx(exact, rel=1e-14, abs=0.0)
 
@@ -327,7 +345,8 @@ def test_ratio_rounded_above_the_cap():
     assert est.lower == est.upper == lam / 2.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@example(n=2, scale=10.0, lam=2.28125, p=1.2, seed=278138049)  # top s rounds near 1
 @given(
     n=st.integers(2, 64),
     scale=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3]),
@@ -343,6 +362,98 @@ def test_fuzzed_general_p_brackets(n, scale, lam, p, seed):
     w = est.witness
     assert close(vector_norm(jac @ w, p) / vector_norm(w, p), est.lower, lam)
     assert_holds(opnorm_p_estimate(jac, p).lower, est, lam)
+
+
+# Saturated points: the top softmax entry rounds to 1 (or near it) in float64.
+SATURATED = [
+    ([40.0, 0.0, 0.0, 0.0, 0.0], 1.0),
+    ([0.0, -40.0], 1.0),
+    ([0.0, -40.0], 4.0),
+    ([0.0, -50.0, -60.0, -80.0], 1.0),
+    ([0.0, -100.0, -100.5, -300.0], 4.0),
+    ([0.0, -10.0, -12.0], 4.0),
+    ([0.0, -30.0, -30.0], 4.0),
+    ([10.0, 0.0], 2.28125),
+]
+
+
+class TestAgainstTheExactSoftmax:
+    """Every form of J against the Jacobian of the exact softmax at x.
+
+    The oracle takes s from x at 400 digits, so a top entry that rounds to 1
+    in float64 keeps its 1 - s_1. The random points have no clamped or
+    subnormal softmax entry: such an entry is off by more than a relative
+    rounding before J is formed. What is left is the softmax's own rounding.
+    """
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(2025)
+        candidates = iter(SATURATED)
+        points = []
+        while len(points) < 160:
+            x, lam = next(candidates, (None, None))
+            if x is None:
+                scale = 10.0 ** rng.uniform(-1.0, math.log10(400.0))
+                lam = float(rng.choice([0.25, 1.0, 4.0]))
+                x = scale * rng.standard_normal(int(rng.integers(2, 9)))
+            s = softmax(x, lam)
+            if not s.clamped and s.probs.min() >= np.finfo(np.float64).tiny:
+                points.append((np.asarray(x), lam))
+        return points
+
+    def test_every_form_keeps_relative_accuracy(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(7)
+        for x, lam in self.points():
+            probs = softmax(x, lam).probs
+            n = probs.size
+            W = rng.standard_normal((3, n))
+            with mp.workdps(400):
+                m, s = exact_core(mp, x, lam)
+                one = lam * max(2 * si * (1 - si) for si in s)
+                two = lam * max(mp.eigsy(m, eigvals_only=True))
+                assert abs(local_lipschitz(x, lam, 1).upper - one) <= 1e-12 * one
+                assert abs(local_lipschitz(x, lam, 2).upper - two) <= 1e-12 * two
+                got = m_of_s(probs)
+                for i in range(n):
+                    row = [m[i, j] for j in range(n)]
+                    err = max(abs(got[i, j] - row[j]) for j in range(n))
+                    assert err <= 1e-12 * max(abs(v) for v in row), (x, lam, i)
+                got = _jacobian_times(probs, lam)(W)
+                for r in range(3):
+                    jw = [lam * mp.fsum(m[i, j] * float(W[r, j]) for j in range(n))
+                          for i in range(n)]
+                    err = max(abs(got[r, i] - jw[i]) for i in range(n))
+                    assert err <= 1e-12 * max(abs(v) for v in jw), (x, lam, r)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_general_p_upper_ends_hold_their_witness(self, p):
+        # the ratio a bracket's own witness realizes in exact arithmetic is
+        # under its upper end; an exact bracket is a point computed in
+        # float64, good to relative 1e-12
+        mp = pytest.importorskip("mpmath")
+        for x, lam in self.points():
+            est = local_lipschitz(x, lam, p)
+            w = est.witness
+            with mp.workdps(400):
+                m, _ = exact_core(mp, x, lam)
+                jw = lam * (m * mp.matrix(w.tolist()))
+                ratio = mp_norm(mp, jw, p) / mp_norm(mp, w.tolist(), p)
+                slack = 1e-12 if est.exact else 0.0
+                assert ratio <= est.upper * (1 + mp.mpf(slack)), (x, lam, est)
+
+    def test_pinned_saturated_values(self):
+        # x = (40, 0, 0, 0, 0): the top entry, 1 - 1.7e-17, rounds to 1
+        x = [40.0, 0.0, 0.0, 0.0, 0.0]
+        for p, value in ((1, 3.3986834042332710e-17), (2, 2.1241771276457944e-17)):
+            est = local_lipschitz(x, 1.0, p)
+            assert est.exact and abs(est.upper - value) <= 2 * math.ulp(value)
+
+    @pytest.mark.parametrize("x, lam", SATURATED)
+    def test_dense_core_has_zero_row_sums(self, x, lam):
+        m = m_of_s(softmax(x, lam))
+        np.testing.assert_array_less(np.abs(m.sum(axis=1)), 1e-15 * np.abs(m).sum(axis=1))
 
 
 class TestWitnessAttained:

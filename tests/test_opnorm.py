@@ -442,6 +442,22 @@ class TestPEstimate:
         call(ORACLE_A)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    @pytest.mark.parametrize("call", [
+        opnorm_one,
+        opnorm_inf,
+        opnorm_two,
+        lambda a: interpolation_bound(a, 3),
+        lambda a: opnorm_p_estimate(a, 1),
+        lambda a: opnorm_p_estimate(a, 1.5),
+        lambda a: opnorm_p_estimate(a, 2),
+        lambda a: opnorm_p_estimate(a, "inf"),
+    ], ids=["one", "inf", "two", "interpolation_bound", "p_estimate_one",
+            "p_estimate_general", "p_estimate_two", "p_estimate_inf"])
+    def test_rejects_empty_matrices(self, call, shape):
+        with pytest.raises(ValueError, match="non-empty matrix"):
+            call(np.zeros(shape))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_exact_orders_match_the_closed_forms_bitwise(self, seed):
         a = np.random.default_rng(seed).normal(size=(7, 5)) * 10.0 ** seed
@@ -450,6 +466,31 @@ class TestPEstimate:
             assert opnorm_p_estimate(arr, "inf").lower == opnorm_inf(arr)
             assert interpolation_bound(arr, 1) == opnorm_one(arr)
             assert interpolation_bound(arr, "inf") == opnorm_inf(arr)
+
+
+class TestPowerBracketLift:
+    """An upper end below the realized ratio is lifted onto it only by
+    relative rounding noise, at every scale of the operator."""
+
+    @staticmethod
+    def bracket(scale, given):
+        # A = scale I has every p-norm equal to scale; `given` scale is
+        # passed as its 1-, 2- and inf-norm
+        apply = lambda V: scale * V
+        norm = given * scale
+        return opnorm._power_bracket(apply, apply, 3, NormOrder(1.5), norm, norm, norm)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_rounding_noise_is_lifted(self, scale):
+        est = self.bracket(scale, 1.0 - 1e-11)
+        assert est.exact and est.lower == est.upper
+        assert est.lower == pytest.approx(scale, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_inconsistent_upper_ends_raise(self, scale):
+        # a tiny operator's upper end half its realized ratio is no rounding
+        with pytest.raises(OpNormError, match="exceeds upper bound"):
+            self.bracket(scale, 0.5)
 
 
 class TestInfiniteUpperEnd:
