@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -63,8 +64,12 @@ _DEFAULT_SEED = 0
 _CSV_ALPHABET = dict.fromkeys(map(ord, "0123456789eE+-.,\t\r\n "))
 
 
-class InputError(Exception):
-    """User-input problem; reported on stderr and mapped to exit code 2."""
+class InputError(ValueError):
+    """User-input problem (exit code 2). A given `what`, the option, file or
+    field concerned, prefixes the message: "--eps-list: empty list"."""
+
+    def __init__(self, message: str, what: str = ""):
+        super().__init__(f"{what}: {message}" if what else message)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +81,7 @@ def _parse_number(text: str, what: str = "") -> float:
     nan/inf/underscores. A value beyond the float range reads as +-inf."""
     token = text.strip()
     if not _FLOAT_RE.fullmatch(token):
-        prefix = f"{what}: " if what else ""
-        raise InputError(f"{prefix}cannot parse {text!r} as a number")
+        raise InputError(f"cannot parse {text!r} as a number", what)
     return float(token)
 
 
@@ -86,8 +90,7 @@ def _parse_float(text: str, what: str = "") -> float:
     range, such as 1e400, is an input error naming `what`."""
     value = _parse_number(text, what)
     if not math.isfinite(value):
-        prefix = f"{what}: " if what else ""
-        raise InputError(f"{prefix}non-finite value {text.strip()!r}")
+        raise InputError(f"non-finite value {text.strip()!r}", what)
     return value
 
 
@@ -96,15 +99,14 @@ def _parse_norm_order(text: str, what: str = "") -> NormOrder:
     try:
         return NormOrder.of(text)
     except ValueError as exc:
-        prefix = f"{what}: " if what else ""
-        raise InputError(f"{prefix}{exc}") from None
+        raise InputError(str(exc), what) from None
 
 
 def _parse_list(text: str, what: str, parse_item) -> list:
     """Split a comma list, skipping blank items, and parse each item."""
     items = [tok for tok in text.split(",") if tok.strip() != ""]
     if not items:
-        raise InputError(f"{what}: empty list")
+        raise InputError("empty list", what)
     return [parse_item(tok, what) for tok in items]
 
 
@@ -114,7 +116,7 @@ def _arg_type(parse):
     def convert(text: str):
         try:
             return parse(text)
-        except (InputError, ValueError) as exc:
+        except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
     return convert
@@ -169,11 +171,11 @@ def _parse_matrix_cells(text: str, path: str) -> np.ndarray:
             width = len(parsed)
         elif len(parsed) != width:
             raise InputError(
-                f"{path}: line {lineno}: expected {width} fields, found {len(parsed)}"
+                f"expected {width} fields, found {len(parsed)}", f"{path}: line {lineno}"
             )
         rows.append(parsed)
     if not rows:
-        raise InputError(f"{path}: empty input")
+        raise InputError("empty input", path)
     return np.array(rows, dtype=np.float64)
 
 
@@ -183,7 +185,7 @@ def read_vector_csv(path: str) -> np.ndarray:
         return mat[0]
     if mat.shape[1] == 1:
         return mat[:, 0]
-    raise InputError(f"{path}: expected a single row or column vector, got {mat.shape}")
+    raise InputError(f"expected a single row or column vector, got {mat.shape}", path)
 
 
 _GEN_RE = re.compile(r"(?P<name>[a-z0-9-]+)\((?P<args>[^)]*)\)")
@@ -196,13 +198,12 @@ def _length_arg(text: str, what: str = "", minimum: int = 0) -> int:
     """A whole number from minimum to MAX_INLINE_LENGTH: an inline
     generator's length or `witness --n`."""
     value = _parse_number(text, what)
-    prefix = f"{what}: " if what else ""
     if not (math.isfinite(value) and value >= 0 and value == math.floor(value)):
-        raise InputError(f"{prefix}length must be a whole number, got {text.strip()!r}")
+        raise InputError(f"length must be a whole number, got {text.strip()!r}", what)
     if value > MAX_INLINE_LENGTH:
-        raise InputError(f"{prefix}length {int(value)} exceeds the limit {MAX_INLINE_LENGTH}")
+        raise InputError(f"length {int(value)} exceeds the limit {MAX_INLINE_LENGTH}", what)
     if value < minimum:
-        raise InputError(f"{what} needs length >= {minimum}")
+        raise InputError(f"needs length >= {minimum}", what)
     return int(value)
 
 
@@ -248,39 +249,31 @@ def format_float(x: float) -> str:
 
 
 def _emit(obj, indent: int, out: list) -> None:
+    """Append the report text of `obj` to `out`. numpy values become Python
+    values first (`tolist`, so a 0-d array is its scalar); a dict, list or
+    tuple puts each entry on its own line, an empty one stays on one."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad}  "{key}": ')
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        entries = [(f'"{k}": ', v) for k, v in obj.items()] if is_dict else [("", v) for v in obj]
+        out.append("{" if is_dict else "[")
+        for i, (label, value) in enumerate(entries):
+            out.append(f"{',' if i else ''}\n{pad}  {label}")
             _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        items = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(items):
-            out.append(pad + "  ")
-            _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
+        out.append((f"\n{pad}" if entries else "") + ("}" if is_dict else "]"))
     elif isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         out.append(f'"{escaped}"')
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+    elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+    elif isinstance(obj, float):
+        out.append(format_float(obj))
     elif isinstance(obj, NormOrder):
         _emit(obj.label, indent, out)
     else:
@@ -333,9 +326,8 @@ def _resolve_seed(args) -> int:
 
 
 def cmd_jacobian_norm(args, argv: list[str]) -> int:
-    if (args.logits_file is None) == (args.inline is None):
-        raise InputError("provide exactly one of --logits-file or --inline")
-    vec = read_vector_csv(args.logits_file) if args.logits_file else parse_inline_vector(args.inline)
+    path = args.logits_file
+    vec = read_vector_csv(path) if path is not None else parse_inline_vector(args.inline)
     x = Logits(vec)
     lam = args.lam
     order = args.p
@@ -422,13 +414,11 @@ def cmd_witness(args, argv: list[str]) -> int:
 def cmd_estimate(args, argv: list[str]) -> int:
     matrix = read_matrix_csv(args.matrix)
     if matrix.shape[1] < 2:
-        raise InputError(
-            f"{args.matrix}: rows have {matrix.shape[1]} column(s); need at least 2"
-        )
+        raise InputError(f"rows have {matrix.shape[1]} column(s); need at least 2", args.matrix)
     seed = _resolve_seed(args)
     epsilons = _parse_list(args.eps_list, "--eps-list", _parse_float)
     if any(e <= 0.0 for e in epsilons):
-        raise InputError("--eps-list: magnitudes must be positive")
+        raise InputError("magnitudes must be positive", "--eps-list")
     orders = _parse_list(args.p_list, "--p-list", _parse_norm_order)
     reports = []
     csv_lines = ["epsilon,p,empirical_lp"]
@@ -546,23 +536,19 @@ def cmd_dsfp(args, argv: list[str]) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-def _weight_norm(scalar, path, name: str) -> float:
-    if (scalar is None) == (path is None):
-        raise InputError(f"provide exactly one of --{name} or --{name}-file")
-    if scalar is not None:
-        if scalar < 0.0:
-            raise InputError(f"--{name} must be nonnegative")
-        return scalar
-    return opnorm_two(read_matrix_csv(path))
+_WEIGHTS = ("wq", "wk", "wv")
+
+
+def _weight_norm(args, name: str) -> float:
+    """--name, or the spectral norm of the --name-file matrix."""
+    scalar = getattr(args, name)
+    return opnorm_two(read_matrix_csv(getattr(args, f"{name}_file"))) if scalar is None else scalar
 
 
 def cmd_scsa(args, argv: list[str]) -> int:
-    wq = _weight_norm(args.wq, args.wq_file, "wq")
-    wk = _weight_norm(args.wk, args.wk_file, "wk")
-    wv = _weight_norm(args.wv, args.wv_file, "wv")
     params = ScsaParams(
         n=args.n, nu=args.nu, tau=args.tau, eps=args.eps,
-        wq_norm=wq, wk_norm=wk, wv_norm=wv,
+        **{f"{name}_norm": _weight_norm(args, name) for name in _WEIGHTS},
     )
     bound = scsa_bound(params)
     before = scsa_bound_unrefined(params)
@@ -589,8 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     jac = sub.add_parser("jacobian-norm", help="local Lipschitz constant at a logit vector")
-    jac.add_argument("--logits-file", help="CSV file holding a single row or column vector")
-    jac.add_argument("--inline", help="inline vector, e.g. '0,0,0' or 'ln9-vector(10)'")
+    source = jac.add_mutually_exclusive_group(required=True)
+    source.add_argument("--logits-file", help="CSV file holding a single row or column vector")
+    source.add_argument("--inline", help="inline vector, e.g. '0,0,0' or 'ln9-vector(10)'")
     jac.add_argument("--lambda", dest="lam", type=number, default=1.0)
     jac.add_argument("--p", type=norm_order, default=NormOrder.two())
     jac.add_argument("--json-out", help="write the JSON report here")
@@ -637,12 +624,10 @@ def build_parser() -> argparse.ArgumentParser:
     scs.add_argument("--nu", type=number, required=True)
     scs.add_argument("--tau", type=number, required=True)
     scs.add_argument("--eps", type=number, required=True)
-    scs.add_argument("--wq", type=number, help="spectral norm of W_Q")
-    scs.add_argument("--wq-file", help="CSV matrix; reduced via its spectral norm")
-    scs.add_argument("--wk", type=number)
-    scs.add_argument("--wk-file")
-    scs.add_argument("--wv", type=number)
-    scs.add_argument("--wv-file")
+    for name in _WEIGHTS:
+        weight = scs.add_mutually_exclusive_group(required=True)
+        weight.add_argument(f"--{name}", type=number, help=f"spectral norm of W_{name[1].upper()}")
+        weight.add_argument(f"--{name}-file", help="CSV matrix; reduced via its spectral norm")
     scs.add_argument("--json-out", help="write the JSON report here")
     scs.set_defaults(func=cmd_scsa)
 
@@ -652,20 +637,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage and 0 for --help/--version
-        return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-    try:
-        return args.func(args, argv)
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        # LinAlgError subclasses ValueError, so it is caught first
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        # each warning, once per code location, is one "warning:" line
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on bad usage and 0 for --help/--version
+            return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
+        try:
+            return args.func(args, argv)
+        except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            # LinAlgError subclasses ValueError, so it is caught first
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 def run() -> None:

@@ -13,6 +13,7 @@ eigenvector in O(n) from the secular equation of the rank-one update.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -25,6 +26,15 @@ TOL_SIMPLEX_PER_ENTRY = 1e-12
 #: Smallest positive normal float64; underflowed softmax entries are clamped
 #: here so outputs stay strictly inside the simplex.
 _TINY = float(np.finfo(np.float64).tiny)
+
+
+def _count(value, name: str) -> int:
+    """`value` as an int. A count must pass `operator.index`, so numpy
+    integers do and 2.5 or 2.0 do not; the error names the field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
 
 
 def _frozen_vector(values, name: str) -> np.ndarray:

@@ -37,6 +37,7 @@ import numpy as np
 from softlip.core import (
     Logits,
     Temperature,
+    _count,
     _secular_witness,
     _softmax_rows,
     jacobian,  # not called here; perfbench/spans.py wraps this name
@@ -200,6 +201,8 @@ class PerturbationSpec:
         object.__setattr__(self, "p", NormOrder.of(self.p))
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("perturbation magnitude epsilon must be positive and finite")
+        for name in ("trials_per_input", "seed"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.trials_per_input < 1:
             raise ValueError("need at least one trial per input")
         if self.mode not in (MODE_RANDOM, MODE_TOP_EIGENVECTOR):

@@ -37,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from softlip.core import SimplexPoint, _softmax_rows, boundary_point
+from softlip.core import SimplexPoint, _count, _softmax_rows, boundary_point
 from softlip.opnorm import (
     NormOrder,
     _SQUARES_MIN,
@@ -102,8 +102,9 @@ class DsfpConfig:
         _check_tau(self.tau)
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (0, 1]")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         object.__setattr__(self, "p", NormOrder.of(self.p))

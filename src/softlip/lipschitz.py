@@ -27,6 +27,7 @@ from softlip.core import (
     Logits,
     SimplexPoint,
     Temperature,
+    _count,
     _jacobian_diagonal,
     _jacobian_times,
     _secular_witness,
@@ -119,14 +120,15 @@ class ScsaParams:
     wv_norm: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _count(self.n, "n"))
         if self.n < 1:
             raise ValueError("token count n must be a positive integer")
         for name in ("nu", "tau", "eps"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("wq_norm", "wk_norm", "wv_norm"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def closed_form_linf(s) -> float:
@@ -134,14 +136,6 @@ def closed_form_linf(s) -> float:
     from `core._jacobian_diagonal` (accurate where the top s_i nears 1)."""
     probs = s.probs if isinstance(s, SimplexPoint) else np.asarray(s, dtype=np.float64)
     return 2.0 * float(_jacobian_diagonal(probs)[0].max())
-
-
-def _two_norm(probs: np.ndarray, lam: float) -> tuple[float, np.ndarray]:
-    """||J||_2 at lam as the ratio ||J w||_2 / ||w||_2 that the secular top
-    eigenvector w realizes, with J w formed in O(n); and w."""
-    wit = _secular_witness(probs)
-    val = vector_norm(_jacobian_times(probs, lam)(wit[None])[0], 2.0) / vector_norm(wit, 2.0)
-    return val, wit
 
 
 def global_bound(t: Union[Temperature, float]) -> float:
@@ -158,16 +152,14 @@ def local_lipschitz(
     J = lam (Diag(s) - s s^T) depends on x only through s, so a caller that
     already has the point passes it. No order forms the n x n matrix. For
     p in {1, inf} the O(n) closed form lam * max_i 2 s_i (1 - s_i) is used
-    (exact). p = 2 is exact too: the top eigenvector w of the Jacobian
-    comes from its secular equation (`_secular_witness`), and the value is
-    the realized ratio ||J w||_2 / ||w||_2. Other orders return a
-    certified bracket. Its lower end is the power iteration's best ratio,
-    run on the O(n) row map V -> lam (V o s - (V s) s^T) (J is symmetric,
-    so the map serves as its own transpose). Its upper end is the smallest
-    of the interpolation bound and the Riesz-Thorin bound from
-    ||J||_1 = ||J||_inf and ||J||_2, rounded outward, and the global
-    constant lam/2; `method` names the one that won. Both ends come from
-    `opnorm._power_bracket`, the bracket of every general-p norm.
+    (exact). Other orders build the O(n) row map V -> lam (V o s - (V s) s^T)
+    once, as `apply` (J is symmetric, so it is its own transpose). p = 2 is
+    exact: ||J||_2 is the ratio ||J w||_2 / ||w||_2 that `apply` gives at the
+    top eigenvector w from the secular equation (`_secular_witness`). Other
+    orders get a certified bracket from `opnorm._power_bracket`: the power
+    iteration's best ratio on `apply` below, and above the smallest of the
+    interpolation bound and the Riesz-Thorin bound from ||J||_1 = ||J||_inf
+    and ||J||_2, rounded outward, and lam/2; `method` names the one that won.
     """
     order = NormOrder.of(p)
     lam = Temperature.of(t).lam
@@ -180,11 +172,12 @@ def local_lipschitz(
         if order.is_infinity:  # row i of J is J e_i; its signs realize the row sum
             wit = np.sign(_jacobian_times(probs)(wit[None])[0])
         return NormEstimate(val, val, exact=True, method="2s(1-s) closed form", witness=wit)
-    two, wit = _two_norm(probs, lam)
+    apply = _jacobian_times(probs, lam)
+    wit = _secular_witness(probs)
+    two = vector_norm(apply(wit[None])[0], 2.0) / vector_norm(wit, 2.0)
     if order.is_two:
         return NormEstimate(two, two, exact=True, method="secular equation", witness=wit)
     one = lam * closed_form_linf(s)  # ||J||_1 = ||J||_inf
-    apply = _jacobian_times(probs, lam)
     # a ratio rounded above lam/2 (by an ulp at s = (1/2, 1/2)) is lam/2
     return _power_bracket(
         apply, apply, s.n, order, one, two, one, cap=global_bound(lam), cap_name="lam/2 cap"
@@ -198,6 +191,7 @@ def witness_attained(n: int, p: Union[NormOrder, float, str]) -> tuple[Logits, f
     inf-norm of the Jacobian attain the global bound. Attainment fails for
     every other order when n > 2, so those are rejected.
     """
+    n = _count(n, "n")
     if n < 2:
         raise ValueError("need n >= 2")
     order = NormOrder.of(p)
@@ -221,6 +215,7 @@ def witness_limit_sequence(
     comes out to exactly 1/2 - epsilon. Smaller epsilon moves the point
     toward the boundary and the ratio toward 1/2.
     """
+    n = _count(n, "n")
     if n <= 2:
         raise ValueError("the limit sequence needs n > 2 free coordinates")
     order = NormOrder.of(p)
@@ -270,12 +265,13 @@ def witness_example_pair(
     the measured ratio carries float64 noise of order 1e-9 and can even
     poke past 1/2; the true ratio never does.
     """
+    n = _count(n, "n")
     if n < 2:
         raise ValueError("need n >= 2")
-    if K < 0.0:
-        raise ValueError("K must be nonnegative")
-    if eps_pert <= 0.0:
-        raise ValueError("eps_pert must be positive")
+    if not 0.0 <= K < math.inf:
+        raise ValueError("K must be nonnegative and finite")
+    if not 0.0 < eps_pert < math.inf:
+        raise ValueError("eps_pert must be positive and finite")
     order = NormOrder.of(p)
     x = Logits(example_logits(n, K))
     v = _secular_witness(softmax(x).probs)

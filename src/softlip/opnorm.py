@@ -80,7 +80,7 @@ class NormOrder:
         if p > P_COERCE_TO_INF and not math.isinf(p):
             warnings.warn(
                 f"norm order p={p:g} exceeds {P_COERCE_TO_INF:g}; treating as infinity",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
             p = math.inf
         object.__setattr__(self, "p", p)
@@ -333,11 +333,11 @@ def _two_norm_witness(arr: np.ndarray) -> tuple[float, np.ndarray]:
     vec = _eigensolve(np.linalg.eigh, gram, arr)[1][:, -1]
     if vec[np.flatnonzero(vec)[0]] < 0.0:
         vec = -vec
-    wit = vec / np.linalg.norm(vec)
+    wit = vec / vector_norm(vec, 2.0)
     n = arr.shape[1]
     if n > arr.shape[0]:
         wit = scaled.T @ wit
-        norm = np.linalg.norm(wit)
+        norm = vector_norm(wit, 2.0)
         # A == 0: any direction realizes the norm
         wit = wit / norm if norm else np.eye(1, n)[0]
     return _unscaled(vector_norm(scaled @ wit, 2.0) / vector_norm(wit, 2.0), expo), wit

@@ -388,6 +388,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PerturbationSpec(p=2, epsilon=1e-4, trials_per_input=1, mode="uniform-sphere")
 
+    def test_counts_are_whole_numbers(self):
+        # 2.5 was accepted, then empirical_lp raised a numpy TypeError; a
+        # numpy integer seed overflowed in the sub-seed fold
+        with pytest.raises(ValueError, match="trials_per_input must be a whole number"):
+            spec(trials=2.5)
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            spec(seed=1.5)
+        inputs = [example_input(4)]
+        want = empirical_lp(inputs, 1.0, spec(trials=2, seed=-3))
+        assert empirical_lp(inputs, 1.0, spec(trials=np.int64(2), seed=np.int64(-3))) == want
+
     def test_bad_aggregate(self):
         with pytest.raises(ValueError):
             spec(aggregate="median")

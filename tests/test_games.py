@@ -301,6 +301,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             DsfpConfig(tau=1.0, alpha=1.5)
 
+    def test_config_whole_and_finite_fields(self):
+        # max_iter = 2.5 was accepted, then failed inside dsfp_solve; tol = inf
+        # reported a 5 x 5 game converged after one step at residual 3e-3
+        with pytest.raises(ValueError, match="max_iter must be a whole number, got 2.5"):
+            DsfpConfig(tau=1.0, max_iter=2.5)
+        assert DsfpConfig(tau=1.0, max_iter=np.int64(7)).max_iter == 7
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            DsfpConfig(tau=1.0, tol=math.inf)
+
     def test_config_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             DsfpConfig(tau=0.0)

@@ -281,6 +281,26 @@ def no_dense_jacobian(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
 
 
+def count_jacobian_rows(monkeypatch):
+    """Count the row maps `local_lipschitz` builds (`builds`) and the rows
+    each application hands them (`rows`)."""
+    builds, rows = [], []
+    build = lipschitz._jacobian_times
+
+    def counting(probs, lam=1.0):
+        builds.append(lam)
+        times = build(probs, lam)
+
+        def counted(W):
+            rows.append(W.shape[0])
+            return times(W)
+
+        return counted
+
+    monkeypatch.setattr(lipschitz, "_jacobian_times", counting)
+    return builds, rows
+
+
 def assert_holds(ratio, est, lam):
     """A ratio realized by the dense power iteration lies under the bracket's
     upper end; an exact bracket is a point, good to perfbench's tolerance."""
@@ -305,15 +325,25 @@ class TestMatrixFreeGeneralP:
         assert peak < n * n * 8 / 4
         assert 0.0 < est.lower <= est.upper <= 0.5
 
+    # Rows of J V applied at the n = 10^5 point below, when these bounds were
+    # set; the bound is twice these, a count that no host's speed moves.
+    VOCABULARY_ROWS = {1: 0, 1.2: 122, 1.5: 186, 2: 1, 3: 186, 7: 106, "inf": 1}
+
     @pytest.mark.parametrize("p", [1, 1.2, 1.5, 2, 3, 7, "inf"])
-    def test_vocabulary_sized_row(self, p):
+    def test_vocabulary_sized_row(self, p, monkeypatch):
         n, lam = 100_000, 2.0
         x = 4.0 * np.random.default_rng(9).standard_normal(n)
-        local_lipschitz(x[:64], lam, p)  # warm up imports (numpy.random, libm)
-        start = time.perf_counter()
-        est = local_lipschitz(x, lam, p)
-        assert time.perf_counter() - start < 1.0
+        builds, rows = count_jacobian_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            est = local_lipschitz(x, lam, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert 0.0 < est.lower <= est.upper <= lam / 2.0
+        assert sum(rows) <= 2 * self.VOCABULARY_ROWS[p]
+        assert len(builds) == (0 if p == 1 else 1)  # one product per call
+        assert peak < 256 * n * 8  # a few hundred n-vectors; J alone is n^2
 
     @pytest.mark.parametrize("n", [2, 5, 16, 64, 512])
     def test_bracket_holds_the_dense_power_iteration(self, n):
@@ -717,6 +747,33 @@ class TestScsaBound:
             ScsaParams(n=1, nu=-1, tau=1, eps=1, wq_norm=1, wk_norm=1, wv_norm=1)
         with pytest.raises(ValueError):
             ScsaParams(n=1, nu=1, tau=1, eps=1, wq_norm=-0.1, wk_norm=1, wv_norm=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 1.5, "n must be a whole number, got 1.5"),
+        ("nu", math.inf, "nu must be positive and finite"),
+        ("eps", math.inf, "eps must be positive and finite"),
+        ("wq_norm", math.nan, "wq_norm must be nonnegative and finite"),
+        ("wv_norm", math.inf, "wv_norm must be nonnegative and finite"),
+    ])
+    def test_whole_and_finite_fields(self, field, value, message):
+        # n = 1.5 gave a bound of 6.75, nu = inf gave inf, wq_norm = nan gave nan
+        fields = dict(n=1, nu=1, tau=1, eps=1, wq_norm=1, wk_norm=1, wv_norm=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ScsaParams(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: witness_attained(2.5, 1), "n must be a whole number, got 2.5"),
+    (lambda: witness_limit_sequence(3.5, 2, [0.1]), "n must be a whole number, got 3.5"),
+    (lambda: witness_example_pair(2.5), "n must be a whole number, got 2.5"),
+    (lambda: witness_example_pair(4, K=math.nan), "K must be nonnegative and finite"),
+    (lambda: witness_example_pair(4, eps_pert=math.inf), "eps_pert must be positive and finite"),
+], ids=["attained_n", "limit_sequence_n", "example_n", "example_K", "example_eps_pert"])
+def test_witnesses_reject_what_they_cannot_build(build, message):
+    # a fractional n raised a numpy TypeError; a NaN K or an infinite step
+    # blamed "logits must have finite entries"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_closed_form_matches_row_norm():

@@ -98,9 +98,11 @@ class TestNormOrder:
             NormOrder(float("nan"))
 
     def test_huge_p_coerced_to_infinity(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             order = NormOrder(1e7)
         assert order.is_infinity
+        # the warning names this line, not the generated __init__ ("<string>")
+        assert caught[0].filename == __file__
 
 
 class TestVectorNorm:
@@ -109,6 +111,10 @@ class TestVectorNorm:
 
     def test_max_entry(self):
         assert vector_norm([3.0, 4.0], "inf") == 4.0
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, "inf"])
+    def test_empty_vector(self, p):
+        assert vector_norm([], p) == 0.0
 
     def test_cube_root(self):
         assert vector_norm([1.0, 1.0, 1.0], 3) == pytest.approx(3.0 ** (1.0 / 3.0), rel=1e-15)
