@@ -219,9 +219,9 @@ def parse_inline_vector(text: str) -> np.ndarray:
     if gen:
         name = gen.group("name")
         args = [a.strip() for a in gen.group("args").split(",") if a.strip() != ""]
+        if name in ("ln9-vector", "zeros") and len(args) != 1:
+            raise InputError(f"{name} takes one argument: the length")
         if name == "ln9-vector":
-            if len(args) != 1:
-                raise InputError("ln9-vector takes one argument: the length")
             return attaining_logits(_length_arg(args[0], "ln9-vector", minimum=2))
         if name == "example-vector":
             if len(args) not in (1, 2):
@@ -230,8 +230,6 @@ def parse_inline_vector(text: str) -> np.ndarray:
             big_k = _parse_float(args[1], "example-vector") if len(args) == 2 else 20.0
             return example_logits(n, big_k)
         if name == "zeros":
-            if len(args) != 1:
-                raise InputError("zeros takes one argument: the length")
             return np.zeros(_length_arg(args[0], "zeros"))
         raise InputError(f"unknown inline generator {name!r}")
     return np.array(_parse_list(text, "--inline", _parse_float), dtype=np.float64)
@@ -256,13 +254,20 @@ def _emit(obj, indent: int, out: list) -> None:
         obj = obj.tolist()
     pad = "  " * indent
     if isinstance(obj, (dict, list, tuple)):
-        is_dict = isinstance(obj, dict)
-        entries = [(f'"{k}": ', v) for k, v in obj.items()] if is_dict else [("", v) for v in obj]
-        out.append("{" if is_dict else "[")
-        for i, (label, value) in enumerate(entries):
-            out.append(f"{',' if i else ''}\n{pad}  {label}")
+        if isinstance(obj, dict):
+            items = list(obj.items())
+            open_, close = "{", "}"
+        else:
+            items = [(None, v) for v in obj]
+            open_, close = "[", "]"
+        out.append(open_)
+        for i, (key, value) in enumerate(items):
+            out.append(",\n" if i else "\n")
+            out.append(pad + "  " if key is None else f'{pad}  "{key}": ')
             _emit(value, indent + 1, out)
-        out.append((f"\n{pad}" if entries else "") + ("}" if is_dict else "]"))
+        if items:
+            out.append("\n" + pad)
+        out.append(close)
     elif isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         out.append(f'"{escaped}"')
@@ -536,19 +541,22 @@ def cmd_dsfp(args, argv: list[str]) -> int:
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
-_WEIGHTS = ("wq", "wk", "wv")
-
-
 def _weight_norm(args, name: str) -> float:
     """--name, or the spectral norm of the --name-file matrix."""
     scalar = getattr(args, name)
-    return opnorm_two(read_matrix_csv(getattr(args, f"{name}_file"))) if scalar is None else scalar
+    if scalar is None:
+        return opnorm_two(read_matrix_csv(getattr(args, f"{name}_file")))
+    if scalar < 0.0:
+        raise InputError(f"--{name} must be nonnegative")
+    return scalar
 
 
 def cmd_scsa(args, argv: list[str]) -> int:
     params = ScsaParams(
         n=args.n, nu=args.nu, tau=args.tau, eps=args.eps,
-        **{f"{name}_norm": _weight_norm(args, name) for name in _WEIGHTS},
+        wq_norm=_weight_norm(args, "wq"),
+        wk_norm=_weight_norm(args, "wk"),
+        wv_norm=_weight_norm(args, "wv"),
     )
     bound = scsa_bound(params)
     before = scsa_bound_unrefined(params)
@@ -624,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     scs.add_argument("--nu", type=number, required=True)
     scs.add_argument("--tau", type=number, required=True)
     scs.add_argument("--eps", type=number, required=True)
-    for name in _WEIGHTS:
+    for name in ("wq", "wk", "wv"):
         weight = scs.add_mutually_exclusive_group(required=True)
         weight.add_argument(f"--{name}", type=number, help=f"spectral norm of W_{name[1].upper()}")
         weight.add_argument(f"--{name}-file", help="CSV matrix; reduced via its spectral norm")
@@ -638,8 +646,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     with warnings.catch_warnings():
-        # each warning, once per code location, is one "warning:" line
-        warnings.simplefilter("default")
+        # each warning the caller's filters let through is one "warning:" line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args = parser.parse_args(argv)

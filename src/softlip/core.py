@@ -28,13 +28,17 @@ TOL_SIMPLEX_PER_ENTRY = 1e-12
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _count(value, name: str) -> int:
-    """`value` as an int. A count must pass `operator.index`, so numpy
-    integers do and 2.5 or 2.0 do not; the error names the field."""
+def _count(value, name: str, minimum: int | None = None) -> int:
+    """`value` as an int of at least `minimum`. A count must pass
+    `operator.index`, so numpy integers do and 2.5 or 2.0 do not; the error
+    names the field."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    if minimum is not None and count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {count}")
+    return count
 
 
 def _frozen_vector(values, name: str) -> np.ndarray:

@@ -201,10 +201,9 @@ class PerturbationSpec:
         object.__setattr__(self, "p", NormOrder.of(self.p))
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("perturbation magnitude epsilon must be positive and finite")
-        for name in ("trials_per_input", "seed"):
-            object.__setattr__(self, name, _count(getattr(self, name), name))
-        if self.trials_per_input < 1:
-            raise ValueError("need at least one trial per input")
+        trials = _count(self.trials_per_input, "trials_per_input", 1)
+        object.__setattr__(self, "trials_per_input", trials)
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.mode not in (MODE_RANDOM, MODE_TOP_EIGENVECTOR):
             raise ValueError(f"unknown perturbation mode {self.mode!r}")
         if self.aggregate not in ("max", "mean"):
@@ -254,8 +253,7 @@ def sample_perturbation(
     secular equation, in O(n), first nonzero entry positive), matching the
     near-attaining example construction.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _count(n, "n", 2)
     if spec.mode == MODE_TOP_EIGENVECTOR:
         if base is None:
             raise ValueError("top-eigenvector mode needs the base input")
@@ -411,7 +409,8 @@ def empirical_lp(
     `epsilon_index` to reproduce a single row of an epsilon sweep: this is
     the one-epsilon case of the sweep's kernel, `_estimate`.
     """
-    return _estimate(inputs, t, spec, [spec.epsilon], [epsilon_index])
+    index = _count(epsilon_index, "epsilon_index", 0)
+    return _estimate(inputs, t, spec, [spec.epsilon], [index])
 
 
 def epsilon_sweep(

@@ -104,9 +104,7 @@ class DsfpConfig:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter", 1))
         object.__setattr__(self, "p", NormOrder.of(self.p))
         if not isinstance(self.y0, str):
             arr = np.array(self.y0, dtype=np.float64, copy=True)

@@ -120,9 +120,7 @@ class ScsaParams:
     wv_norm: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _count(self.n, "n"))
-        if self.n < 1:
-            raise ValueError("token count n must be a positive integer")
+        object.__setattr__(self, "n", _count(self.n, "n", 1))
         for name in ("nu", "tau", "eps"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -191,9 +189,7 @@ def witness_attained(n: int, p: Union[NormOrder, float, str]) -> tuple[Logits, f
     inf-norm of the Jacobian attain the global bound. Attainment fails for
     every other order when n > 2, so those are rejected.
     """
-    n = _count(n, "n")
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _count(n, "n", 2)
     order = NormOrder.of(p)
     if not (order.is_one or order.is_infinity):
         raise ValueError(
@@ -215,9 +211,7 @@ def witness_limit_sequence(
     comes out to exactly 1/2 - epsilon. Smaller epsilon moves the point
     toward the boundary and the ratio toward 1/2.
     """
-    n = _count(n, "n")
-    if n <= 2:
-        raise ValueError("the limit sequence needs n > 2 free coordinates")
+    n = _count(n, "n", 3)
     order = NormOrder.of(p)
     if order.is_one or order.is_infinity:
         raise ValueError("the limit sequence is for 1 < p < inf; use witness_attained instead")
@@ -265,9 +259,7 @@ def witness_example_pair(
     the measured ratio carries float64 noise of order 1e-9 and can even
     poke past 1/2; the true ratio never does.
     """
-    n = _count(n, "n")
-    if n < 2:
-        raise ValueError("need n >= 2")
+    n = _count(n, "n", 2)
     if not 0.0 <= K < math.inf:
         raise ValueError("K must be nonnegative and finite")
     if not 0.0 < eps_pert < math.inf:

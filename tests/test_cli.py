@@ -672,6 +672,14 @@ class TestScsaCommand:
         assert main(argv) == EXIT_INPUT
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["wq", "wk", "wv"])
+    def test_negative_weight_names_its_option(self, name, capsys):
+        weights = {"wq": "1", "wk": "1", "wv": "1", name: "-1"}
+        argv = ["scsa", "--n", "2", "--nu", "1", "--tau", "2", "--eps", "4"]
+        argv += [a for w, v in weights.items() for a in (f"--{w}", v)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: --{name} must be nonnegative\n"
+
     def test_nonpositive_rejected(self):
         assert main(["scsa", "--n", "0", "--nu", "1", "--tau", "1", "--eps", "1",
                      "--wq", "1", "--wk", "1", "--wv", "1"]) == EXIT_INPUT
@@ -731,11 +739,31 @@ class TestParserBehavior:
         assert main(argv) == EXIT_INPUT
         assert f"{option}: non-finite value '1e400'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["witness", "--mode", "attained", "--n", "1"], "n must be at least 2, got 1"),
+        (["witness", "--mode", "limit-sequence", "--n", "2", "--epsilons", "0.1"],
+         "n must be at least 3, got 2"),
+        (["scsa", "--n", "0", "--nu", "1", "--tau", "1", "--eps", "1",
+          "--wq", "1", "--wk", "1", "--wv", "1"], "n must be at least 1, got 0"),
+        (["estimate", "--matrix", "m.csv", "--trials", "0"],
+         "trials_per_input must be at least 1, got 0"),
+        (["dsfp", "--payoff", "m.csv", "--tau", "1", "--max-iter", "0"],
+         "max_iter must be at least 1, got 0"),
+    ], ids=["attained", "limit_sequence", "scsa", "estimate", "dsfp"])
+    def test_count_below_its_least_value(self, argv, message, tmp_path, monkeypatch, capsys):
+        # the value types state each count's least value with its
+        # whole-number rule, and the message gives the value
+        (tmp_path / "m.csv").write_text("1,2\n3,4\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_input_error_names_what_it_concerns(self):
         assert isinstance(InputError("x"), ValueError)
         assert str(InputError("empty list", "--eps-list")) == "--eps-list: empty list"
         assert str(InputError("empty list")) == "empty list"
 
+    @pytest.mark.filterwarnings("default")
     def test_warning_is_one_line(self, capsys):
         # the coercion warning escaped as "<string>:4: UserWarning: ..." plus
         # its source line, naming code the dataclass machinery generated
@@ -743,6 +771,11 @@ class TestParserBehavior:
         assert capsys.readouterr().err == (
             "warning: norm order p=2e+06 exceeds 1e+06; treating as infinity\n"
         )
+
+    def test_callers_warning_filters_still_apply(self):
+        # the suite runs under filterwarnings = error: main must not reset it
+        with pytest.raises(UserWarning, match="treating as infinity"):
+            main(["jacobian-norm", "--inline", "1,2,3", "--p", "2e6"])
 
     def test_norm_order_spellings(self):
         for text in ("inf", " Infinity ", "OO"):

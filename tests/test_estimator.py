@@ -399,6 +399,22 @@ class TestSpecValidation:
         want = empirical_lp(inputs, 1.0, spec(trials=2, seed=-3))
         assert empirical_lp(inputs, 1.0, spec(trials=np.int64(2), seed=np.int64(-3))) == want
 
+    def test_other_counts_are_whole_numbers(self):
+        # epsilon_index=1.5 raised a numpy TypeError from the sub-seed fold
+        # and -1 returned a ratio for a sweep row that does not exist
+        inputs = [example_input(4)]
+        with pytest.raises(ValueError, match="epsilon_index must be a whole number, got 1.5"):
+            empirical_lp(inputs, 1.0, spec(trials=2), epsilon_index=1.5)
+        with pytest.raises(ValueError, match="epsilon_index must be at least 0, got -1"):
+            empirical_lp(inputs, 1.0, spec(trials=2), epsilon_index=-1)
+        want = empirical_lp(inputs, 1.0, spec(trials=2), epsilon_index=1)
+        assert empirical_lp(inputs, 1.0, spec(trials=2), epsilon_index=np.int64(1)) == want
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="n must be at least 2, got 1"):
+            sample_perturbation(1, spec(trials=1), rng)
+        with pytest.raises(ValueError, match="n must be a whole number, got 2.5"):
+            sample_perturbation(2.5, spec(trials=1), rng)
+
     def test_bad_aggregate(self):
         with pytest.raises(ValueError):
             spec(aggregate="median")

@@ -750,6 +750,7 @@ class TestScsaBound:
 
     @pytest.mark.parametrize("field, value, message", [
         ("n", 1.5, "n must be a whole number, got 1.5"),
+        ("n", 0, "n must be at least 1, got 0"),
         ("nu", math.inf, "nu must be positive and finite"),
         ("eps", math.inf, "eps must be positive and finite"),
         ("wq_norm", math.nan, "wq_norm must be nonnegative and finite"),
@@ -766,9 +767,13 @@ class TestScsaBound:
     (lambda: witness_attained(2.5, 1), "n must be a whole number, got 2.5"),
     (lambda: witness_limit_sequence(3.5, 2, [0.1]), "n must be a whole number, got 3.5"),
     (lambda: witness_example_pair(2.5), "n must be a whole number, got 2.5"),
+    (lambda: witness_attained(1, 1), "n must be at least 2, got 1"),
+    (lambda: witness_limit_sequence(2, 2, [0.1]), "n must be at least 3, got 2"),
+    (lambda: witness_example_pair(1), "n must be at least 2, got 1"),
     (lambda: witness_example_pair(4, K=math.nan), "K must be nonnegative and finite"),
     (lambda: witness_example_pair(4, eps_pert=math.inf), "eps_pert must be positive and finite"),
-], ids=["attained_n", "limit_sequence_n", "example_n", "example_K", "example_eps_pert"])
+], ids=["attained_n", "limit_sequence_n", "example_n", "attained_min", "limit_sequence_min",
+        "example_min", "example_K", "example_eps_pert"])
 def test_witnesses_reject_what_they_cannot_build(build, message):
     # a fractional n raised a numpy TypeError; a NaN K or an infinite step
     # blamed "logits must have finite entries"
