@@ -38,7 +38,15 @@ from softlip.estimator import (
     epsilon_sweep,
 )
 from softlip.fixtures import attaining_logits, example_logits
-from softlip.games import DsfpConfig, DsfpResult, MatrixGame, dsfp_solve, tau_min
+from softlip.games import (
+    TAU_LIMIT,
+    TAU_MIN,
+    DsfpConfig,
+    DsfpResult,
+    MatrixGame,
+    dsfp_solve,
+    tau_min,
+)
 from softlip.lipschitz import (
     ScsaParams,
     closed_form_linf,
@@ -500,7 +508,16 @@ def cmd_dsfp(args, argv: list[str]) -> int:
     game = MatrixGame(payoff)
     order = args.p
     if args.tau.strip().lower() == "auto":
-        resolved_tau = 1.01 * tau_min(game, order)
+        # at least TAU_MIN, so a zero or tiny payoff gets a tau in range;
+        # the factor stays below 1 / 1.01^2 either way
+        threshold = tau_min(game, order)
+        resolved_tau = max(1.01 * threshold, TAU_MIN)
+        if not resolved_tau < TAU_LIMIT:
+            raise InputError(
+                f"the payoff's ||A||_{order.label} upper end {2.0 * threshold:.17g} puts "
+                f"tau at {resolved_tau:.17g}, not below 2^511; scale the payoff down",
+                "--tau auto",
+            )
     else:
         resolved_tau = _parse_float(args.tau, "--tau")
     config = DsfpConfig(
@@ -619,7 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     dsf = sub.add_parser("dsfp", help="solve an entropy-regularized zero-sum matrix game")
     dsf.add_argument("--payoff", required=True, help="CSV payoff matrix")
-    dsf.add_argument("--tau", default="auto", help="regularization, or 'auto' (=1.01 * tau_min)")
+    dsf.add_argument(
+        "--tau", default="auto", help="regularization, or 'auto' (=max(1.01 * tau_min, 2^-512))"
+    )
     dsf.add_argument("--alpha", type=number, default=1.0)
     dsf.add_argument("--p", type=norm_order, default=NormOrder.two())
     dsf.add_argument("--tol", type=number, default=1e-10)

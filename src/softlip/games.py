@@ -15,7 +15,9 @@ factor is not below 1.
 
 Both factors read only certified upper ends of ||A||_p and ||A^T||_p,
 with no power iteration: the dense upper-end policy `opnorm._upper_norms`
-states which end each order takes.
+states which end each order takes. A `MatrixGame` computes the norms those
+ends need at most once, on first use, so `tau_min` and every contraction
+factor of one game share its one eigensolve, whatever the order.
 
 Both softmaxes of a step are `core._softmax_rows`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
@@ -41,6 +43,7 @@ from softlip.core import SimplexPoint, _count, _softmax_rows, boundary_point
 from softlip.opnorm import (
     NormOrder,
     _SQUARES_MIN,
+    _MatrixNorms,
     _as_matrix,
     _upper_norms,
     opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
@@ -69,14 +72,24 @@ def _check_tau(tau) -> None:
 
 @dataclass(frozen=True)
 class MatrixGame:
-    """A finite payoff matrix; the row player minimizes x^T A y."""
+    """A finite payoff matrix; the row player minimizes x^T A y.
+
+    `a` is a read-only copy, so its norms, computed once on first use, stay
+    valid for the game's lifetime. They take no part in equality or repr,
+    and a pickled game carries only `a`.
+    """
 
     a: np.ndarray
+    _norms: _MatrixNorms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _as_matrix(self.a).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
+        object.__setattr__(self, "_norms", _MatrixNorms(arr))
+
+    def __reduce__(self):
+        return type(self), (self.a,)
 
     @property
     def n(self) -> int:
@@ -173,14 +186,15 @@ def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
 
 def tau_min(game: MatrixGame, p: Union[NormOrder, float, str]) -> float:
     """Contraction threshold ||A||_p / 2, from the certified upper end of
-    ||A||_p that `opnorm._upper_norms` gives.
+    ||A||_p that `opnorm._upper_norms` gives. The norms it reads are the
+    game's, computed on the first call at any order and then reused.
 
     Any tau strictly above the threshold makes the classical factor < 1.
     For general p that factor leans on ||A^T||_p = ||A||_p, which only
     holds at p = 2; compare contraction_factor's safe value before
     trusting it.
     """
-    return _upper_norms(game.a, NormOrder.of(p))[0] / 2.0
+    return _upper_norms(game._norms, NormOrder.of(p))[0] / 2.0
 
 
 def contraction_factor(
@@ -189,14 +203,15 @@ def contraction_factor(
     """(nominal, safe) contraction factors of T at regularization tau.
 
     nominal = ||A||_p^2 / (4 tau^2); safe = ||A||_p ||A^T||_p / (4 tau^2),
-    both from the certified upper ends of `opnorm._upper_norms`, which
-    `tau_min` uses too. At p = 2 one eigensolve serves both sides, so
+    both from the certified upper ends of `opnorm._upper_norms` on the
+    game's norms, which `tau_min` reads too: one eigensolve per game
+    serves every order outside {1, inf}. At p = 2 it serves both sides, so
     safe == nominal; they also coincide for symmetric payoffs, and
     elsewhere the safe factor is the provable one. tau outside
     [TAU_MIN, TAU_LIMIT) raises ValueError.
     """
     _check_tau(tau)
-    a_norm, at_norm = _upper_norms(game.a, NormOrder.of(p))
+    a_norm, at_norm = _upper_norms(game._norms, NormOrder.of(p))
     return _factor(a_norm, a_norm, float(tau)), _factor(a_norm, at_norm, float(tau))
 
 

@@ -15,11 +15,13 @@ matrix. The dense 2-norm forms one Gram matrix (`_gram`), of A scaled by
 the power of two that brings its largest entry into [1/2, 1).
 `_upper_norms` is the one policy for certified upper ends of ||A||_p and
 ||A^T||_p of a dense matrix without power iteration, which the game
-solver's contraction diagnostics read.
+solver's contraction diagnostics read. It takes the norms it needs from a
+`_MatrixNorms`, which computes each at most once per matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -404,9 +406,34 @@ def _outward_upper(one: float, two: float, inf: float, order: NormOrder) -> tupl
     return outward * interpolated, "interpolation"
 
 
-def _upper_norms(arr: np.ndarray, order: NormOrder) -> tuple[float, float]:
-    """Certified upper ends of (||A||_p, ||A^T||_p) for a validated matrix,
-    with no power iteration: the dense upper-end policy.
+class _MatrixNorms:
+    """The norms `_upper_norms` reads from one validated matrix that is
+    never written: (||A||_1, ||A||_inf) from `_one_inf` and the
+    `_two_norm_upper` end of ||A||_2, each computed on first use and kept,
+    so every order and every caller holding this object share one
+    eigensolve."""
+
+    __slots__ = ("arr", "_sums", "_two")
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+        self._sums: Optional[tuple[float, float]] = None
+        self._two: Optional[float] = None
+
+    def one_inf(self) -> tuple[float, float]:
+        if self._sums is None:
+            self._sums = _one_inf(self.arr)
+        return self._sums
+
+    def two(self) -> float:
+        if self._two is None:
+            self._two = _two_norm_upper(self.arr)
+        return self._two
+
+
+def _upper_norms(norms: _MatrixNorms, order: NormOrder) -> tuple[float, float]:
+    """Certified upper ends of (||A||_p, ||A^T||_p) for the matrix of
+    `norms`, with no power iteration: the dense upper-end policy.
 
     p in {1, inf}: the exact column and row sums (||A^T||_1 = ||A||_inf).
     Every other p reads one ||A||_2 = ||A^T||_2 from `_two_norm_upper`:
@@ -419,19 +446,24 @@ def _upper_norms(arr: np.ndarray, order: NormOrder) -> tuple[float, float]:
     upper end that `opnorm_p_estimate` starts from.
     """
     if order.is_two:
-        two = _two_norm_upper(arr) * (1.0 + _UPPER_SLACK)
+        two = norms.two() * (1.0 + _UPPER_SLACK)
         return two, two
-    one, inf = _one_inf(arr)
+    one, inf = norms.one_inf()
     if order.is_one:
         return one, inf
     if order.is_infinity:
         return inf, one
-    two = _two_norm_upper(arr)
+    two = norms.two()
     return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
 
 
+@functools.lru_cache(maxsize=4)
 def _restart_block(n: int) -> np.ndarray:
-    """Fixed restart rows: basis vectors, all-ones, then `default_rng(0)` signs."""
+    """Fixed restart rows: basis vectors, all-ones, then `default_rng(0)` signs.
+
+    Read-only, and kept for the last 4 sizes asked for: each holds
+    _BOYD_RESTARTS * n * 8 = 64 n bytes (6.4 MB at n = 10^5).
+    """
     rng = np.random.default_rng(0)
     rows = []
     for j in range(min(n, _BOYD_RESTARTS - 2)):
@@ -441,7 +473,9 @@ def _restart_block(n: int) -> np.ndarray:
     rows.append(np.ones(n))
     while len(rows) < _BOYD_RESTARTS:
         rows.append(rng.choice([-1.0, 1.0], size=n))
-    return np.vstack(rows)
+    block = np.vstack(rows)
+    block.flags.writeable = False
+    return block
 
 
 def _boyd_lower(

@@ -31,7 +31,7 @@ from softlip.cli import (
     InputError,
 )
 from softlip.fixtures import attaining_logits, example_logits, write_fixtures
-from softlip.games import DsfpError
+from softlip.games import TAU_MIN, DsfpError
 from softlip.opnorm import NormEstimate, NormOrder, OpNormError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -506,6 +506,35 @@ class TestDsfpCommand:
         assert doc["result"]["contraction_nominal"] < 1.0
         assert doc["result"]["no_certificate"] is False
         assert doc["manifest"]["resolved"]["tau"] == doc["result"]["tau"]
+
+    @pytest.mark.parametrize("p", ["1", "2", "3"])
+    @pytest.mark.parametrize("rows", [["0,0,0", "0,0,0"], ["1e-160,0", "0,1e-160"]],
+                             ids=["zero", "tiny"])
+    def test_auto_tau_is_at_least_the_minimum(self, tmp_path, rows, p):
+        # auto was 1.01 tau_min alone, below 2^-512 here, and exited 2 with
+        # "tau must satisfy ... got 0.0" (or 5.05e-161), a tau never typed
+        path = tmp_path / "small.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out_path = tmp_path / "r.json"
+        argv = ["dsfp", "--payoff", str(path), "--p", p, "--out", str(out_path)]
+        assert main(argv) == EXIT_OK
+        doc = load_report(out_path)
+        assert doc["result"]["tau"] == doc["manifest"]["resolved"]["tau"] == TAU_MIN
+        assert doc["result"]["contraction_safe"] < 1.0 / 1.0201
+        assert doc["result"]["certified"] is True and doc["result"]["converged"] is True
+
+    @pytest.mark.parametrize("rows, norm", [
+        (["1e308,1e308", "1e308,1e308"], "inf"), (["1e308"], "1.0000000000009095e+308"),
+    ], ids=["infinite-norm", "finite-norm"])
+    def test_auto_tau_beyond_the_limit(self, tmp_path, capsys, rows, norm):
+        # auto exited 2 with "tau must satisfy ... got inf" (or 5.05e307)
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["dsfp", "--payoff", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --tau auto: the payoff's ||A||_2 upper end {norm} ")
+        assert captured.err.count("\n") == 1
 
     def test_failed_eigensolve_answers_at_p_two(self, fixture_dir, tmp_path, monkeypatch):
         # p = 2 takes the certified fallback bracket's upper end, as other

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from softlip.games import (
 )
 from softlip.opnorm import (
     NormOrder,
+    _MatrixNorms,
     interpolation_bound,
     opnorm_p_estimate,
     opnorm_two,
@@ -341,14 +344,14 @@ class TestUpperNorms:
         order = NormOrder.of(p)
         outward = 1.0 + opnorm_module._UPPER_SLACK
         for a in seeded_payoffs():
-            ends = _upper_norms(a, order)
+            ends = _upper_norms(_MatrixNorms(a), order)
             for mat, upper in zip((a, a.T), ends):
                 assert opnorm_p_estimate(mat, order).lower <= upper
                 assert upper <= outward * interpolation_bound(mat, order)
 
     def test_riesz_thorin_wins_on_random_payoffs(self):
         a = np.random.default_rng(5).standard_normal((60, 90))
-        for mat, upper in zip((a, a.T), _upper_norms(a, NormOrder.of(3))):
+        for mat, upper in zip((a, a.T), _upper_norms(_MatrixNorms(a), NormOrder.of(3))):
             assert upper < 0.5 * interpolation_bound(mat, 3)
 
     def test_general_p_end_is_the_p_estimate_upper_end(self):
@@ -359,7 +362,7 @@ class TestUpperNorms:
             for p in (1.25, 1.5, 3.0, 7.0):
                 est = opnorm_p_estimate(a, p)
                 if not est.exact:
-                    assert _upper_norms(a, NormOrder.of(p))[0] == est.upper
+                    assert _upper_norms(_MatrixNorms(a), NormOrder.of(p))[0] == est.upper
 
     def test_never_above_interpolation(self, monkeypatch):
         # an eigensolve that rounds ||A||_2 far up still leaves the old bound
@@ -367,14 +370,14 @@ class TestUpperNorms:
         a = np.random.default_rng(8).standard_normal((6, 9))
         outward = 1.0 + opnorm_module._UPPER_SLACK
         for p in (1.5, 3.0):
-            for mat, upper in zip((a, a.T), _upper_norms(a, NormOrder.of(p))):
+            for mat, upper in zip((a, a.T), _upper_norms(_MatrixNorms(a), NormOrder.of(p))):
                 assert upper == outward * interpolation_bound(mat, p)
 
     @pytest.mark.parametrize("p", [1, "inf"])
     def test_canonical_ends_are_exact_sums(self, p):
         a = np.random.default_rng(6).standard_normal((7, 4))
         order = NormOrder.of(p)
-        ends = _upper_norms(a, order)
+        ends = _upper_norms(_MatrixNorms(a), order)
         assert ends == (opnorm_p_estimate(a, order).upper, opnorm_p_estimate(a.T, order).upper)
 
     def test_tau_min_two_is_the_eigensolve_value(self):
@@ -462,13 +465,13 @@ class TestUpperNorms:
     def test_failed_eigensolve_falls_back(self, monkeypatch):
         game = random_game(53, (6, 9))
         order = NormOrder.of(3)
-        before = _upper_norms(game.a, order)
+        before = _upper_norms(_MatrixNorms(game.a), order)
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        after = _upper_norms(game.a, order)
+        after = _upper_norms(_MatrixNorms(game.a), order)
         for mat, old, new in zip((game.a, game.a.T), before, after):
             assert old <= new <= (1.0 + opnorm_module._UPPER_SLACK) * interpolation_bound(mat, order)
 
@@ -579,8 +582,8 @@ class TestSolverLoop:
         game = random_game(67, (6, 9))
         dsfp_solve(game, DsfpConfig(tau=2.0, p=p))
         assert counts == {"eigh": eigh, "eigvalsh": eigvalsh, "power": 0}
-        tau_min(game, p)
-        assert counts == {"eigh": 2 * eigh, "eigvalsh": 2 * eigvalsh, "power": 0}
+        tau_min(game, p)  # the game's norms: no second eigensolve
+        assert counts == {"eigh": eigh, "eigvalsh": eigvalsh, "power": 0}
 
 
 class TestTauRange:
@@ -623,3 +626,92 @@ class TestTauRange:
         res = dsfp_solve(game, DsfpConfig(tau=TAU_MIN))
         assert res.converged
         assert math.isfinite(res.contraction_safe)
+
+
+def counting(monkeypatch, module, name):
+    """Wrap module.name so each call adds one to the returned list's entry."""
+    calls = [0]
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+ORDERS = [1, 1.5, 2, 3, "inf"]
+
+
+class TestGameNorms:
+    """A MatrixGame computes its norms once, on first use, at any order."""
+
+    def test_one_eigensolve_per_game(self, monkeypatch):
+        calls = counting(monkeypatch, np.linalg, "eigvalsh")
+        game = random_game(91, (6, 9))
+        for p in (2, 3, 1.5):
+            tau = 1.01 * tau_min(game, p)
+            dsfp_solve(game, DsfpConfig(tau=tau, p=p))
+        assert calls == [1]
+        game = random_game(91, (6, 9))
+        for p in (1, "inf"):
+            dsfp_solve(game, DsfpConfig(tau=1.01 * tau_min(game, p), p=p))
+        assert calls == [1]
+
+    @pytest.mark.parametrize("shape", [(5, 5), (6, 9)])
+    def test_same_bits_as_a_fresh_game(self, shape):
+        a = np.random.default_rng(92).standard_normal(shape)
+        warm = MatrixGame(a)
+        for p in reversed(ORDERS):  # every order finds the norms already there
+            tau_min(warm, p)
+        for p in ORDERS:
+            threshold = tau_min(warm, p)
+            assert threshold == tau_min(MatrixGame(a), p)
+            assert contraction_factor(warm, 0.7, p) == contraction_factor(MatrixGame(a), 0.7, p)
+            config = DsfpConfig(tau=1.01 * threshold, p=p)
+            got, want = dsfp_solve(warm, config), dsfp_solve(MatrixGame(a), config)
+            assert got.y_star.tobytes() == want.y_star.tobytes()
+            assert got.x_star.tobytes() == want.x_star.tobytes()
+            for name in ("iterations", "residual", "contraction_nominal", "contraction_safe",
+                         "regularized_value", "trace", "clamp_events", "certified"):
+                assert getattr(got, name) == getattr(want, name), name
+
+    def test_fallback_bracket_computed_once(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        calls = counting(monkeypatch, opnorm_module, "_two_norm_fallback_bracket")
+        game = random_game(93, (6, 9))
+        first = tau_min(game, 2)
+        for p in (3, 1.5, 2):
+            tau_min(game, p)
+            contraction_factor(game, 1.0, p)
+        assert calls == [1]
+        assert tau_min(game, 2) == first
+
+    def test_overflowed_end_computed_once(self, monkeypatch):
+        calls = counting(monkeypatch, np.linalg, "eigvalsh")
+        game = MatrixGame(np.full((2, 2), 1e308))
+        for p in (2, 3, 1.5):
+            assert tau_min(game, p) == math.inf
+            assert contraction_factor(game, 1.0, p) == (math.inf, math.inf)
+        assert calls == [1]
+
+    def test_norms_hidden_from_equality_repr_replace_and_pickle(self):
+        a = np.random.default_rng(94).standard_normal((3, 4))
+        game = MatrixGame(a)
+        tau_min(game, 2)
+        assert [f.name for f in dataclasses.fields(game) if f.compare or f.repr] == ["a"]
+        assert repr(game) == f"MatrixGame(a={game.a!r})"
+        assert game == game
+        assert MatrixGame([[2.0]]) == MatrixGame([[2.0]]) != MatrixGame([[3.0]])
+        # a replaced payoff gets its own norms, never the old game's
+        scaled = dataclasses.replace(game, a=2.0 * a)
+        assert tau_min(scaled, 2) == tau_min(MatrixGame(2.0 * a), 2)
+        # a pickled game carries its payoff alone; the copy is read-only again
+        assert pickle.dumps(game) == pickle.dumps(MatrixGame(a))
+        loaded = pickle.loads(pickle.dumps(game))
+        assert loaded.a.tobytes() == game.a.tobytes() and not loaded.a.flags.writeable
+        assert tau_min(loaded, 3) == tau_min(game, 3)

@@ -558,6 +558,13 @@ class TestFrozenBoydBrackets:
         # the dense power iteration finds no ratio above the upper end
         assert opnorm_p_estimate(jac, p).lower <= est.upper
 
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_restart_block_is_kept_read_only(self, n):
+        block = opnorm._restart_block(n)
+        assert opnorm._restart_block(n) is block and not block.flags.writeable
+        fresh = opnorm._restart_block.__wrapped__(n)
+        assert block.shape == (opnorm._BOYD_RESTARTS, n) and block.tobytes() == fresh.tobytes()
+
 
 class TestMaxoutStrictness:
     def test_rows_below_max_by_squared_gap(self):
