@@ -4,8 +4,11 @@ The estimate over a dataset x_1..x_M is
 
     max over inputs i and trials of  ||sig(x_i + d) - sig(x_i)||_p / ||d||_p
 
-with perturbations d of prescribed p-norm epsilon. Attention score matrices
-are handled row-wise, matching how softmax is applied inside attention.
+with perturbations d of magnitude epsilon: of p-norm epsilon in random
+mode, and of 2-norm epsilon in top-eigenvector mode, where d is epsilon
+times a unit eigenvector. Each ratio divides by the realized ||d||_p.
+Attention score matrices are handled row-wise, matching how softmax is
+applied inside attention.
 
 Reproducibility contract: every (input, trial, epsilon) triple draws from
 its own generator seeded by `subseed`, so results are bit-identical no
@@ -243,7 +246,7 @@ def sample_perturbation(
     rng: Optional[np.random.Generator] = None,
     base: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Draw one perturbation of exact p-norm epsilon.
+    """Draw one perturbation of magnitude epsilon.
 
     Random mode draws a standard normal direction from `rng` and rescales
     it onto the epsilon sphere of the spec's norm (redrawing the
@@ -251,7 +254,8 @@ def sample_perturbation(
     `rng` may be None there; it returns epsilon times the unit top
     eigenvector of the unit-temperature Jacobian at `base` (from its
     secular equation, in O(n), first nonzero entry positive), matching the
-    near-attaining example construction.
+    near-attaining example construction. That perturbation has 2-norm
+    epsilon, whatever the spec's norm.
     """
     n = _count(n, "n", 2)
     if spec.mode == MODE_TOP_EIGENVECTOR:
@@ -307,14 +311,20 @@ def _estimate(
     no table entry depends on the block size or on the other epsilons. The
     headline value and provenance are those of the first epsilon with the
     largest aggregate, and clamps are summed over the epsilons. An error
-    is the one the epsilons raise one at a time, in order: an epsilon's
-    rows fail in one way only, too small (tiny epsilon) or not finite
-    (huge epsilon).
+    is the one the first failing row raises, which is the one its epsilon
+    raises alone: a NaN or inf epsilon's spec error, or else too small (a
+    tiny epsilon) or not finite (a huge one), since an epsilon's rows fail
+    in one way only.
     """
     lam = Temperature.of(t).lam
     data = _as_inputs(inputs)
     count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
     total = count * len(epsilons)
+    if total >= 1 << 63:  # the row indices are int64
+        raise ValueError(
+            f"trials_per_input is too large: {data.shape[0]} inputs x {spec.trials_per_input}"
+            f" trials x {len(epsilons)} epsilons is at least 2^63 rows"
+        )
     scales = np.array(epsilons, dtype=np.float64)
     base, clamped = _softmax_rows(data, lam)
     clamps = int(clamped.sum()) * len(epsilons)
@@ -332,28 +342,28 @@ def _estimate(
         epsilon_of, pairs = np.divmod(np.arange(start, stop), count)
         inputs_of = pairs // spec.trials_per_input
         scale = scales[epsilon_of]
-        if spec.mode == MODE_TOP_EIGENVECTOR:
-            delta = scale[:, None] * units[inputs_of]
-        else:
-            delta = np.empty((stop - start, n))
-            block_rngs = list(itertools.islice(rngs, stop - start))
-            for rng, row in zip(block_rngs, delta):
-                rng.standard_normal(out=row)
-            for r in np.flatnonzero(~delta.any(axis=1)):  # the measure-zero zero draw
-                while not delta[r].any():
-                    block_rngs[r].standard_normal(out=delta[r])
-            with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        with np.errstate(over="ignore", invalid="ignore"):  # failures are raised below
+            if spec.mode == MODE_TOP_EIGENVECTOR:
+                delta = scale[:, None] * units[inputs_of]
+            else:
+                delta = np.empty((stop - start, n))
+                block_rngs = list(itertools.islice(rngs, stop - start))
+                for rng, row in zip(block_rngs, delta):
+                    rng.standard_normal(out=row)
+                for r in np.flatnonzero(~delta.any(axis=1)):  # the measure-zero zero draw
+                    while not delta[r].any():
+                        block_rngs[r].standard_normal(out=delta[r])
                 delta *= (scale / row_norms(delta, spec.p))[:, None]
-        z = data[inputs_of]
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            z = data[inputs_of]
             z += delta
-        if not np.isfinite(z).all():
-            # an earlier epsilon in the block may be too small; it fails first
-            bad = int(np.isfinite(z).all(axis=1).argmin())
-            _check_realized(row_norms(delta[:max(0, bad - int(pairs[bad]))], spec.p))
+            realized = row_norms(delta, spec.p)
+        if not (np.isfinite(z).all() and realized.all()):
+            # the first failing row names the error, as its epsilon alone would
+            r = int((~np.isfinite(z).all(axis=1) | (realized == 0.0)).argmax())
+            replace(spec, epsilon=float(scale[r]))  # a NaN or inf epsilon raises its own error
+            if not realized[r]:
+                raise ValueError("epsilon is too small: a perturbation rounds to zero")
             raise ValueError("logits must have finite entries")
-        realized = row_norms(delta, spec.p)
-        _check_realized(realized)
         probs, clamped = _softmax_rows(z, lam)
         clamps += int(clamped.sum())
         probs -= base[inputs_of]
@@ -388,12 +398,6 @@ def _estimate(
     )
 
 
-def _check_realized(realized: np.ndarray) -> None:
-    """Reject perturbations whose realized norm rounds to zero."""
-    if not realized.all():
-        raise ValueError("epsilon is too small: a perturbation rounds to zero")
-
-
 def empirical_lp(
     inputs: Union[np.ndarray, Sequence],
     t: Union[Temperature, float],
@@ -424,16 +428,12 @@ def epsilon_sweep(
     Row j of the table equals empirical_lp with epsilon_index=j, so every
     row is individually reproducible; all rows are evaluated in one pass.
     The report's headline value and provenance come from the row with the
-    largest aggregate.
+    largest aggregate. A failing sweep raises the error of its first
+    failing row, which is the error of the epsilons run one at a time.
     """
     if not len(epsilons):
         raise ValueError("need at least one epsilon")
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("epsilons must be positive")
-    finite = list(itertools.takewhile(math.isfinite, map(float, epsilons)))
-    if len(finite) < len(epsilons):
-        # a NaN or inf raises its spec's error, after the epsilons before it
-        if finite:
-            _estimate(inputs, t, base_spec, finite, range(len(finite)))
-        replace(base_spec, epsilon=float(epsilons[len(finite)]))  # raises
+    replace(base_spec, epsilon=float(epsilons[0]))  # run alone, it fails its spec before the inputs
     return _estimate(inputs, t, base_spec, epsilons, range(len(epsilons)))

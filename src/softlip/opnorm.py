@@ -43,6 +43,9 @@ _FLOAT_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 #: Smallest positive normal float64.
 _TINY = float(np.finfo(np.float64).tiny)
 
+#: Largest finite float64.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+
 _BOYD_RESTARTS = 8
 _BOYD_MAX_ITER = 500
 _BOYD_STALL_TOL = 1e-13
@@ -185,7 +188,8 @@ def _rescaled_two_norms(a: np.ndarray) -> np.ndarray:
     neither overflow nor underflow loses it."""
     _, expo = np.frexp(np.abs(a).max(axis=1))
     scaled = np.ldexp(a, -expo[:, None])
-    return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), expo)
+    with np.errstate(over="ignore"):  # a norm beyond the float max is inf
+        return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), expo)
 
 
 def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
@@ -200,7 +204,8 @@ def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
     powering, so huge orders (up to the coercion threshold) neither
     overflow nor underflow, and takes the final root in Python floats
     (libm), which numpy's vectorized power does not reproduce to the last
-    bit.
+    bit. At every p a row holding inf, or whose norm is beyond the float
+    max, has norm inf, and a row holding NaN has norm NaN, with no warning.
     """
     order = NormOrder.of(p)
     a = np.ascontiguousarray(rows, dtype=np.float64)
@@ -217,8 +222,9 @@ def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
     a = np.abs(a)
     if order.is_infinity:
         return a.max(axis=1)
-    m = a.max(axis=1)
-    m[m == 0.0] = 1.0  # an all-zero row still sums to 0
+    # the row max, clamped into [5e-324, float max] so that an all-zero row
+    # sums to 0 and a row holding inf to inf, with no 0/0 or inf/inf
+    m = np.minimum(a.max(axis=1, initial=5e-324), _FLOAT_MAX)
     powered = (a / m[:, None]) ** order.p
     inv_p = 1.0 / order.p
     return np.array([mi * si**inv_p for mi, si in zip(m.tolist(), powered.sum(axis=1).tolist())])
@@ -375,8 +381,12 @@ def riesz_thorin_bound(
     inf^(1-theta) two^theta with theta = 2/p for p > 2. It returns `one`,
     `two` or `inf` itself at p = 1, 2 or inf. For a matrix whose 2-norm is
     small next to its row and column sums it is far below
-    `interpolation_bound`, which uses the two ends alone.
+    `interpolation_bound`, which uses the two ends alone. Each bound must
+    be non-negative; inf is allowed.
     """
+    for name, bound in (("one", one), ("two", two), ("inf", inf)):
+        if not bound >= 0.0:
+            raise ValueError(f"{name} must be a non-negative norm bound, got {bound}")
     order = NormOrder.of(p)
     if order.is_two:
         return two

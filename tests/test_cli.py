@@ -787,6 +787,17 @@ class TestParserBehavior:
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_sweep_beyond_int64_rows_exits_2(self, fixture_dir, capsys):
+        # the row indices overflowed int64: exit 4 with "Python int too large
+        # to convert to C long"
+        matrix = str(fixture_dir / "matching_pennies.csv")
+        argv = ["estimate", "--matrix", matrix, "--trials", "99999999999999999999999"]
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: trials_per_input is too large: 2 inputs x")
+        assert out.err.count("\n") == 1
+
     def test_input_error_names_what_it_concerns(self):
         assert isinstance(InputError("x"), ValueError)
         assert str(InputError("empty list", "--eps-list")) == "--eps-list: empty list"

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +52,11 @@ class TestSamplePerturbation:
         d = sample_perturbation(10, spec(mode=MODE_TOP_EIGENVECTOR), np.random.default_rng(0), base=x)
         pair = witness_example_pair(10, 20.0, 1e-4, 2)
         np.testing.assert_allclose(d, pair.y.values - pair.x.values, atol=1e-18)
+        # on the l2 sphere whatever the spec's norm, so not on the l1.5 one
+        d = sample_perturbation(5, spec(p=1.5, eps=0.01, mode=MODE_TOP_EIGENVECTOR),
+                                base=np.array([0.3, -1.0, 2.0, 0.5, 0.0]))
+        assert vector_norm(d, 2) == pytest.approx(0.01, rel=1e-15)
+        assert vector_norm(d, 1.5) == pytest.approx(0.01168, rel=1e-3)
 
     def test_top_eigenvector_needs_base(self):
         with pytest.raises(ValueError):
@@ -536,6 +542,17 @@ class TestBatchedEquivalence:
         with pytest.raises(ValueError, match="epsilon is too small"):
             empirical_lp([np.zeros(4)], 1.0, spec(eps=5e-324))
 
+    def test_rows_beyond_int64_rejected(self):
+        # np.arange over the row indices raised OverflowError
+        inputs = [np.zeros(3), np.ones(3)]
+        s = spec(trials=2**62)
+        with pytest.raises(ValueError, match="^trials_per_input is too large: 2 inputs x"):
+            epsilon_sweep(inputs, 1.0, s, [1e-2])
+        with pytest.raises(ValueError, match="^trials_per_input is too large: 1 inputs x"):
+            empirical_lp(inputs[:1], 1.0, replace(s, trials_per_input=2**63))
+        with pytest.raises(ValueError, match="finite entries"):  # the inputs are checked first
+            empirical_lp([[0.0, np.inf]], 1.0, replace(s, trials_per_input=2**63))
+
 
 def one_epsilon_at_a_time(inputs, lam, s, epsilons):
     """The sweep as one `empirical_lp` call per epsilon, in order: its
@@ -646,25 +663,26 @@ class TestSweepKernel:
         ]
         assert swept.per_epsilon_table == tuple((e, r[0]) for e, r in zip(self.EPSILONS, rows))
 
-    @pytest.mark.parametrize("epsilons, message", [
-        ([1e-2, float("nan")], "epsilon must be positive"),
-        ([float("nan"), 1e-2], "epsilon must be positive"),
-        ([1e-2, float("inf")], "epsilon must be positive and finite"),
-        ([1e-2, 5e-324], "epsilon is too small"),
-        # the first failing epsilon names the error, whatever the later ones
-        ([5e-324, float("inf")], "epsilon is too small"),
-        ([float("inf"), 5e-324], "epsilon must be positive and finite"),
-        ([5e-324, float("nan")], "epsilon is too small"),
-        ([float("inf"), float("nan")], "epsilon must be positive and finite"),
-    ])
+    # every ordered pair: NaN and inf fail their spec, 5e-324 rounds to a
+    # zero random perturbation, 1e308 overflows the second input's logits,
+    # and 1e-300 and 1e-2 pass
+    EXTREMES = [float("nan"), float("inf"), 5e-324, 1e-300, 1e-2, 1e308]
+
+    @pytest.mark.parametrize("epsilons", list(itertools.product(EXTREMES, repeat=2)))
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
     @pytest.mark.parametrize("block", [4, 4096])  # blocks of one row, one block
-    def test_errors_are_those_of_one_epsilon_at_a_time(self, epsilons, message, block, monkeypatch):
+    def test_errors_are_those_of_one_epsilon_at_a_time(self, epsilons, mode, block, monkeypatch):
         monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
-        inputs = [np.zeros(4), np.ones(4)]
-        s = spec(trials=3)
-        with pytest.raises(ValueError, match=message) as raised:
-            epsilon_sweep(inputs, 1.0, s, epsilons)
-        assert str(raised.value) == str(one_epsilon_at_a_time(inputs, 1.0, s, epsilons))
+        inputs = [np.zeros(4), np.full(4, 1.5e308)]
+        s = spec(trials=3, mode=mode)
+        singles = one_epsilon_at_a_time(inputs, 1.0, s, epsilons)
+        if isinstance(singles, ValueError):
+            with pytest.raises(ValueError) as raised:
+                epsilon_sweep(inputs, 1.0, s, epsilons)
+            assert str(raised.value) == str(singles)
+        else:
+            table = epsilon_sweep(inputs, 1.0, s, epsilons).per_epsilon_table
+            assert table == tuple((e, single.empirical_lp) for e, single in zip(epsilons, singles))
 
     def test_infinite_epsilon_in_top_eigenvector_mode(self):
         # inf times the unit witness's zero entries warned "invalid value

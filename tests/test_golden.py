@@ -1,4 +1,5 @@
-"""Byte-for-byte golden reports for the README's CLI commands.
+"""Byte-for-byte golden reports for the README's CLI commands, and a run of
+its library example.
 
 The files under tests/golden/ were written by the CLI before the code they
 guard was refactored: the `estimate` goldens before the estimator was
@@ -127,3 +128,16 @@ def test_every_readme_command_has_a_golden_case():
     assert len(commands) == 7
     for argv in commands:
         assert argv in cases, f"no golden case for README command: softlip {shlex.join(argv)}"
+
+
+def test_readme_library_example_runs():
+    # the example and what its comments claim: a bracket at most 0.5, the
+    # uniform equilibrium and a residual of about 0
+    text = README.read_text(encoding="utf-8")
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", text, re.S).group(1)
+    scope = {}
+    exec(compile(code, str(README), "exec"), scope)
+    est, res = scope["est"], scope["res"]
+    assert est.lower <= est.upper <= 0.5
+    assert res.y_star.tolist() == [0.5, 0.5]
+    assert res.residual <= 1e-10

@@ -168,8 +168,15 @@ class TestVectorNorm:
     def test_two_norm_of_subnormals_and_beyond_range(self):
         assert vector_norm([3e-320, 4e-320], 2) == pytest.approx(5e-320, rel=1e-3, abs=0.0)
         assert vector_norm([5e-324], 2) == 5e-324
-        with np.errstate(over="ignore"):
-            assert vector_norm([1.5e308, 1.5e308], 2) == math.inf
+        assert vector_norm([1.5e308, 1.5e308], 2) == math.inf
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, 9e5, "inf"])
+    def test_infinite_entry_gives_inf_and_nan_gives_nan(self, p):
+        # at general p the max-scaled powers divided inf by inf: NaN and a warning
+        assert vector_norm([1.0, math.inf], p) == math.inf
+        assert vector_norm([-math.inf, 1e300, 0.0], p) == math.inf
+        assert math.isnan(vector_norm([math.nan, math.inf], p))
+        assert math.isnan(vector_norm([1.0, math.nan], p))
 
 
 class TestRowNorms:
@@ -299,6 +306,19 @@ class TestRieszThorinBound:
         assert riesz_thorin_bound(9.0, 4.0, 100.0, 4.0 / 3.0) == pytest.approx(6.0, rel=1e-15)
         assert riesz_thorin_bound(100.0, 4.0, 9.0, 4.0) == pytest.approx(6.0, rel=1e-15)
         assert riesz_thorin_bound(0.0, 0.0, 0.0, 3) == 0.0
+
+    @pytest.mark.parametrize("name", ["one", "two", "inf"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, "inf"])
+    def test_rejects_negative_or_nan_bounds(self, name, bad, p):
+        # (-1, 1, 1) at p = 1.5 gave the complex number (0.5+0.866j)
+        bounds = {"one": 1.0, "two": 1.0, "inf": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            riesz_thorin_bound(p=p, **bounds)
+
+    def test_infinite_bounds_are_allowed(self):
+        assert riesz_thorin_bound(math.inf, 1.0, 1.0, 1.5) == math.inf
+        assert riesz_thorin_bound(1.0, 1.0, math.inf, 2) == 1.0
 
     def test_bounds_the_power_iteration_ratio(self):
         rng = np.random.default_rng(2026)
