@@ -144,44 +144,37 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 
 def _parse_matrix(text: str, path: str) -> np.ndarray:
-    """The matrix in a CSV text: one `str.translate` check that the text
-    uses only `_CSV_ALPHABET` (ASCII digits, `eE+-.`, comma, space, tab, CR
-    and LF), one `float` map per line, then one finiteness check. Any miss
-    falls back to the per-cell parser, which gives the same array or names
-    the first bad field."""
-    lines = [line for raw in text.split("\n") if (line := raw.rstrip("\r")) != ""]
-    if lines and not text.translate(_CSV_ALPHABET):
-        try:
-            rows = [list(map(float, line.split(","))) for line in lines]
-        except ValueError:
-            rows = []
-        if rows and all(len(row) == len(rows[0]) for row in rows):
-            mat = np.array(rows, dtype=np.float64)
-            if np.isfinite(mat).all():
-                return mat
-    return _parse_matrix_cells(text, path)
+    """The matrix in a CSV text, read in one loop over its lines.
 
-
-def _parse_matrix_cells(text: str, path: str) -> np.ndarray:
-    """The per-cell parser behind `_parse_matrix`; it alone writes the
-    error messages, naming the line and column of the first bad field."""
+    One `str.translate` checks that the whole text uses only
+    `_CSV_ALPHABET` (ASCII digits, `eE+-.`, comma, space, tab, CR and LF).
+    Each non-blank line is split once; in a clean text it is one `float`
+    map. A line of an unclean text, one `float` rejects, or one whose sum
+    is not finite (1e400, or finite entries that overflow) is parsed cell
+    by cell by `_parse_float`, which names the line and column of its
+    first bad field. Then its width is checked against the first row's.
+    """
+    clean = not text.translate(_CSV_ALPHABET)
     rows: list[list[float]] = []
-    width = None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if line == "":
             continue  # blank lines (incl. the trailing newline) carry no row
-        fields = line.split(",")
-        parsed = []
-        for col, tok in enumerate(fields, start=1):
-            parsed.append(_parse_float(tok.strip(), f"{path}: line {lineno}, column {col}"))
-        if width is None:
-            width = len(parsed)
-        elif len(parsed) != width:
+        cells = line.split(",")
+        try:
+            row = list(map(float, cells)) if clean else None
+        except ValueError:
+            row = None
+        if row is None or not math.isfinite(sum(row)):
+            row = [
+                _parse_float(tok.strip(), f"{path}: line {lineno}, column {col}")
+                for col, tok in enumerate(cells, start=1)
+            ]
+        if rows and len(row) != len(rows[0]):
             raise InputError(
-                f"expected {width} fields, found {len(parsed)}", f"{path}: line {lineno}"
+                f"expected {len(rows[0])} fields, found {len(row)}", f"{path}: line {lineno}"
             )
-        rows.append(parsed)
+        rows.append(row)
     if not rows:
         raise InputError("empty input", path)
     return np.array(rows, dtype=np.float64)
@@ -577,6 +570,11 @@ def cmd_scsa(args, argv: list[str]) -> int:
     )
     bound = scsa_bound(params)
     before = scsa_bound_unrefined(params)
+    if not (math.isfinite(bound) and math.isfinite(before)):
+        # no report can carry it, so it is an input error before any output
+        raise InputError(
+            "the SCSA Lipschitz bound overflows float64; use smaller parameters or weight norms"
+        )
     print(f"refined SCSA Lipschitz bound:      {format_float(bound)}")
     print(f"pre-refinement bound (2x QK terms): {format_float(before)}")
     result = {**_fields_dict(params), "bound": bound, "pre_refinement_bound": before}

@@ -31,6 +31,7 @@ from softlip.core import (
     _jacobian_diagonal,
     _jacobian_times,
     _secular_witness,
+    boundary_point,
     jacobian,  # not called here; perfbench/spans.py wraps this name
     softmax,
 )
@@ -131,8 +132,10 @@ class ScsaParams:
 
 def closed_form_linf(s) -> float:
     """max_i 2 s_i (1 - s_i): the exact 1- and inf-norm of Diag(s) - s s^T,
-    from `core._jacobian_diagonal` (accurate where the top s_i nears 1)."""
-    probs = s.probs if isinstance(s, SimplexPoint) else np.asarray(s, dtype=np.float64)
+    from `core._jacobian_diagonal` (accurate where the top s_i nears 1).
+    A SimplexPoint is taken as it is; any other `s` must pass
+    `core.boundary_point`, as in `m_of_s`."""
+    probs = s.probs if isinstance(s, SimplexPoint) else boundary_point(s)
     return 2.0 * float(_jacobian_diagonal(probs)[0].max())
 
 

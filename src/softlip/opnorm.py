@@ -382,12 +382,15 @@ def riesz_thorin_bound(
     `two` or `inf` itself at p = 1, 2 or inf. For a matrix whose 2-norm is
     small next to its row and column sums it is far below
     `interpolation_bound`, which uses the two ends alone. Each bound must
-    be non-negative; inf is allowed.
+    be non-negative; inf is allowed. A zero bound means a zero matrix, so
+    any zero bound gives 0.0, also beside an inf.
     """
     for name, bound in (("one", one), ("two", two), ("inf", inf)):
         if not bound >= 0.0:
             raise ValueError(f"{name} must be a non-negative norm bound, got {bound}")
     order = NormOrder.of(p)
+    if 0.0 in (one, two, inf):
+        return 0.0
     if order.is_two:
         return two
     if order.p < 2.0:

@@ -103,15 +103,52 @@ class TestCsvIngestion:
             read_matrix_csv(str(path))
 
     def test_clean_file_skips_the_per_cell_parser(self, tmp_path, monkeypatch):
-        def fail(text, path):
+        def fail(text, what=""):
             raise AssertionError("per-cell parser called on a clean file")
 
-        monkeypatch.setattr(cli, "_parse_matrix_cells", fail)
+        monkeypatch.setattr(cli, "_parse_float", fail)
         path = tmp_path / "m.csv"
         path.write_text(" 1.5 ,-2e-3\r\n\n0.25,\t3\n", encoding="utf-8")
         np.testing.assert_array_equal(
             read_matrix_csv(str(path)), [[1.5, -2e-3], [0.25, 3.0]]
         )
+
+    def test_bad_last_line_parses_only_that_line_per_cell(self, monkeypatch):
+        calls, parse_float = [], cli._parse_float
+
+        def spy(text, what=""):
+            calls.append(what)
+            return parse_float(text, what)
+
+        monkeypatch.setattr(cli, "_parse_float", spy)
+        text = "1.5,-2e-3,3\n" * 49 + "4,1e400,6\n"
+        with pytest.raises(InputError, match="line 50, column 2: non-finite value '1e400'"):
+            cli._parse_matrix(text, "m.csv")
+        assert calls == [f"m.csv: line 50, column {col}" for col in (1, 2)]
+
+
+def parse_matrix_cells(text, path):
+    """The per-cell reference parser: `_parse_float` on every field, line
+    by line, then the width and empty-input checks."""
+    rows = []
+    width = None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if line == "":
+            continue
+        parsed = []
+        for col, tok in enumerate(line.split(","), start=1):
+            parsed.append(cli._parse_float(tok.strip(), f"{path}: line {lineno}, column {col}"))
+        if width is None:
+            width = len(parsed)
+        elif len(parsed) != width:
+            raise InputError(
+                f"expected {width} fields, found {len(parsed)}", f"{path}: line {lineno}"
+            )
+        rows.append(parsed)
+    if not rows:
+        raise InputError("empty input", path)
+    return np.array(rows, dtype=np.float64)
 
 
 def parse_outcome(parse, text):
@@ -128,7 +165,7 @@ _CSV_TOKENS = st.one_of(
     st.integers(-10**20, 10**20).map(str),
     st.sampled_from([
         "0", "-0.0", "+.5", "1.", ".e1", "1e400", "-1e400", "1e-400", "nan", "inf",
-        "-Infinity", "1_0", "0x10", "abc", "", "1 2", "\u0661", "1e5e5",
+        "-Infinity", "1_0", "0x10", "abc", "", "1 2", "\u0661", "1e5e5", "1e308", "-1e308",
     ]),
 )
 # whitespace that str.strip removes; \x1c and \xa0 are not ASCII spaces to float()
@@ -144,17 +181,18 @@ _CSV_LINE = st.one_of(st.lists(_CSV_CELL, min_size=1, max_size=4).map(",".join),
     trailing=st.booleans(),
 )
 def test_csv_fast_path_matches_per_cell_parser(lines, newline, trailing):
-    # the fast path gives the per-cell parser's array bits or its exact message
+    # the reader gives the per-cell parser's array bits or its exact message
     text = newline.join(lines) + (newline if trailing else "")
-    assert parse_outcome(cli._parse_matrix, text) == parse_outcome(cli._parse_matrix_cells, text)
+    assert parse_outcome(cli._parse_matrix, text) == parse_outcome(parse_matrix_cells, text)
 
 
 @pytest.mark.parametrize("text", [
     "1,2\n3,4\n", " 1 ,\t2\r\n3 , 4\r\n", "1e400,1\n", "1,nan\n", "1_0,2\n",
-    "1,2\n3\n", "1,2\n\n3,4,5\n", "1\x1c,2\n", "\n\n", "1,2,\n",
+    "1,2\n3\n", "1,2\n\n3,4,5\n", "1\x1c,2\n", "\n\n", "1,2,\n", "1e308,1e308\n",
+    "1,2\n3,1e400,5\n",
 ])
 def test_csv_fast_path_examples(text):
-    assert parse_outcome(cli._parse_matrix, text) == parse_outcome(cli._parse_matrix_cells, text)
+    assert parse_outcome(cli._parse_matrix, text) == parse_outcome(parse_matrix_cells, text)
 
 
 class TestInlineVectors:
@@ -688,6 +726,24 @@ class TestScsaCommand:
         result = load_report(out_path)["result"]
         assert result["wq_norm"] == pytest.approx(3.0, rel=1e-12)
         assert result["bound"] == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("values", [
+        ["--nu", "1", "--tau", "1", "--eps", "4", "--wq", "1e308", "--wk", "1", "--wv", "1"],
+        ["--nu", "1e308", "--tau", "1e308", "--eps", "1e-308", "--wq", "1", "--wk", "1",
+         "--wv", "1"],
+    ], ids=["refined_finite", "both_inf"])
+    def test_overflowing_bound_is_an_input_error_before_output(self, values, tmp_path, capsys):
+        # printed the refined bound, then failed to serialize the other as inf
+        out = tmp_path / "s.json"
+        rc = main(["scsa", "--n", "2", *values, "--json-out", str(out)])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the SCSA Lipschitz bound overflows float64; "
+            "use smaller parameters or weight norms\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("weights, message", [
         (["--wk", "1", "--wv", "1"], "one of the arguments --wq --wq-file is required"),

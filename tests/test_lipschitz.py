@@ -781,6 +781,15 @@ def test_witnesses_reject_what_they_cannot_build(build, message):
         build()
 
 
+@pytest.mark.parametrize("s, message", [
+    ([2.0, -1.0], "nonnegative"), ([0.5, 0.7], "beyond tolerance"),
+])
+def test_closed_form_rejects_a_non_probability_vector(s, message):
+    # gave -4.0 and 0.7, where m_of_s rejects both
+    with pytest.raises(ValueError, match=message):
+        closed_form_linf(s)
+
+
 def test_closed_form_matches_row_norm():
     rng = np.random.default_rng(33)
     for _ in range(30):

@@ -320,6 +320,13 @@ class TestRieszThorinBound:
         assert riesz_thorin_bound(math.inf, 1.0, 1.0, 1.5) == math.inf
         assert riesz_thorin_bound(1.0, 1.0, math.inf, 2) == 1.0
 
+    @pytest.mark.parametrize("one, two, inf, p", [
+        (math.inf, 0.0, 1.0, 1.5), (1.0, 0.0, math.inf, 3), (0.0, math.inf, 1.0, 1.5),
+    ])
+    def test_a_zero_bound_beside_inf_gives_zero(self, one, two, inf, p):
+        # inf**(1 - theta) * 0**theta was nan; a zero bound means a zero matrix
+        assert riesz_thorin_bound(one, two, inf, p) == 0.0
+
     def test_bounds_the_power_iteration_ratio(self):
         rng = np.random.default_rng(2026)
         for shape in [(4, 4), (7, 3), (3, 9), (25, 25)]:
