@@ -22,6 +22,7 @@ from softlip.estimator import (
     PerturbationSpec,
     empirical_lp,
     epsilon_sweep,
+    order_sweep,
     sample_perturbation,
 )
 from softlip.games import (
@@ -99,6 +100,7 @@ __all__ = [
     "sample_perturbation",
     "empirical_lp",
     "epsilon_sweep",
+    "order_sweep",
     "MatrixGame",
     "DsfpConfig",
     "DsfpResult",

@@ -35,7 +35,8 @@ from softlip.estimator import (
     MODE_RANDOM,
     MODE_TOP_EIGENVECTOR,
     PerturbationSpec,
-    epsilon_sweep,
+    epsilon_sweep,  # not called here; perfbench/spans.py wraps this name
+    order_sweep,
 )
 from softlip.fixtures import attaining_logits, example_logits
 from softlip.games import (
@@ -426,21 +427,19 @@ def cmd_estimate(args, argv: list[str]) -> int:
     if any(e <= 0.0 for e in epsilons):
         raise InputError("magnitudes must be positive", "--eps-list")
     orders = _parse_list(args.p_list, "--p-list", _parse_norm_order)
-    reports = []
+    spec = PerturbationSpec(
+        p=orders[0],
+        epsilon=epsilons[0],
+        trials_per_input=args.trials,
+        mode=args.mode,
+        seed=seed,
+        aggregate=args.aggregate,
+    )
+    reports = order_sweep(matrix, args.lam, spec, epsilons, orders)
     csv_lines = ["epsilon,p,empirical_lp"]
-    for order in orders:
-        spec = PerturbationSpec(
-            p=order,
-            epsilon=epsilons[0],
-            trials_per_input=args.trials,
-            mode=args.mode,
-            seed=seed,
-            aggregate=args.aggregate,
-        )
-        report = epsilon_sweep(matrix, args.lam, spec, epsilons)
-        reports.append(report)
+    for report in reports:
         for eps, value in report.per_epsilon_table:
-            csv_lines.append(f"{format_float(eps)},{order.label},{format_float(value)}")
+            csv_lines.append(f"{format_float(eps)},{report.p.label},{format_float(value)}")
     overall = max(r.empirical_lp for r in reports)
     result = {
         "matrix": args.matrix,

@@ -21,6 +21,13 @@ of rows may span epsilons. Each epsilon keeps its own maximum, ties and
 mean, so row j of a sweep's table is `empirical_lp` with epsilon_index=j,
 the one-epsilon case of the same pass.
 
+A row's draw does not depend on the norm order, so `order_sweep` serves
+several orders from that one pass: each row builds its generator and
+draws its normal vector once, and each order rescales the draw onto its
+own sphere and keeps its own maxima, ties, means and clamps per epsilon.
+Report k is the `epsilon_sweep` of order k alone, bit for bit, and
+`epsilon_sweep` is the one-order case.
+
 Each triple's stream is exactly `np.random.default_rng(subseed(...))`,
 that is `PCG64(SeedSequence(subseed))`. The estimator computes the
 subseeds and their SeedSequence states for a batch of rows at once, across
@@ -295,27 +302,75 @@ def _as_inputs(inputs) -> np.ndarray:
     return data
 
 
+class _Tally:
+    """One norm order's running state in a pass: per epsilon, the largest
+    ratio (first occurrence), its row and the left-to-right sum of ratios;
+    and the clamps."""
+
+    def __init__(self, spec: PerturbationSpec, epsilons: int, clamps: int):
+        self.spec = spec
+        self.best = [-1.0] * epsilons
+        self.best_row = [0] * epsilons
+        self.sums = [0.0] * epsilons
+        self.clamps = clamps
+
+    def add(self, ratio: np.ndarray, clamps: int, segments, pairs: np.ndarray) -> None:
+        """Take one block's ratios; `segments` holds (epsilon j, lo, hi) for
+        each run of the block's rows that belongs to epsilon j."""
+        self.clamps += clamps
+        for j, lo, hi in segments:
+            k = lo + int(ratio[lo:hi].argmax())
+            if ratio[k] > self.best[j]:
+                self.best[j] = float(ratio[k])
+                self.best_row[j] = int(pairs[k])
+            if self.spec.aggregate == "mean":
+                for value in ratio[lo:hi].tolist():
+                    self.sums[j] += value
+
+
+def _row_error(spec: PerturbationSpec, epsilon: float, realized: float) -> ValueError:
+    """The error of a failing row, which is the one its epsilon raises alone:
+    a NaN or inf epsilon's spec error, else too small (its perturbation
+    rounds to zero) or not finite (the perturbed logits overflow)."""
+    try:
+        replace(spec, epsilon=epsilon)
+    except ValueError as exc:
+        return exc
+    if not realized:
+        return ValueError("epsilon is too small: a perturbation rounds to zero")
+    return ValueError("logits must have finite entries")
+
+
 def _estimate(
-    inputs, t, spec: PerturbationSpec, epsilons: Sequence[float], epsilon_indices: Sequence[int]
-) -> EstimateReport:
-    """The report of `spec` run at each of `epsilons`, epsilon j drawing
-    with epsilon index `epsilon_indices[j]`: the kernel of `empirical_lp`
-    and `epsilon_sweep`.
+    inputs,
+    t,
+    specs: Sequence[PerturbationSpec],
+    epsilons: Sequence[float],
+    epsilon_indices: Sequence[int],
+) -> tuple[EstimateReport, ...]:
+    """The report of each of `specs`, which differ in p alone, run at each
+    of `epsilons`, epsilon j drawing with epsilon index `epsilon_indices[j]`:
+    the kernel of `empirical_lp`, `epsilon_sweep` and `order_sweep`.
 
     The inputs and the temperature are validated, and the base softmax
     taken, once. The (epsilon, input, trial) rows are evaluated in that
     order, in blocks of at most _BLOCK_ELEMENTS entries that may straddle
-    epsilons. Each row has the bits of a per-pair evaluation with
-    `sample_perturbation`, `softmax` and `vector_norm`; each epsilon keeps
-    its own maximum (first occurrence) and mean (added left to right), so
-    no table entry depends on the block size or on the other epsilons. The
-    headline value and provenance are those of the first epsilon with the
-    largest aggregate, and clamps are summed over the epsilons. An error
-    is the one the first failing row raises, which is the one its epsilon
-    raises alone: a NaN or inf epsilon's spec error, or else too small (a
-    tiny epsilon) or not finite (a huge one), since an epsilon's rows fail
-    in one way only.
+    epsilons. A row's draw does not depend on p, so each row builds its
+    generator and draws once for every order, and each order rescales that
+    draw onto its own sphere; in top-eigenvector mode the perturbed softmax
+    is shared as well. Each row has the bits of a per-pair evaluation with
+    `sample_perturbation`, `softmax` and `vector_norm`; each order keeps,
+    per epsilon, its own maximum (first occurrence) and mean (added left to
+    right), so no table entry depends on the block size, on the other
+    epsilons or on the other orders. A report's headline value and
+    provenance are those of its first epsilon with the largest aggregate,
+    and its clamps are summed over the epsilons.
+
+    An order's error is the one its first failing row raises, which is the
+    one its epsilon raises alone; an order stops at that row and so do the
+    orders after it, and the first order that fails names the error.
     """
+    spec = specs[0]
     lam = Temperature.of(t).lam
     data = _as_inputs(inputs)
     count, n = data.shape[0] * spec.trials_per_input, data.shape[1]
@@ -327,75 +382,82 @@ def _estimate(
         )
     scales = np.array(epsilons, dtype=np.float64)
     base, clamped = _softmax_rows(data, lam)
-    clamps = int(clamped.sum()) * len(epsilons)
-    best = [-1.0] * len(epsilons)
-    best_row = [0] * len(epsilons)
-    sums = [0.0] * len(epsilons)
-    if spec.mode == MODE_TOP_EIGENVECTOR:
+    tallies = [_Tally(s, len(epsilons), int(clamped.sum()) * len(epsilons)) for s in specs]
+    live, failure = list(tallies), None
+    random = spec.mode == MODE_RANDOM
+    if random:
+        rngs = _generators(spec.seed, count, spec.trials_per_input, *epsilon_indices)
+    else:
         # the unit-temperature witness of each input, scaled per epsilon
         units = np.stack([_secular_witness(s) for s in _softmax_rows(data, 1.0)[0]])
-    else:
-        rngs = _generators(spec.seed, count, spec.trials_per_input, *epsilon_indices)
     step = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, total, step):
         stop = min(start + step, total)
         epsilon_of, pairs = np.divmod(np.arange(start, stop), count)
         inputs_of = pairs // spec.trials_per_input
         scale = scales[epsilon_of]
-        with np.errstate(over="ignore", invalid="ignore"):  # failures are raised below
-            if spec.mode == MODE_TOP_EIGENVECTOR:
+        segments = [
+            (j, max(j * count, start) - start, min((j + 1) * count, stop) - start)
+            for j in range(int(epsilon_of[0]), int(epsilon_of[-1]) + 1)
+        ]
+        if random:
+            g = np.empty((stop - start, n))
+            block_rngs = list(itertools.islice(rngs, stop - start))
+            for rng, row in zip(block_rngs, g):
+                rng.standard_normal(out=row)
+            for r in np.flatnonzero(~g.any(axis=1)):  # the measure-zero zero draw
+                while not g[r].any():
+                    block_rngs[r].standard_normal(out=g[r])
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
                 delta = scale[:, None] * units[inputs_of]
-            else:
-                delta = np.empty((stop - start, n))
-                block_rngs = list(itertools.islice(rngs, stop - start))
-                for rng, row in zip(block_rngs, delta):
-                    rng.standard_normal(out=row)
-                for r in np.flatnonzero(~delta.any(axis=1)):  # the measure-zero zero draw
-                    while not delta[r].any():
-                        block_rngs[r].standard_normal(out=delta[r])
-                delta *= (scale / row_norms(delta, spec.p))[:, None]
-            z = data[inputs_of]
-            z += delta
-            realized = row_norms(delta, spec.p)
-        if not (np.isfinite(z).all() and realized.all()):
-            # the first failing row names the error, as its epsilon alone would
-            r = int((~np.isfinite(z).all(axis=1) | (realized == 0.0)).argmax())
-            replace(spec, epsilon=float(scale[r]))  # a NaN or inf epsilon raises its own error
-            if not realized[r]:
-                raise ValueError("epsilon is too small: a perturbation rounds to zero")
-            raise ValueError("logits must have finite entries")
-        probs, clamped = _softmax_rows(z, lam)
-        clamps += int(clamped.sum())
-        probs -= base[inputs_of]
-        ratio = row_norms(probs, spec.p) / realized
-        for j in range(int(epsilon_of[0]), int(epsilon_of[-1]) + 1):
-            lo, hi = max(j * count, start) - start, min((j + 1) * count, stop) - start
-            k = lo + int(ratio[lo:hi].argmax())
-            if ratio[k] > best[j]:
-                best[j] = float(ratio[k])
-                best_row[j] = int(pairs[k])
-            if spec.aggregate == "mean":
-                for value in ratio[lo:hi].tolist():
-                    sums[j] += value
-    values = best if spec.aggregate == "max" else [value / count for value in sums]
-    top = values.index(max(values))
-    best_at = divmod(best_row[top], spec.trials_per_input)
-    return EstimateReport(
-        empirical_lp=values[top],
-        argmax_input_index=best_at[0],
-        argmax_trial=best_at[1],
-        argmax_epsilon_index=epsilon_indices[top],
-        per_epsilon_table=tuple(zip(map(float, epsilons), values)),
-        lam=lam,
-        p=spec.p,
-        inputs_count=data.shape[0],
-        trials_per_input=spec.trials_per_input,
-        mode=spec.mode,
-        seed=spec.seed,
-        aggregate=spec.aggregate,
-        clamp_events=clamps,
-        bound_exceeded=values[top] > lam / 2.0 + 1e-9,
-    )
+                z = data[inputs_of]
+                z += delta
+            probs = None
+        for k, tally in enumerate(live):
+            p = tally.spec.p
+            with np.errstate(over="ignore", invalid="ignore"):  # failures are raised below
+                if random:
+                    delta = g * (scale / row_norms(g, p))[:, None]
+                    z = data[inputs_of]
+                    z += delta
+                realized = row_norms(delta, p)
+            if not (np.isfinite(z).all() and realized.all()):
+                r = int((~np.isfinite(z).all(axis=1) | (realized == 0.0)).argmax())
+                failure = _row_error(tally.spec, float(scale[r]), realized[r])
+                del live[k:]  # an order after this one can no longer name the error
+                break
+            if random or probs is None:
+                probs, clamped = _softmax_rows(z, lam)
+                probs -= base[inputs_of]
+                block_clamps = int(clamped.sum())
+            tally.add(row_norms(probs, p) / realized, block_clamps, segments, pairs)
+        if not live:
+            break
+    if failure is not None:
+        raise failure
+    reports = []
+    for tally in tallies:
+        values = tally.best if spec.aggregate == "max" else [s / count for s in tally.sums]
+        top = values.index(max(values))
+        best_at = divmod(tally.best_row[top], spec.trials_per_input)
+        reports.append(EstimateReport(
+            empirical_lp=values[top],
+            argmax_input_index=best_at[0],
+            argmax_trial=best_at[1],
+            argmax_epsilon_index=epsilon_indices[top],
+            per_epsilon_table=tuple(zip(map(float, epsilons), values)),
+            lam=lam,
+            p=tally.spec.p,
+            inputs_count=data.shape[0],
+            trials_per_input=spec.trials_per_input,
+            mode=spec.mode,
+            seed=spec.seed,
+            aggregate=spec.aggregate,
+            clamp_events=tally.clamps,
+            bound_exceeded=values[top] > lam / 2.0 + 1e-9,
+        ))
+    return tuple(reports)
 
 
 def empirical_lp(
@@ -411,10 +473,10 @@ def empirical_lp(
     trial) pair perturbs independently from its subseed and contributes
     the secant ratio with the realized ||d||_p in the denominator. Pass
     `epsilon_index` to reproduce a single row of an epsilon sweep: this is
-    the one-epsilon case of the sweep's kernel, `_estimate`.
+    the one-epsilon, one-order case of the sweep's kernel, `_estimate`.
     """
     index = _count(epsilon_index, "epsilon_index", 0)
-    return _estimate(inputs, t, spec, [spec.epsilon], [index])
+    return _estimate(inputs, t, [spec], [spec.epsilon], [index])[0]
 
 
 def epsilon_sweep(
@@ -430,10 +492,47 @@ def epsilon_sweep(
     The report's headline value and provenance come from the row with the
     largest aggregate. A failing sweep raises the error of its first
     failing row, which is the error of the epsilons run one at a time.
+    This is the one-order case of `order_sweep`, whose one pass builds each
+    row's generator and draws once for all of its orders; so a sweep at
+    order p has the bits of that order's report in a multi-order call.
     """
+    return order_sweep(inputs, t, base_spec, epsilons, [base_spec.p])[0]
+
+
+def order_sweep(
+    inputs: Union[np.ndarray, Sequence],
+    t: Union[Temperature, float],
+    base_spec: PerturbationSpec,
+    epsilons: Sequence[float],
+    orders: Sequence[Union[NormOrder, float, str]],
+) -> tuple[EstimateReport, ...]:
+    """`epsilon_sweep` at each of several norm orders, in one pass.
+
+    Report k equals `epsilon_sweep(inputs, t, replace(base_spec,
+    p=orders[k]), epsilons)` bit for bit. A row's draw depends on the seed,
+    input, trial and epsilon index but not on p, so each (input, trial,
+    epsilon) row builds one generator and draws once for all the orders.
+    A failing call raises the error that those sweeps, run in list order,
+    raise first: that of the first order that fails, whether by its own
+    norm order or by a row. An empty `orders` is an error.
+    """
+    specs, bad_order = [], None
+    for order in orders:
+        try:
+            specs.append(replace(base_spec, p=order))
+        except (TypeError, ValueError) as exc:
+            if not specs:
+                raise
+            bad_order = exc  # raised after the orders before it, as those sweeps would
+            break
+    if not specs:
+        raise ValueError("need at least one norm order")
     if not len(epsilons):
         raise ValueError("need at least one epsilon")
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("epsilons must be positive")
     replace(base_spec, epsilon=float(epsilons[0]))  # run alone, it fails its spec before the inputs
-    return _estimate(inputs, t, base_spec, epsilons, range(len(epsilons)))
+    reports = _estimate(inputs, t, specs, epsilons, range(len(epsilons)))
+    if bad_order is not None:
+        raise bad_order
+    return reports

@@ -294,14 +294,41 @@ def cocoercivity_check(
     return lhs, rhs, lhs >= rhs - 1e-12
 
 
+def _frexp(x) -> tuple[float, int]:
+    """`math.frexp(x)`, for an int beyond the float range too: the int over
+    a power of two rounds once, as `float(x)` does."""
+    if isinstance(x, int):
+        bits = x.bit_length()
+        return x / (1 << bits), bits
+    return math.frexp(x)
+
+
+def _product(*factors) -> float:
+    """The left-to-right float product of nonnegative `factors`, formed on
+    their mantissas with the exponents summed apart and applied once. A
+    power-of-two scale is exact, so the bits are those of the plain product
+    wherever that neither overflows nor underflows, and a product that
+    overflows only in an intermediate, or beside a zero factor, is still
+    answered; one beyond the float range is inf."""
+    mantissa, exponent = 1.0, 0
+    for x in factors:
+        m, e = _frexp(x)
+        mantissa *= m
+        exponent += e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
+
+
 def _scsa(params: ScsaParams, score_factor: float) -> float:
     """The SCSA bound with its two score-path terms (W_K and W_Q) times
-    score_factor, applied first."""
-    root = params.eps**-0.5
+    score_factor, applied first; each term is one `_product`."""
+    n, nu, tau, root = params.n, params.nu, params.tau, params.eps**-0.5
     return (
-        score_factor * params.n**2 * params.nu * params.tau * root * params.wk_norm
-        + score_factor * params.n * params.nu * params.tau * root * params.wq_norm
-        + 2.0 * params.n * params.nu * root * params.wv_norm
+        _product(score_factor, n**2, nu, tau, root, params.wk_norm)
+        + _product(score_factor, n, nu, tau, root, params.wq_norm)
+        + _product(2.0, n, nu, root, params.wv_norm)
     )
 
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -745,6 +746,19 @@ class TestScsaCommand:
         )
         assert not out.exists()
 
+    def test_bound_beyond_an_overflowing_intermediate(self, tmp_path, capsys):
+        # nu * tau overflowed beside --wk 0: exited 2 with "overflows float64"
+        # for a bound of 2e200
+        out = tmp_path / "s.json"
+        rc = main(["scsa", "--n", "2", "--nu", "1e200", "--tau", "1e200", "--eps", "1",
+                   "--wq", "1e-200", "--wk", "0", "--wv", "0", "--json-out", str(out)])
+        assert rc == EXIT_OK
+        result = load_report(out)["result"]
+        exact = 2 * Fraction(1e200) * Fraction(1e200) * Fraction(1e-200)
+        for key, factor in (("bound", 1), ("pre_refinement_bound", 2)):
+            assert abs(Fraction(result[key]) - factor * exact) <= factor * exact / 2**49
+        assert "refined SCSA Lipschitz bound:      1.9999999999999999e+200" in capsys.readouterr().out
+
     @pytest.mark.parametrize("weights, message", [
         (["--wk", "1", "--wv", "1"], "one of the arguments --wq --wq-file is required"),
         (["--wq", "1", "--wq-file", "w.csv", "--wk", "1", "--wv", "1"],
@@ -973,7 +987,7 @@ class TestNumericalFailure:
         def fail(*args):
             raise exc
 
-        monkeypatch.setattr(cli, "epsilon_sweep", fail)
+        monkeypatch.setattr(cli, "order_sweep", fail)
         self.check(["estimate", "--matrix", str(fixture_dir / "attention_scores_8x8.csv")], capsys)
 
 

@@ -12,11 +12,12 @@ from softlip.estimator import (
     PerturbationSpec,
     empirical_lp,
     epsilon_sweep,
+    order_sweep,
     sample_perturbation,
     subseed,
 )
 from softlip.lipschitz import witness_example_pair
-from softlip.opnorm import vector_norm
+from softlip.opnorm import NormOrder, vector_norm
 
 EXAMPLE_RATIO = 0.49999999504472
 
@@ -699,3 +700,102 @@ class TestSweepKernel:
         with pytest.raises(ValueError, match=message):
             epsilon_sweep([[0.0, np.inf]], 1.0, spec(), epsilons)
 
+
+
+def one_order_at_a_time(inputs, lam, s, epsilons, orders):
+    """`order_sweep` as one `epsilon_sweep` per order, in list order: its
+    reports, or the error the first failing sweep raises."""
+    try:
+        return tuple(epsilon_sweep(inputs, lam, replace(s, p=order), epsilons) for order in orders)
+    except ValueError as exc:
+        return exc
+
+
+def assert_same_outcome(inputs, lam, s, epsilons, orders):
+    expected = one_order_at_a_time(inputs, lam, s, epsilons, orders)
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError) as raised:
+            order_sweep(inputs, lam, s, epsilons, orders)
+        assert str(raised.value) == str(expected)
+    else:
+        assert order_sweep(inputs, lam, s, epsilons, orders) == expected
+    return expected
+
+
+class TestOrderSweep:
+    """`order_sweep` serves every norm order from one pass: one generator
+    and one draw per (input, trial, epsilon) row, and the reports and
+    errors of one `epsilon_sweep` per order."""
+
+    EPSILONS = [1e-1, 1e-2, 1e-3]
+    ORDERS = (1, 2, 2, 1.5, "inf")  # 2 repeated
+
+    @pytest.mark.parametrize("block", [4, 4096])  # blocks of one row, one block
+    @pytest.mark.parametrize("saturated", [False, True])
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    def test_reports_are_those_of_one_order_at_a_time(
+        self, block, saturated, mode, aggregate, monkeypatch
+    ):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(95)
+        inputs = rng.normal(size=(5, 4)) * (400.0 if saturated else 3.0)
+        s = spec(p=3, trials=6, mode=mode, seed=12, aggregate=aggregate)
+        reports = assert_same_outcome(inputs, 1.0, s, self.EPSILONS, self.ORDERS)
+        assert [r.p for r in reports] == [NormOrder.of(p) for p in self.ORDERS]
+        assert reports[1] == reports[2]
+        assert all(r.clamp_events > 0 for r in reports) == saturated
+
+    @pytest.mark.parametrize("epsilons", list(itertools.product(TestSweepKernel.EXTREMES, repeat=2)))
+    @pytest.mark.parametrize("orders", [(1, "inf"), ("inf", 1), (1.5, 2)])
+    @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
+    @pytest.mark.parametrize("block", [4, 4096])
+    def test_errors_are_those_of_one_order_at_a_time(
+        self, epsilons, orders, mode, block, monkeypatch
+    ):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        inputs = [np.zeros(4), np.full(4, 1.5e308)]
+        assert_same_outcome(inputs, 1.0, spec(trials=3, mode=mode), epsilons, orders)
+
+    @pytest.mark.parametrize("block", [4, 4096])
+    @pytest.mark.parametrize("orders, message", [
+        ((1, 2), "epsilon is too small: a perturbation rounds to zero"),
+        ((2, 1), "logits must have finite entries"),
+    ])
+    def test_the_first_order_to_fail_names_the_error(self, block, orders, message, monkeypatch):
+        # p = 2 fails at epsilon 5e307 (the second input overflows) and p = 1
+        # only at 5e-324 (a draw on the l1 sphere rounds to zero), so the
+        # pass meets p = 2's failure first, and p = 1 must still run on
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        inputs = [np.zeros(4), np.full(4, 1.5e308)]
+        s = spec(trials=3)
+        assert str(assert_same_outcome(inputs, 1.0, s, [5e307, 5e-324], orders)) == message
+
+    def test_a_bad_order_fails_after_the_orders_before_it(self):
+        inputs = [np.zeros(4), np.ones(4)]
+        with pytest.raises(ValueError, match="cannot parse 'abc'"):
+            order_sweep(inputs, 1.0, spec(), [1e-2], [2, "abc"])
+        with pytest.raises(ValueError, match="epsilon is too small"):
+            order_sweep(inputs, 1.0, spec(), [1e-2, 5e-324], [1, "abc"])
+        with pytest.raises(ValueError, match="cannot parse 'abc'"):
+            order_sweep(inputs, 1.0, spec(), [], ["abc", 1])
+        with pytest.raises(ValueError, match="need at least one norm order"):
+            order_sweep(inputs, 1.0, spec(), [1e-2], [])
+        with pytest.raises(ValueError, match="need at least one epsilon"):
+            order_sweep(inputs, 1.0, spec(), [], [1, 2])
+
+    @pytest.mark.parametrize("block", [4, 4096])
+    def test_one_generator_per_row_for_all_orders(self, block, monkeypatch):
+        built = []
+        batched = estimator._generators
+
+        def counted(*args):
+            for rng in batched(*args):
+                built.append(rng)
+                yield rng
+
+        monkeypatch.setattr(estimator, "_generators", counted)
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        inputs = np.random.default_rng(96).normal(size=(3, 4))
+        order_sweep(inputs, 1.0, spec(trials=5), self.EPSILONS, (1, 2, 3, "inf"))
+        assert len(built) == 3 * 5 * len(self.EPSILONS)

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+import softlip.estimator as estimator
 from softlip.cli import EXIT_OK, main
 from softlip.fixtures import write_fixtures
 
@@ -105,8 +106,8 @@ def readme_commands() -> list[list[str]]:
             if line.startswith("softlip ")]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_report_bytes(name, tmp_path, monkeypatch):
+def run_case(name, tmp_path, monkeypatch):
+    """Run golden case `name` from `tmp_path` and compare what it writes."""
     if FIXTURES.is_dir():
         shutil.copytree(FIXTURES, tmp_path / "fixtures")
     else:
@@ -120,6 +121,31 @@ def test_report_bytes(name, tmp_path, monkeypatch):
         if out.endswith(".json"):
             got = strip_timestamp(got)
         assert got == golden.read_bytes().decode("utf-8"), out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes(name, tmp_path, monkeypatch):
+    run_case(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("name, rows", [
+    ("estimate_readme", 8 * 100 * 3),  # inputs x trials x epsilons, for three orders
+    ("estimate_topeig_mean", 0),  # top-eigenvector mode draws nothing
+])
+def test_estimate_builds_one_generator_per_row(name, rows, tmp_path, monkeypatch):
+    # every norm order of --p-list reads the same draw of a row, so the
+    # whole command builds one generator per (input, trial, epsilon) row
+    built = []
+    batched = estimator._generators
+
+    def counted(*args):
+        for rng in batched(*args):
+            built.append(rng)
+            yield rng
+
+    monkeypatch.setattr(estimator, "_generators", counted)
+    run_case(name, tmp_path, monkeypatch)
+    assert len(built) == rows
 
 
 def test_every_readme_command_has_a_golden_case():

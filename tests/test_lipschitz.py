@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -739,6 +740,43 @@ class TestScsaBound:
     def test_unrefined_doubles_score_terms(self):
         params = ScsaParams(n=2, nu=1.0, tau=2.0, eps=4.0, wq_norm=1.0, wk_norm=1.0, wv_norm=1.0)
         assert scsa_bound_unrefined(params) == 14.0  # 2*(4 + 2) + 2
+
+    @staticmethod
+    def exact(params, score_factor):
+        """The bound in exact rational arithmetic on the float inputs (and
+        the float eps^(-1/2))."""
+        n, nu, tau = Fraction(params.n), Fraction(params.nu), Fraction(params.tau)
+        root = Fraction(params.eps**-0.5)
+        return (
+            score_factor * n**2 * nu * tau * root * Fraction(params.wk_norm)
+            + score_factor * n * nu * tau * root * Fraction(params.wq_norm)
+            + 2 * n * nu * root * Fraction(params.wv_norm)
+        )
+
+    @pytest.mark.parametrize("fields", [
+        # nu * tau overflowed and met a zero weight: nan for a bound of 2e200
+        dict(n=2, nu=1e200, tau=1e200, eps=1.0, wq_norm=1e-200, wk_norm=0.0, wv_norm=0.0),
+        # 9 nu tau overflowed before the tiny weights: inf
+        dict(n=3, nu=1e300, tau=1e10, eps=4.0, wq_norm=1e-250, wk_norm=1e-260, wv_norm=1e-100),
+        # n^2 beyond the float range raised OverflowError
+        dict(n=10**200, nu=1.0, tau=1.0, eps=1.0, wq_norm=0.0, wk_norm=1e-300, wv_norm=0.0),
+        # eps^(-1/2) of a subnormal eps is 4.5e161
+        dict(n=5, nu=1e150, tau=3.0, eps=5e-324, wq_norm=1e-200, wk_norm=2e-190, wv_norm=7e-300),
+    ])
+    def test_finite_bound_beyond_an_overflowing_intermediate(self, fields):
+        params = ScsaParams(**fields)
+        for bound, factor in ((scsa_bound, 1), (scsa_bound_unrefined, 2)):
+            got, exact = bound(params), self.exact(params, factor)
+            assert math.isfinite(got)
+            assert abs(Fraction(got) - exact) <= exact * Fraction(1, 2**49)
+
+    def test_bound_beyond_the_float_range_is_inf(self):
+        params = ScsaParams(n=10**200, nu=1.0, tau=1.0, eps=1.0,
+                            wq_norm=1.0, wk_norm=1.0, wv_norm=1.0)
+        assert scsa_bound(params) == scsa_bound_unrefined(params) == math.inf
+        zero = ScsaParams(n=10**200, nu=1e300, tau=1e300, eps=5e-324,
+                          wq_norm=0.0, wk_norm=0.0, wv_norm=0.0)
+        assert scsa_bound(zero) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
