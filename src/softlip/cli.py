@@ -8,16 +8,22 @@ JSON documents {"manifest": ..., "result": ...} whose numeric fields carry
 17 significant digits, so re-running a manifest's command reproduces the
 report byte-for-byte (the timestamp sits in its own field).
 
+`main` may be called any number of times in one process; every call
+parses with the same parser, built by the first.
+
 Exit codes: 0 success, 2 input error (including a `dsfp` tau so small for
-its payoff that the contraction factor overflows), 3 solver did not
-converge, 4 numerical failure (a solver produced non-finite values, an
-eigensolve failed, or float arithmetic raised, such as a division by a
-product that underflowed to zero).
+its payoff that the contraction factor overflows, and an output path that
+cannot be written), 3 solver did not converge, 4 numerical failure (a
+solver produced non-finite values, an eigensolve failed, or float
+arithmetic raised, such as a division by a product that underflowed to
+zero). Summary lines already printed and report files already written
+stay when a later step fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -71,6 +77,7 @@ _DEFAULT_SEED = 0
 #: text. Over it, `float` accepts exactly `_FLOAT_RE` plus surrounding
 #: spaces, tabs and CRs, as `_parse_float` after `strip` does.
 _CSV_ALPHABET = dict.fromkeys(map(ord, "0123456789eE+-.,\t\r\n "))
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class InputError(ValueError):
@@ -101,6 +108,15 @@ def _parse_float(text: str, what: str = "") -> float:
     if not math.isfinite(value):
         raise InputError(f"non-finite value {text.strip()!r}", what)
     return value
+
+
+def _parse_int(text: str, what: str = "") -> int:
+    """A whole number: ASCII `[+-]?[0-9]+` after `strip`, read exactly
+    (never through a float); no underscores and no non-ASCII digits."""
+    token = text.strip()
+    if not _INT_RE.fullmatch(token):
+        raise InputError(f"cannot parse {text!r} as an integer", what)
+    return int(token)
 
 
 def _parse_norm_order(text: str, what: str = "") -> NormOrder:
@@ -312,8 +328,16 @@ def _fields_dict(obj, **keys) -> dict:
     return {keys.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj)}
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8; a failed write is an input error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_report(path: str, manifest: dict, result: dict) -> None:
-    Path(path).write_text(dumps_report({"manifest": manifest, "result": result}), encoding="utf-8")
+    _write_text(path, dumps_report({"manifest": manifest, "result": result}))
 
 
 def _resolve_seed(args) -> int:
@@ -322,8 +346,8 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("SOFTLIP_SEED")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
+            return _parse_int(env)
+        except InputError:
             raise InputError(f"SOFTLIP_SEED must be an integer, got {env!r}") from None
     return _DEFAULT_SEED
 
@@ -465,7 +489,7 @@ def cmd_estimate(args, argv: list[str]) -> int:
     )
     if args.out:
         _write_report(args.out + ".json", manifest, result)
-        Path(args.out + ".csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+        _write_text(args.out + ".csv", "\n".join(csv_lines) + "\n")
         print(f"wrote {args.out}.json and {args.out}.csv")
     else:
         sys.stdout.write(dumps_report({"manifest": manifest, "result": result}))
@@ -594,6 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"softlip {softlip.__version__}")
     number, norm_order = _arg_type(_parse_float), _arg_type(_parse_norm_order)
+    integer = _arg_type(_parse_int)
     sub = parser.add_subparsers(dest="command", required=True)
 
     jac = sub.add_parser("jacobian-norm", help="local Lipschitz constant at a logit vector")
@@ -623,10 +648,10 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--lambda", dest="lam", type=number, default=1.0)
     est.add_argument("--p-list", default="2", help="comma list of norm orders")
     est.add_argument("--eps-list", default="1e-4", help="comma list of perturbation sizes")
-    est.add_argument("--trials", type=int, default=100)
+    est.add_argument("--trials", type=integer, default=100)
     est.add_argument("--mode", choices=[MODE_RANDOM, MODE_TOP_EIGENVECTOR], default=MODE_RANDOM)
     est.add_argument("--aggregate", choices=["max", "mean"], default="max")
-    est.add_argument("--seed", type=int, default=None,
+    est.add_argument("--seed", type=integer, default=None,
                      help="RNG seed; falls back to SOFTLIP_SEED, then 0")
     est.add_argument("--out", help="prefix for the .json and .csv reports")
     est.set_defaults(func=cmd_estimate)
@@ -639,12 +664,12 @@ def build_parser() -> argparse.ArgumentParser:
     dsf.add_argument("--alpha", type=number, default=1.0)
     dsf.add_argument("--p", type=norm_order, default=NormOrder.two())
     dsf.add_argument("--tol", type=number, default=1e-10)
-    dsf.add_argument("--max-iter", type=int, default=10_000)
+    dsf.add_argument("--max-iter", type=integer, default=10_000)
     dsf.add_argument("--out", help="write the JSON report here")
     dsf.set_defaults(func=cmd_dsfp)
 
     scs = sub.add_parser("scsa", help="refined Lipschitz bound for scaled cosine attention")
-    scs.add_argument("--n", type=int, required=True, help="token count")
+    scs.add_argument("--n", type=integer, required=True, help="token count")
     scs.add_argument("--nu", type=number, required=True)
     scs.add_argument("--tau", type=number, required=True)
     scs.add_argument("--eps", type=number, required=True)
@@ -658,9 +683,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call in this process parses with, built once.
+
+    Sharing it is safe: `parse_args` leaves a parser as it found it, each
+    call gets a new `Namespace`, every default is immutable and `prog` is
+    fixed. The option types (`_parse_float`, `_parse_norm_order`,
+    `_length_arg`, `_parse_int` behind `_arg_type`) and the `cmd_*`
+    functions are bound when the parser is built, so replacing one of those
+    names in this module changes what `main` does only after
+    `_parser.cache_clear()`; a test of one calls it directly instead.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     with warnings.catch_warnings():
         # each warning the caller's filters let through is one "warning:" line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import io
 import json
@@ -468,11 +469,12 @@ class TestEstimateCommand:
         doc_a["manifest"]["command"] = doc_b["manifest"]["command"] = []
         assert doc_a == doc_b
 
-    def test_non_integer_env_seed_exits_2(self, fixture_dir, monkeypatch, capsys):
-        monkeypatch.setenv("SOFTLIP_SEED", "abc")
+    @pytest.mark.parametrize("env", ["abc", "1_0", "\u0663"])
+    def test_non_integer_env_seed_exits_2(self, env, fixture_dir, monkeypatch, capsys):
+        monkeypatch.setenv("SOFTLIP_SEED", env)
         argv = ["estimate", "--matrix", str(fixture_dir / "attention_scores_8x8.csv")]
         assert main(argv) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: SOFTLIP_SEED must be an integer, got 'abc'\n"
+        assert capsys.readouterr().err == f"error: SOFTLIP_SEED must be an integer, got {env!r}\n"
 
     def test_env_seed_and_flag_priority(self, fixture_dir, tmp_path, monkeypatch):
         matrix = str(fixture_dir / "attention_scores_8x8.csv")
@@ -786,6 +788,53 @@ class TestScsaCommand:
                      "--wq", "1", "--wk", "1", "--wv", "1"]) == EXIT_INPUT
 
 
+class TestUnwritableReport:
+    """An output path that cannot be written exits 2 with one `error:` line
+    naming it; it ended in a traceback and exit 1. What was printed or
+    written before stays."""
+
+    # each report write, with the report path its command line ends in
+    SITES = {
+        "jacobian_norm": ["jacobian-norm", "--inline", "1,2", "--json-out"],
+        "witness": ["witness", "--mode", "attained", "--n", "5", "--p", "1", "--json-out"],
+        "estimate": ["estimate", "--matrix", "SCORES", "--trials", "2", "--out"],
+        "dsfp": ["dsfp", "--payoff", "PAYOFF", "--out"],
+        "scsa": ["scsa", "--n", "2", "--nu", "1", "--tau", "2", "--eps", "4",
+                 "--wq", "1", "--wk", "1", "--wv", "1", "--json-out"],
+    }
+
+    def run(self, site, out, fixture_dir, capsys):
+        files = {"SCORES": "attention_scores_8x8.csv", "PAYOFF": "matching_pennies.csv"}
+        argv = [str(fixture_dir / files[a]) if a in files else a for a in self.SITES[site]]
+        assert main([*argv, str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out != ""  # the summary lines came first
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_missing_directory(self, site, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        written = f"{out}.json" if site == "estimate" else str(out)
+        err = self.run(site, out, fixture_dir, capsys)
+        assert err == f"error: cannot write {written}: {os.strerror(errno.ENOENT)}\n"
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_path_is_a_directory(self, site, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        (tmp_path / ("taken.json" if site == "estimate" else "taken")).mkdir()
+        written = f"{out}.json" if site == "estimate" else str(out)
+        assert self.run(site, out, fixture_dir, capsys).startswith(f"error: cannot write {written}: ")
+
+    def test_estimate_csv_after_its_json(self, fixture_dir, tmp_path, capsys):
+        # the CSV write is the second of `estimate --out`; the JSON stays
+        out = tmp_path / "report"
+        (tmp_path / "report.csv").mkdir()
+        err = self.run("estimate", out, fixture_dir, capsys)
+        assert err.startswith(f"error: cannot write {out}.csv: ")
+        assert load_report(f"{out}.json")["result"]["trials_per_input"] == 2
+
+
 class TestParserBehavior:
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == EXIT_INPUT
@@ -799,13 +848,56 @@ class TestParserBehavior:
     def test_bad_numeric_flag(self):
         assert main(["jacobian-norm", "--inline", "0,0", "--lambda", "abc"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("flag,value", [("--p", "abc"), ("--p", "nan"), ("--lambda", "1_0")])
+    # a command line each flag is valid on, and what the flag's value is
+    _FLAG_COMMANDS = {
+        "--p": (["jacobian-norm", "--inline", "0,0"], "a number"),
+        "--lambda": (["jacobian-norm", "--inline", "0,0"], "a number"),
+        "--trials": (["estimate", "--matrix", "m.csv"], "an integer"),
+        "--seed": (["estimate", "--matrix", "m.csv"], "an integer"),
+        "--max-iter": (["dsfp", "--payoff", "m.csv"], "an integer"),
+        "--n": (["scsa", "--nu", "1", "--tau", "1", "--eps", "1",
+                 "--wq", "1", "--wk", "1", "--wv", "1"], "an integer"),
+    }
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--p", "abc"), ("--p", "nan"), ("--lambda", "1_0"),
+        # the integer options read argparse's `int`, which took these
+        ("--trials", "1_0"), ("--trials", "\uff13"), ("--seed", "1_0"), ("--seed", "\u0663"),
+        ("--max-iter", "1_000"), ("--max-iter", "0x10"), ("--n", "\uff12"), ("--n", "2e0"),
+    ])
     def test_bad_flag_names_the_option_once(self, flag, value, capsys):
-        argv = ["jacobian-norm", "--inline", "0,0", flag, value]
-        assert main(argv) == EXIT_INPUT
+        command, kind = self._FLAG_COMMANDS[flag]
+        assert main([*command, flag, value]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert f"argument {flag}: cannot parse {value!r} as a number" in err
+        assert f"argument {flag}: cannot parse {value!r} as {kind}" in err
         assert err.count(flag + ":") == 1
+
+    @pytest.mark.parametrize("text, want", [
+        ("42", 42), (" +7 ", 7), ("-3", -3), ("007", 7),
+        pytest.param("9" * 400, 10**400 - 1, id="400_digits"),
+    ])
+    def test_integer_grammar(self, text, want):
+        assert cli._parse_int(text) == want
+
+    def test_main_builds_one_parser_per_process(self, monkeypatch):
+        built, build = [], cli.build_parser
+
+        def counted():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            assert main(["--version"]) == EXIT_OK
+            assert main(["frobnicate"]) == EXIT_INPUT
+            assert main(["jacobian-norm", "--inline", "0,0"]) == EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
     @pytest.mark.parametrize("argv", [
         ["jacobian-norm", "--inline", "0,0", "--p", "0.5"],
@@ -1057,6 +1149,12 @@ _COUNTS = st.one_of(
 )
 
 
+# report paths: writable, in a directory that is never made, and a directory
+_REPORT_PATHS = st.sampled_from(["@out.json", "@missing/out.json", "@taken.json"])
+# `estimate --out` is a prefix for <prefix>.json and <prefix>.csv
+_REPORT_PREFIXES = st.sampled_from(["@out", "@missing/out", "@taken"])
+
+
 def _comma_list(items):
     return st.one_of(st.lists(items, min_size=1, max_size=3).map(",".join), st.just(""))
 
@@ -1094,27 +1192,27 @@ def _weight(name):
 _FUZZ_ARGV = st.one_of(
     _argv("jacobian-norm", {}, {
         "--inline": _INLINE, "--logits-file": _FUZZ_FILES, "--lambda": _NUMBERS,
-        "--p": _ORDERS, "--json-out": st.just("@out.json"),
+        "--p": _ORDERS, "--json-out": _REPORT_PATHS,
     }),
     _argv("jacobian-norm", {"--inline": _INLINE, "--lambda": _NUMBERS, "--p": _ORDERS}, {}),
     _argv("witness", {"--mode": st.sampled_from(["attained", "limit-sequence", "example"])}, {
         "--n": _LENGTHS, "--p": _ORDERS, "--K": _NUMBERS, "--eps": _NUMBERS,
-        "--epsilons": _comma_list(_NUMBERS), "--json-out": st.just("@out.json"),
+        "--epsilons": _comma_list(_NUMBERS), "--json-out": _REPORT_PATHS,
     }),
     _argv("estimate", {"--matrix": _FUZZ_FILES, "--trials": st.integers(0, 3).map(str)}, {
         "--rowwise": st.none(), "--lambda": _NUMBERS, "--p-list": _comma_list(_ORDERS),
         "--eps-list": _comma_list(st.one_of(_EXTREME_NUMBERS, _NUMBERS)),
         "--seed": st.integers(-2**70, 2**70).map(str),
         "--mode": st.sampled_from(["random-gaussian-normalized", "top-eigenvector"]),
-        "--aggregate": st.sampled_from(["max", "mean"]), "--out": st.just("@out"),
+        "--aggregate": st.sampled_from(["max", "mean"]), "--out": _REPORT_PREFIXES,
     }),
     _argv("dsfp", {"--payoff": _FUZZ_FILES, "--max-iter": st.integers(-1, 50).map(str)}, {
         "--tau": st.one_of(st.just("auto"), _NUMBERS), "--alpha": _NUMBERS, "--p": _ORDERS,
-        "--tol": _NUMBERS, "--out": st.just("@out.json"),
+        "--tol": _NUMBERS, "--out": _REPORT_PATHS,
     }),
     st.tuples(
         _argv("scsa", {"--n": _COUNTS, "--nu": _NUMBERS, "--tau": _NUMBERS, "--eps": _NUMBERS},
-              {"--json-out": st.just("@out.json")}),
+              {"--json-out": _REPORT_PATHS}),
         _weight("wq"), _weight("wk"), _weight("wv"),
     ).map(lambda parts: parts[0] + [w for w in parts[1:] if w]),
 )
@@ -1126,6 +1224,7 @@ def fuzz_dir(tmp_path_factory):
     write_fixtures(root)
     for name, text in _HOSTILE_CSVS.items():
         (root / name).write_text(text, encoding="utf-8")
+    (root / "taken.json").mkdir()
     return root
 
 

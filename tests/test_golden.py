@@ -35,8 +35,9 @@ from pathlib import Path
 
 import pytest
 
+import softlip.cli as cli
 import softlip.estimator as estimator
-from softlip.cli import EXIT_OK, main
+from softlip.cli import EXIT_INPUT, EXIT_OK, main
 from softlip.fixtures import write_fixtures
 
 HERE = Path(__file__).resolve().parent
@@ -126,6 +127,18 @@ def run_case(name, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes(name, tmp_path, monkeypatch):
     run_case(name, tmp_path, monkeypatch)
+
+
+def test_every_case_twice_in_one_process(tmp_path, monkeypatch):
+    # `main` parses with one parser per process; no call leaves state for
+    # the next, whatever it parsed or however it exited
+    cli._parser.cache_clear()
+    for round_ in (1, 2):
+        for name in sorted(CASES):
+            assert main(["dsfp"]) == EXIT_INPUT
+            assert main(["--help"]) == EXIT_OK
+            assert main(["--version"]) == EXIT_OK
+            run_case(name, tmp_path / f"{round_}-{name}", monkeypatch)
 
 
 @pytest.mark.parametrize("name, rows", [
