@@ -12,17 +12,20 @@ report byte-for-byte (the timestamp sits in its own field).
 parses with the same parser, built by the first.
 
 Exit codes: 0 success, 2 input error (including a `dsfp` tau so small for
-its payoff that the contraction factor overflows, and an output path that
-cannot be written), 3 solver did not converge, 4 numerical failure (a
-solver produced non-finite values, an eigensolve failed, or float
-arithmetic raised, such as a division by a product that underflowed to
-zero). Summary lines already printed and report files already written
-stay when a later step fails.
+its payoff that the contraction factor overflows, an input file that is
+not UTF-8, and an output path or a stdout that cannot be written, such as
+a closed stdout or a pipe whose reader has gone), 3 solver did not
+converge, 4 numerical failure (a solver produced non-finite values, an
+eigensolve failed, or float arithmetic raised, such as a division by a
+product that underflowed to zero). Summary lines already printed and
+report files already written stay when a later step fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import math
 import os
@@ -78,11 +81,16 @@ _DEFAULT_SEED = 0
 #: spaces, tabs and CRs, as `_parse_float` after `strip` does.
 _CSV_ALPHABET = dict.fromkeys(map(ord, "0123456789eE+-.,\t\r\n "))
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+#: Most digits `_parse_int` reads: CPython's default limit for `int(str)`.
+_MAX_INT_DIGITS = 4300
 
 
-class InputError(ValueError):
+class InputError(ValueError, argparse.ArgumentTypeError):
     """User-input problem (exit code 2). A given `what`, the option, file or
-    field concerned, prefixes the message: "--eps-list: empty list"."""
+    field concerned, prefixes the message: "--eps-list: empty list".
+
+    As an `ArgumentTypeError`, it is what argparse reports for an option
+    whose `type` raised it: "argument --trials: cannot parse ..."."""
 
     def __init__(self, message: str, what: str = ""):
         super().__init__(f"{what}: {message}" if what else message)
@@ -112,10 +120,14 @@ def _parse_float(text: str, what: str = "") -> float:
 
 def _parse_int(text: str, what: str = "") -> int:
     """A whole number: ASCII `[+-]?[0-9]+` after `strip`, read exactly
-    (never through a float); no underscores and no non-ASCII digits."""
+    (never through a float); no underscores, no non-ASCII digits and at
+    most `_MAX_INT_DIGITS` digits."""
     token = text.strip()
     if not _INT_RE.fullmatch(token):
         raise InputError(f"cannot parse {text!r} as an integer", what)
+    digits = len(token.lstrip("+-"))
+    if digits > _MAX_INT_DIGITS:
+        raise InputError(f"{digits} digits exceed the limit of {_MAX_INT_DIGITS}", what)
     return int(token)
 
 
@@ -135,18 +147,6 @@ def _parse_list(text: str, what: str, parse_item) -> list:
     return [parse_item(tok, what) for tok in items]
 
 
-def _arg_type(parse):
-    """An argparse `type` from a parser; argparse names the option itself."""
-
-    def convert(text: str):
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    return convert
-
-
 def read_matrix_csv(path: str) -> np.ndarray:
     """Parse a headerless CSV matrix, diagnosing problems by line and column.
 
@@ -155,7 +155,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return _parse_matrix(text, path)
 
@@ -199,10 +199,8 @@ def _parse_matrix(text: str, path: str) -> np.ndarray:
 
 def read_vector_csv(path: str) -> np.ndarray:
     mat = read_matrix_csv(path)
-    if mat.shape[0] == 1:
-        return mat[0]
-    if mat.shape[1] == 1:
-        return mat[:, 0]
+    if 1 in mat.shape:  # a single row or column
+        return mat.ravel()
     raise InputError(f"expected a single row or column vector, got {mat.shape}", path)
 
 
@@ -310,16 +308,18 @@ def dumps_report(doc: dict) -> str:
     return "".join(out)
 
 
-def make_manifest(command: list[str], seed, resolved: dict) -> dict:
-    return {
+def _report_text(argv: list[str], seed, resolved: dict, result: dict) -> str:
+    """The JSON report of a command run: its manifest, then its result."""
+    manifest = {
         "schema_version": "1",
         "tool": "softlip",
         "version": softlip.__version__,
-        "command": list(command),
+        "command": list(argv),
         "seed": seed,
         "resolved": resolved,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    return dumps_report({"manifest": manifest, "result": result})
 
 
 def _fields_dict(obj, **keys) -> dict:
@@ -336,12 +336,8 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_report(path: str, manifest: dict, result: dict) -> None:
-    _write_text(path, dumps_report({"manifest": manifest, "result": result}))
-
-
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SOFTLIP_SEED")
     if env is not None:
@@ -360,14 +356,12 @@ def cmd_jacobian_norm(args, argv: list[str]) -> int:
     path = args.logits_file
     vec = read_vector_csv(path) if path is not None else parse_inline_vector(args.inline)
     x = Logits(vec)
-    lam = args.lam
-    order = args.p
-    s = softmax(x, lam)
-    est = local_lipschitz(s, lam, order)
-    closed = lam * closed_form_linf(s)
-    bound = global_bound(lam)
+    s = softmax(x, args.lam)
+    est = local_lipschitz(s, args.lam, args.p)
+    closed = args.lam * closed_form_linf(s)
+    bound = global_bound(args.lam)
     print(
-        f"local Lipschitz (p={order.label}, lambda={format_float(lam)}): "
+        f"local Lipschitz (p={args.p.label}, lambda={format_float(args.lam)}): "
         f"lower={format_float(est.lower)} upper={format_float(est.upper)} "
         f"exact={'true' if est.exact else 'false'}"
     )
@@ -375,8 +369,8 @@ def cmd_jacobian_norm(args, argv: list[str]) -> int:
     print(f"global bound lambda/2: {format_float(bound)}")
     result = {
         "n": x.n,
-        "p": order,
-        "lambda": lam,
+        "p": args.p,
+        "lambda": args.lam,
         "lower": est.lower,
         "upper": est.upper,
         "exact": est.exact,
@@ -386,8 +380,8 @@ def cmd_jacobian_norm(args, argv: list[str]) -> int:
         "clamped": s.clamped,
     }
     if args.json_out:
-        manifest = make_manifest(argv, None, {"lambda": lam, "p": order})
-        _write_report(args.json_out, manifest, result)
+        resolved = {"lambda": args.lam, "p": args.p}
+        _write_text(args.json_out, _report_text(argv, None, resolved, result))
     return EXIT_OK
 
 
@@ -437,8 +431,7 @@ def cmd_witness(args, argv: list[str]) -> int:
             f"ratio={format_float(pair.ratio)}"
         )
     if args.json_out:
-        manifest = make_manifest(argv, None, {"mode": args.mode})
-        _write_report(args.json_out, manifest, result)
+        _write_text(args.json_out, _report_text(argv, None, {"mode": args.mode}, result))
     return EXIT_OK
 
 
@@ -482,23 +475,23 @@ def cmd_estimate(args, argv: list[str]) -> int:
         "aggregate": args.aggregate,
         "clamp_events": sum(r.clamp_events for r in reports),
     }
-    manifest = make_manifest(argv, seed, resolved)
+    report = _report_text(argv, seed, resolved, result)
     print(
         f"max empirical L_p = {format_float(overall)} "
         f"(global bound {format_float(global_bound(args.lam))})"
     )
     if args.out:
-        _write_report(args.out + ".json", manifest, result)
+        _write_text(args.out + ".json", report)
         _write_text(args.out + ".csv", "\n".join(csv_lines) + "\n")
         print(f"wrote {args.out}.json and {args.out}.csv")
     else:
-        sys.stdout.write(dumps_report({"manifest": manifest, "result": result}))
+        print(report, end="")
     return EXIT_OK
 
 
-def _dsfp_result_dict(res: DsfpResult, resolved_tau: float) -> dict:
+def _dsfp_result_dict(res: DsfpResult) -> dict:
     return {
-        "tau": resolved_tau,
+        "tau": res.config.tau,
         "alpha": res.config.alpha,
         "p": res.config.p,
         "tol": res.config.tol,
@@ -569,8 +562,7 @@ def cmd_dsfp(args, argv: list[str]) -> int:
             "tol": args.tol,
             "clamp_events": res.clamp_events,
         }
-        manifest = make_manifest(argv, None, resolved)
-        _write_report(args.out, manifest, _dsfp_result_dict(res, resolved_tau))
+        _write_text(args.out, _report_text(argv, None, resolved, _dsfp_result_dict(res)))
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
@@ -602,8 +594,7 @@ def cmd_scsa(args, argv: list[str]) -> int:
     print(f"pre-refinement bound (2x QK terms): {format_float(before)}")
     result = {**_fields_dict(params), "bound": bound, "pre_refinement_bound": before}
     if args.json_out:
-        manifest = make_manifest(argv, None, {})
-        _write_report(args.json_out, manifest, result)
+        _write_text(args.json_out, _report_text(argv, None, {}, result))
     return EXIT_OK
 
 
@@ -617,25 +608,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Softmax Lipschitz analysis: constants, witnesses, estimation, games.",
     )
     parser.add_argument("--version", action="version", version=f"softlip {softlip.__version__}")
-    number, norm_order = _arg_type(_parse_float), _arg_type(_parse_norm_order)
-    integer = _arg_type(_parse_int)
     sub = parser.add_subparsers(dest="command", required=True)
 
     jac = sub.add_parser("jacobian-norm", help="local Lipschitz constant at a logit vector")
     source = jac.add_mutually_exclusive_group(required=True)
     source.add_argument("--logits-file", help="CSV file holding a single row or column vector")
     source.add_argument("--inline", help="inline vector, e.g. '0,0,0' or 'ln9-vector(10)'")
-    jac.add_argument("--lambda", dest="lam", type=number, default=1.0)
-    jac.add_argument("--p", type=norm_order, default=NormOrder.two())
+    jac.add_argument("--lambda", dest="lam", type=_parse_float, default=1.0)
+    jac.add_argument("--p", type=_parse_norm_order, default=NormOrder.two())
     jac.add_argument("--json-out", help="write the JSON report here")
     jac.set_defaults(func=cmd_jacobian_norm)
 
     wit = sub.add_parser("witness", help="sharpness witnesses for the lambda/2 bound")
     wit.add_argument("--mode", required=True, choices=["attained", "limit-sequence", "example"])
-    wit.add_argument("--n", type=_arg_type(_length_arg), default=10)
-    wit.add_argument("--p", type=norm_order, default=NormOrder.two())
-    wit.add_argument("--K", type=number, default=20.0)
-    wit.add_argument("--eps", type=number, default=1e-4, help="perturbation size (example mode)")
+    wit.add_argument("--n", type=_length_arg, default=10)
+    wit.add_argument("--p", type=_parse_norm_order, default=NormOrder.two())
+    wit.add_argument("--K", type=_parse_float, default=20.0)
+    wit.add_argument("--eps", type=_parse_float, default=1e-4,
+                     help="perturbation size (example mode)")
     wit.add_argument("--epsilons", help="comma list of gaps (limit-sequence mode)")
     wit.add_argument("--json-out", help="write the JSON report here")
     wit.set_defaults(func=cmd_witness)
@@ -645,13 +635,13 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--rowwise", action="store_true",
                      help="no-op kept for compatibility: rows are always the softmax "
                           "inputs; the report records the flag")
-    est.add_argument("--lambda", dest="lam", type=number, default=1.0)
+    est.add_argument("--lambda", dest="lam", type=_parse_float, default=1.0)
     est.add_argument("--p-list", default="2", help="comma list of norm orders")
     est.add_argument("--eps-list", default="1e-4", help="comma list of perturbation sizes")
-    est.add_argument("--trials", type=integer, default=100)
+    est.add_argument("--trials", type=_parse_int, default=100)
     est.add_argument("--mode", choices=[MODE_RANDOM, MODE_TOP_EIGENVECTOR], default=MODE_RANDOM)
     est.add_argument("--aggregate", choices=["max", "mean"], default="max")
-    est.add_argument("--seed", type=integer, default=None,
+    est.add_argument("--seed", type=_parse_int, default=None,
                      help="RNG seed; falls back to SOFTLIP_SEED, then 0")
     est.add_argument("--out", help="prefix for the .json and .csv reports")
     est.set_defaults(func=cmd_estimate)
@@ -661,21 +651,22 @@ def build_parser() -> argparse.ArgumentParser:
     dsf.add_argument(
         "--tau", default="auto", help="regularization, or 'auto' (=max(1.01 * tau_min, 2^-512))"
     )
-    dsf.add_argument("--alpha", type=number, default=1.0)
-    dsf.add_argument("--p", type=norm_order, default=NormOrder.two())
-    dsf.add_argument("--tol", type=number, default=1e-10)
-    dsf.add_argument("--max-iter", type=integer, default=10_000)
+    dsf.add_argument("--alpha", type=_parse_float, default=1.0)
+    dsf.add_argument("--p", type=_parse_norm_order, default=NormOrder.two())
+    dsf.add_argument("--tol", type=_parse_float, default=1e-10)
+    dsf.add_argument("--max-iter", type=_parse_int, default=10_000)
     dsf.add_argument("--out", help="write the JSON report here")
     dsf.set_defaults(func=cmd_dsfp)
 
     scs = sub.add_parser("scsa", help="refined Lipschitz bound for scaled cosine attention")
-    scs.add_argument("--n", type=integer, required=True, help="token count")
-    scs.add_argument("--nu", type=number, required=True)
-    scs.add_argument("--tau", type=number, required=True)
-    scs.add_argument("--eps", type=number, required=True)
+    scs.add_argument("--n", type=_parse_int, required=True, help="token count")
+    scs.add_argument("--nu", type=_parse_float, required=True)
+    scs.add_argument("--tau", type=_parse_float, required=True)
+    scs.add_argument("--eps", type=_parse_float, required=True)
     for name in ("wq", "wk", "wv"):
         weight = scs.add_mutually_exclusive_group(required=True)
-        weight.add_argument(f"--{name}", type=number, help=f"spectral norm of W_{name[1].upper()}")
+        weight.add_argument(f"--{name}", type=_parse_float,
+                            help=f"spectral norm of W_{name[1].upper()}")
         weight.add_argument(f"--{name}-file", help="CSV matrix; reduced via its spectral norm")
     scs.add_argument("--json-out", help="write the JSON report here")
     scs.set_defaults(func=cmd_scsa)
@@ -690,33 +681,44 @@ def _parser() -> argparse.ArgumentParser:
     Sharing it is safe: `parse_args` leaves a parser as it found it, each
     call gets a new `Namespace`, every default is immutable and `prog` is
     fixed. The option types (`_parse_float`, `_parse_norm_order`,
-    `_length_arg`, `_parse_int` behind `_arg_type`) and the `cmd_*`
-    functions are bound when the parser is built, so replacing one of those
-    names in this module changes what `main` does only after
-    `_parser.cache_clear()`; a test of one calls it directly instead.
+    `_length_arg`, `_parse_int`) and the `cmd_*` functions are bound when
+    the parser is built, so replacing one of those names in this module
+    changes what `main` does only after `_parser.cache_clear()`; a test of
+    one calls it directly instead.
     """
     return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
     with warnings.catch_warnings():
         # each warning the caller's filters let through is one "warning:" line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             # argparse exits 2 on bad usage and 0 for --help/--version
             return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
         try:
-            return args.func(args, argv)
+            code = args.func(args, argv)
+            if sys.stdout is None:  # started with stdout closed: `print` dropped every line
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.flush()  # so a stdout that cannot take them fails here, not at exit
+            return code
         except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
             # LinAlgError subclasses ValueError, so it is caught first
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except OSError as exc:
+            # reads and report files raise InputError, so a stdout write failed
+            print(f"error: cannot write <stdout>: {exc.strerror or exc}", file=sys.stderr)
+            # Python's flush at exit then puts what stayed buffered in the null
+            # device instead of failing again (None or an in-memory stream: no-op)
+            with contextlib.suppress(AttributeError, OSError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
             return EXIT_INPUT
 
 

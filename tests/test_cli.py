@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import errno
 import functools
@@ -47,13 +48,15 @@ def fixture_dir(tmp_path):
     return tmp_path
 
 
-def run_cli(argv):
-    """`python -m softlip.cli argv` in a fresh process, on this checkout's src."""
+def run_cli(argv, stdout=subprocess.PIPE, wrap=(), **env):
+    """`python -m softlip.cli argv` in a fresh process, on this checkout's src,
+    behind the `wrap` command prefix and with `env` added to the environment."""
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     return subprocess.run(
-        [sys.executable, "-m", "softlip.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [*wrap, sys.executable, "-m", "softlip.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
@@ -103,6 +106,16 @@ class TestCsvIngestion:
         path.write_text("", encoding="utf-8")
         with pytest.raises(InputError, match="empty"):
             read_matrix_csv(str(path))
+
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        # the decode error named no file: "error: 'utf-8' codec can't decode ..."
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfe1,2\n")
+        assert main(["estimate", "--matrix", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
 
     def test_clean_file_skips_the_per_cell_parser(self, tmp_path, monkeypatch):
         def fail(text, what=""):
@@ -469,7 +482,9 @@ class TestEstimateCommand:
         doc_a["manifest"]["command"] = doc_b["manifest"]["command"] = []
         assert doc_a == doc_b
 
-    @pytest.mark.parametrize("env", ["abc", "1_0", "\u0663"])
+    @pytest.mark.parametrize("env", [
+        "abc", "1_0", "\u0663", pytest.param("7" * 5000, id="5000_digits"),
+    ])
     def test_non_integer_env_seed_exits_2(self, env, fixture_dir, monkeypatch, capsys):
         monkeypatch.setenv("SOFTLIP_SEED", env)
         argv = ["estimate", "--matrix", str(fixture_dir / "attention_scores_8x8.csv")]
@@ -835,6 +850,145 @@ class TestUnwritableReport:
         assert load_report(f"{out}.json")["result"]["trials_per_input"] == 2
 
 
+class TestStdoutFailure:
+    """A stdout that cannot take the output (closed, a pipe whose reader has
+    gone, a full device) exits 2 with one `error: cannot write <stdout>: ...`
+    line. It ended in a BrokenPipeError or AttributeError traceback and exit
+    1, or in Python's "Exception ignored" at exit and exit 120. Only a fresh
+    process shows that flush at exit."""
+
+    @staticmethod
+    def readme_estimate(fixture_dir):
+        return [
+            "estimate", "--matrix", str(fixture_dir / "attention_scores_8x8.csv"), "--rowwise",
+            "--lambda", "1", "--p-list", "1,2,inf", "--eps-list", "1e-1,1e-2,1e-3",
+            "--trials", "100", "--seed", "42",
+        ]
+
+    @staticmethod
+    def run_into_broken_pipe(argv, unbuffered):
+        # the reader is gone before the command starts, so the first write fails
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return run_cli(argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_broken_pipe(self, unbuffered, fixture_dir):
+        # buffered, the flush after the command fails; unbuffered, the first print
+        done = self.run_into_broken_pipe(self.readme_estimate(fixture_dir), unbuffered)
+        assert (done.returncode, done.stderr) == (
+            EXIT_INPUT, f"error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+        )
+
+    def test_broken_pipe_keeps_written_reports(self, fixture_dir, tmp_path):
+        out = tmp_path / "report"
+        argv = [*self.readme_estimate(fixture_dir), "--out", str(out)]
+        done = self.run_into_broken_pipe(argv, "")
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.count("\n") == 1
+        assert load_report(f"{out}.json")["result"]["trials_per_input"] == 100
+        assert Path(f"{out}.csv").read_text(encoding="utf-8").startswith("epsilon,p,")
+
+    def test_closed_stdout(self, fixture_dir):
+        wrap = ["sh", "-c", 'exec "$@" >&-', "sh"]
+        done = run_cli(self.readme_estimate(fixture_dir), wrap=wrap)
+        assert (done.returncode, done.stderr) == (
+            EXIT_INPUT, f"error: cannot write <stdout>: {os.strerror(errno.EBADF)}\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device(self, fixture_dir):
+        with open("/dev/full", "w") as full:
+            done = run_cli(self.readme_estimate(fixture_dir), stdout=full, PYTHONUNBUFFERED="")
+        assert (done.returncode, done.stderr) == (
+            EXIT_INPUT, f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    def test_failed_write_in_process_keeps_what_came_before(self, fixture_dir, tmp_path):
+        # the stream takes the summary line and fails on the next one; the
+        # reports written between them stay
+        class Stream(io.StringIO):
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+                return super().write(text)
+
+        out, stdout, stderr = tmp_path / "report", Stream(), io.StringIO()
+        argv = ["estimate", "--matrix", str(fixture_dir / "matching_pennies.csv"),
+                "--trials", "2", "--out", str(out)]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(argv) == EXIT_INPUT
+        assert stdout.getvalue().startswith("max empirical L_p = ")
+        assert stdout.getvalue().count("\n") == 1
+        assert stderr.getvalue() == f"error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+        assert Path(f"{out}.json").is_file() and Path(f"{out}.csv").is_file()
+
+    def test_no_stdout_in_process(self, capsys):
+        with contextlib.redirect_stdout(None):
+            assert main(["jacobian-norm", "--inline", "0,0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: cannot write <stdout>: {os.strerror(errno.EBADF)}\n"
+        )
+
+
+#: Values an option type may reject; none may reach argparse's own
+#: "invalid <type> value" message.
+HOSTILE_VALUES = {
+    "5000_digits": "7" * 5000, "arabic_three": "\u0663", "underscore": "1_0",
+    "nan": "nan", "1e400": "1e400", "empty": "", "space": " ",
+}
+
+#: The options each command needs besides the one under test.
+REQUIRED_OPTIONS = {
+    "jacobian-norm": {"--inline": "0,0"},
+    "witness": {"--mode": "attained"},
+    "estimate": {"--matrix": "m.csv"},
+    "dsfp": {"--payoff": "m.csv"},
+    "scsa": {"--n": "2", "--nu": "1", "--tau": "1", "--eps": "1",
+             "--wq": "1", "--wk": "1", "--wv": "1"},
+}
+
+
+def _typed_options():
+    """(command, option, action) for every option of `build_parser()` with a type."""
+    [commands] = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0], action)
+            for command, sub in commands.choices.items()
+            for action in sub._actions if action.type is not None]
+
+
+TYPED_OPTIONS = _typed_options()
+
+
+class TestOptionTypes:
+    """The parsers are the option types: each raises only `InputError`, an
+    `ArgumentTypeError`, so argparse prints softlip's message after the
+    option's name and never its own "invalid <type> value"."""
+
+    @pytest.mark.parametrize("text", HOSTILE_VALUES.values(), ids=HOSTILE_VALUES.keys())
+    @pytest.mark.parametrize(
+        "command, option, action", TYPED_OPTIONS,
+        ids=[f"{command}{option}" for command, option, _ in TYPED_OPTIONS],
+    )
+    def test_hostile_value(self, command, option, action, text, capsys):
+        required = {k: v for k, v in REQUIRED_OPTIONS[command].items() if k != option}
+        argv = [command, option, text, *[x for kv in required.items() for x in kv]]
+        try:
+            want = action.type(text)
+        except InputError as exc:
+            assert main(argv) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.endswith(f"softlip {command}: error: argument {option}: {exc}\n")
+            assert "invalid" not in err
+        else:
+            # a value the type reads, such as "1e400" for --p (infinity)
+            assert getattr(cli._parser().parse_args(argv), action.dest) == want
+
+
 class TestParserBehavior:
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == EXIT_INPUT
@@ -878,6 +1032,22 @@ class TestParserBehavior:
     ])
     def test_integer_grammar(self, text, want):
         assert cli._parse_int(text) == want
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_integer_digit_limit(self, sign):
+        # int() raised CPython's "Exceeds the limit (4300 digits) ... use
+        # sys.set_int_max_str_digits()" beyond it
+        assert cli._parse_int(sign + "9" * 4300) == int(sign + "9" * 4300)
+        with pytest.raises(InputError, match="^--seed: 4301 digits exceed the limit of 4300$"):
+            cli._parse_int(sign + "9" * 4301, "--seed")
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_integer_beyond_the_digit_limit_names_the_option(self, flag, fixture_dir, capsys):
+        argv = ["estimate", "--matrix", str(fixture_dir / "attention_scores_8x8.csv")]
+        assert main([*argv, flag, "7" * 5000]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: 5000 digits exceed the limit of 4300\n")
+        assert "set_int_max_str_digits" not in err
 
     def test_main_builds_one_parser_per_process(self, monkeypatch):
         built, build = [], cli.build_parser
@@ -962,6 +1132,7 @@ class TestParserBehavior:
 
     def test_input_error_names_what_it_concerns(self):
         assert isinstance(InputError("x"), ValueError)
+        assert isinstance(InputError("x"), argparse.ArgumentTypeError)
         assert str(InputError("empty list", "--eps-list")) == "--eps-list: empty list"
         assert str(InputError("empty list")) == "empty list"
 
