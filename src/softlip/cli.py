@@ -121,13 +121,16 @@ def _parse_float(text: str, what: str = "") -> float:
 def _parse_int(text: str, what: str = "") -> int:
     """A whole number: ASCII `[+-]?[0-9]+` after `strip`, read exactly
     (never through a float); no underscores, no non-ASCII digits and at
-    most `_MAX_INT_DIGITS` digits."""
+    most `_MAX_INT_DIGITS` digits, or the interpreter's lower limit."""
     token = text.strip()
     if not _INT_RE.fullmatch(token):
         raise InputError(f"cannot parse {text!r} as an integer", what)
     digits = len(token.lstrip("+-"))
-    if digits > _MAX_INT_DIGITS:
-        raise InputError(f"{digits} digits exceed the limit of {_MAX_INT_DIGITS}", what)
+    # PYTHONINTMAXSTRDIGITS may set int's limit lower (0 is no limit; before
+    # 3.10.7 Python has neither the limit nor the call)
+    limit = min(_MAX_INT_DIGITS, getattr(sys, "get_int_max_str_digits", int)() or _MAX_INT_DIGITS)
+    if digits > limit:
+        raise InputError(f"{digits} digits exceed the limit of {limit}", what)
     return int(token)
 
 
@@ -602,8 +605,22 @@ def cmd_scsa(args, argv: list[str]) -> int:
 # parser
 
 
+class _RaisingParser(argparse.ArgumentParser):
+    """An `ArgumentParser` whose write to stdout raises its `OSError`, as a
+    `print` does, where argparse drops it: so `main` reports `--help` and
+    `--version` into a stdout that cannot take them, buffered or not. Writes
+    to stderr, and to stderr in place of a closed stdout, stay argparse's.
+    Subparsers are built with the same class."""
+
+    def _print_message(self, message, file=None):
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _RaisingParser(
         prog="softlip",
         description="Softmax Lipschitz analysis: constants, witnesses, estimation, games.",
     )
@@ -695,12 +712,17 @@ def main(argv=None) -> int:
         # each warning the caller's filters let through is one "warning:" line
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            args = _parser().parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on bad usage and 0 for --help/--version
-            return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
-        try:
-            code = args.func(args, argv)
+            try:
+                args = _parser().parse_args(argv)
+            except SystemExit as exc:
+                # argparse exits 2 on bad usage and 0 for --help/--version, whose
+                # text still needs the checks below (into a closed stdout,
+                # argparse writes it to stderr)
+                if exc.code not in (0, None):
+                    return EXIT_INPUT
+                code = EXIT_OK
+            else:
+                code = args.func(args, argv)
             if sys.stdout is None:  # started with stdout closed: `print` dropped every line
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.flush()  # so a stdout that cannot take them fails here, not at exit

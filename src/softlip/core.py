@@ -173,12 +173,20 @@ def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to the smallest positive normal and only those rows are renormalized,
     keeping the result strictly positive; each row gets the same bits as
     the vector on its own.
+
+    `z` is only read: the shift z - max z is the one array the kernel
+    allocates, and it is exponentiated and normalized in place. The
+    reductions are the ufunc reduces behind `ndarray.max` and `.sum`, with
+    their bits. One minimum over all entries skips the clamp mask when no
+    entry is 0; a NaN minimum falls through to it and, as before, flags
+    nothing.
     """
-    s = np.exp(z - z.max(-1, keepdims=True))
-    s /= s.sum(-1, keepdims=True)
+    s = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True))
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=-1, keepdims=True)
+    if np.minimum.reduce(s, axis=None) > 0.0:
+        return s, np.zeros(s.shape[:-1], dtype=bool)
     zero = s == 0.0
-    if not zero.any():
-        return s, zero[..., 0]  # all False: one flag per row, no new array
     clamped = zero.any(-1)
     s[zero] = _TINY
     return np.where(clamped[..., None], s / s.sum(-1, keepdims=True), s), clamped
@@ -219,7 +227,8 @@ def _softmax_rows(v: np.ndarray, lam: float, bounded: bool = False) -> tuple[np.
     `bounded` skips `_scaled_logits`' overflow check (a dot product, about
     1 us a call) for a caller that has bounded every |lam * v| by half the
     float max, so that neither a product nor a row's span overflows; the
-    bits are the same.
+    bits are the same. Then lam may also be negative: -lam with v has the
+    bits of lam with -v, without the negated copy.
     """
     return _softmax_kernel(lam * v if bounded else _scaled_logits(v, lam))
 

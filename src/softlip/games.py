@@ -19,11 +19,13 @@ states which end each order takes. A `MatrixGame` computes the norms those
 ends need at most once, on first use, so `tau_min` and every contraction
 factor of one game share its one eigensolve, whatever the order.
 
-Both softmaxes of a step are `core._softmax_rows`, the arithmetic of
+Both softmaxes of a step run `core._softmax_kernel`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
 before they are scaled, so a payoff near the float max still answers at a
 small tau. `dsfp_solve` decides once per solve whether the payoff bounds
-every logit so that check can be skipped, so a step pays nothing for it.
+every logit so that check can be skipped. A bounded step then costs little
+more than its two matvecs, and the damping updates T(y) in place with the
+bits of the written-out formula.
 
 tau must satisfy TAU_MIN <= tau < TAU_LIMIT, that is 2^-512 <= tau < 2^511
 (about 7.5e-155 to 6.7e153): there 1/tau and 4 tau^2 are normal floats, so
@@ -167,9 +169,13 @@ def _dsfp_step(
 
     `bounded` asserts that every |lam * logit| stays below half the float
     max (see `dsfp_solve`); the softmaxes then skip their overflow check
-    with the same bits.
+    with the same bits. Negation is exact, so there -lam * (A y) has the
+    bits of lam * -(A y) and saves the negated copy.
     """
-    x, x_clamped = _softmax_rows(-(a @ y), lam, bounded)
+    if bounded:
+        x, x_clamped = _softmax_rows(a @ y, -lam, True)
+    else:
+        x, x_clamped = _softmax_rows(-(a @ y), lam)
     t_y, y_clamped = _softmax_rows(a.T @ x, lam, bounded)
     return t_y, x, bool(x_clamped) or bool(y_clamped)
 
@@ -264,24 +270,31 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     # y and x stay nonnegative with sums within m * 1e-12 of 1
     # (`core.boundary_point`), so every logit, an entry of A y or A^T x, is
     # below 2 max|a_ij| in magnitude. With 4 lam max|a_ij| finite, every
-    # |lam * logit| stays below half the float max, and no step pays for the
-    # overflow check (two dot products a step, 3% of dsfp-games' pass time).
+    # |lam * logit| stays below half the float max, and a step skips
+    # `_scaled_logits`' overflow check.
     bounded = math.isfinite(4.0 * lam * float(np.abs(game.a).max()))
     alpha = config.alpha
+    beta = 1.0 - alpha
     order = config.p
+    is_two = order.is_two
+    stop = config.tol * alpha
     trace: list = []
     stride = 1
     stopped = False
     iterations = 0
     clamps = 0
     for k in range(1, config.max_iter + 1):
-        t_y, _, clamped = _dsfp_step(game.a, lam, y, bounded)
+        y_next, _, clamped = _dsfp_step(game.a, lam, y, bounded)
         clamps += int(clamped)
-        y_next = (1.0 - alpha) * y + alpha * t_y
+        # damp T(y), a fresh array, in place: IEEE addition commutes, so
+        # alpha T(y) + beta y has the bits of (1 - alpha) y + alpha T(y), and
+        # at alpha = 1 it is T(y) + 0 = T(y)
+        y_next *= alpha
+        y_next += beta * y
         step = y_next - y
         # p = 2: one dot product gives row_norms' bits whenever its sum is in
         # range, which a NaN or inf in the iterate is not
-        squares = float(np.vecdot(step, step)) if order.is_two else math.nan
+        squares = float(np.vecdot(step, step)) if is_two else math.nan
         if _SQUARES_MIN <= squares < math.inf:
             disp = math.sqrt(squares)
         else:
@@ -295,7 +308,7 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
                 stride *= 2
         y = y_next
         iterations = k
-        if disp <= config.tol * alpha:
+        if disp <= stop:
             stopped = True
             break
     t_y, x_star, clamped = _dsfp_step(game.a, lam, y, bounded)

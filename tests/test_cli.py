@@ -907,6 +907,38 @@ class TestStdoutFailure:
             EXIT_INPUT, f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
         )
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["--version"], ["estimate", "--help"]],
+        ids=["help", "version", "estimate-help"],
+    )
+    def test_help_and_version_into_a_broken_pipe(self, argv, unbuffered):
+        # buffered, main returned 0 without the flush, and at exit Python
+        # printed "Exception ignored ... BrokenPipeError" and exited 120;
+        # unbuffered, argparse dropped the failed write and main exited 0
+        done = self.run_into_broken_pipe(argv, unbuffered)
+        assert (done.returncode, done.stderr) == (
+            EXIT_INPUT, f"error: cannot write <stdout>: {os.strerror(errno.EPIPE)}\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_into_a_full_device(self, flag, unbuffered):
+        with open("/dev/full", "w") as full:
+            done = run_cli([flag], stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert (done.returncode, done.stderr) == (
+            EXIT_INPUT, f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    def test_version_into_a_closed_stdout(self):
+        # argparse writes the text to stderr when stdout is closed
+        done = run_cli(["--version"], wrap=["sh", "-c", 'exec "$@" >&-', "sh"])
+        assert (done.returncode, done.stderr) == (
+            EXIT_INPUT,
+            f"softlip {cli.softlip.__version__}\nerror: cannot write <stdout>: {os.strerror(errno.EBADF)}\n",
+        )
+
     def test_failed_write_in_process_keeps_what_came_before(self, fixture_dir, tmp_path):
         # the stream takes the summary line and fails on the next one; the
         # reports written between them stay
@@ -1048,6 +1080,22 @@ class TestParserBehavior:
         err = capsys.readouterr().err
         assert err.endswith(f"error: argument {flag}: 5000 digits exceed the limit of 4300\n")
         assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("where", ["--seed", "SOFTLIP_SEED"])
+    def test_integer_beyond_a_lower_interpreter_limit(self, where, fixture_dir):
+        # int() raised a plain ValueError below 4300 digits, and argparse
+        # printed its own "invalid _parse_int value: '777...'"
+        seed = "7" * 1000
+        argv = ["estimate", "--matrix", str(fixture_dir / "matching_pennies.csv"), "--trials", "2"]
+        if where == "--seed":
+            done = run_cli([*argv, "--seed", seed], PYTHONINTMAXSTRDIGITS="640")
+            want = "error: argument --seed: 1000 digits exceed the limit of 640\n"
+        else:
+            done = run_cli(argv, PYTHONINTMAXSTRDIGITS="640", SOFTLIP_SEED=seed)
+            want = f"error: SOFTLIP_SEED must be an integer, got {seed!r}\n"
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.endswith(want)
+        assert "_parse_int" not in done.stderr
 
     def test_main_builds_one_parser_per_process(self, monkeypatch):
         built, build = [], cli.build_parser

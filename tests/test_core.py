@@ -177,6 +177,51 @@ class TestSoftmaxKernel:
             np.testing.assert_array_equal(got, want.probs)
             assert flag == want.clamped
 
+    def test_nan_and_fully_clamped_rows_match_vectors(self):
+        # a NaN row stays NaN and unflagged; in the clamped row every entry
+        # but the max underflows
+        z = np.array([
+            [0.5, -1.0, 2.0, 0.0],
+            [0.0, np.nan, 1.0, -3.0],
+            [0.0, -800.0, -900.0, -1e4],
+        ])
+        s, clamped = _softmax_kernel(z)
+        assert clamped.tolist() == [False, False, True]
+        assert np.isnan(s[1]).all()
+        for row, got, flag in zip(z, s, clamped):
+            want, want_flag = self.one_vector(row)
+            assert got.tobytes() == want.tobytes()
+            assert flag == want_flag
+            alone, alone_flag = _softmax_kernel(row)
+            assert alone.tobytes() == want.tobytes()
+            assert alone_flag.shape == () and bool(alone_flag) == want_flag
+
+
+class TestCallersArrays:
+    """The softmaxes read their input and never write it, so a caller's
+    array, read-only or not, is left as it was."""
+
+    @staticmethod
+    def read_only(rows):
+        arr = np.array(rows, dtype=np.float64)
+        arr.flags.writeable = False
+        return arr
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, -1.0, 2.0], [3.0, 3.0, -7.0]],
+        [[0.0, -800.0, -900.0], [1e308, 0.0, -1e308]],  # clamps; an overflowing product
+    ])
+    def test_rows_are_left_alone(self, rows):
+        v = self.read_only(rows)
+        before = v.tobytes()
+        for lam in (0.5, 10.0):
+            _softmax_rows(v, lam)
+            softmax(v[0], lam)
+            softmax(v[1], lam)
+        _softmax_rows(v[:1], 2.0, bounded=True)  # the first row's span stays in range
+        _softmax_kernel(v[:1])
+        assert v.tobytes() == before
+
 
 _EXTREME_LOGITS = st.one_of(
     st.floats(-1e308, 1e308),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -584,6 +585,95 @@ class TestSolverLoop:
         assert counts == {"eigh": eigh, "eigvalsh": eigvalsh, "power": 0}
         tau_min(game, p)  # the game's norms: no second eigensolve
         assert counts == {"eigh": eigh, "eigvalsh": eigvalsh, "power": 0}
+
+
+def frozen_case(name):
+    """The (game, config) of a FROZEN_DSFP row."""
+    if name == "random":
+        game = random_game(61, (5, 5))
+        return game, DsfpConfig(tau=1.01 * tau_min(game, 2), tol=1e-12)
+    if name == "nonsquare":
+        game = random_game(61, (4, 7))
+        return game, DsfpConfig(tau=1.01 * tau_min(game, 3), alpha=0.3, p=3, tol=1e-12)
+    if name == "damped":
+        game = random_game(43, (50, 50))
+        return game, DsfpConfig(tau=1.01 * tau_min(game, 2), alpha=0.05)
+    if name == "saturated":
+        game = MatrixGame(800.0 * random_game(59).a)
+        return game, DsfpConfig(tau=1.0, alpha=0.3, tol=1e-12, max_iter=40)
+    if name == "unbounded":
+        return MatrixGame(np.full((2, 2), -1e300)), DsfpConfig(tau=1e-10)
+    if name == "unbounded-random":
+        return MatrixGame(1e300 * random_game(73, (3, 4)).a), DsfpConfig(tau=1e-10, max_iter=50)
+    if name == "y0":
+        game = random_game(67, (6, 9))
+        return game, DsfpConfig(tau=2.0, p=1.5, y0=np.arange(1.0, 10.0) / 45.0)
+    raise KeyError(name)
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# Solver results recorded before the step and its softmax kernel were made
+# to work in place: (case, y_star digest, x_star digest, iterations,
+# residual, clamp events, trace digest). TestSolverLoop compares the loop
+# with `dsfp_map`, which runs the same kernel, so only fixed bits can show
+# a kernel that changes them.
+FROZEN_DSFP = [
+    ("random", "723678a440b108d9", "fbf7badd55cde190", 11, "0x1.9fc6d4afe713fp-47", 0, "1371cd8d86ff98b6"),
+    ("nonsquare", "ad42f8afa50e7007", "7f64b400a3b50722", 70, "0x1.2b9dde4b3e6e2p-41", 0, "af8ab4f2eea84682"),
+    ("damped", "0aae869df527ceca", "38861fdf86ec3a95", 337, "0x1.9f0561ca31fd5p-34", 0, "5a5c33cb08929eb0"),
+    ("saturated", "c9f78e80572c5eda", "140b38418367b7ea", 40, "0x1.4a5fdb35579c4p-1", 11, "16d2ac9bc742154b"),
+    ("unbounded", "606e5166986dd9f1", "606e5166986dd9f1", 1, "0x0.0p+0", 0, "3682badd440ffd3f"),
+    ("unbounded-random", "7dfcfb2b0ac0a371", "12367c562ac614da", 50, "0x1.6a09e667f3bcdp+0", 51, "2c725791b3885023"),
+    ("y0", "f5d22853b36e4f1d", "d327e6a71f83ec5c", 6, "0x1.2650f87ab1b5fp-39", 0, "294d23168e536a55"),
+]
+
+FROZEN_DSFP_MAP = [  # (case, tau, y, T(y) digest, clamped)
+    ("random", 0.7, (0.1, 0.2, 0.3, 0.15, 0.25), "d536a0aa18263589", False),
+    ("saturated", 1.0, (0.0, 0.0, 0.5, 0.5, 0.0), "8a4735b6bb88d96d", True),
+]
+
+
+class TestFrozenDsfp:
+    @pytest.mark.parametrize("name, y_star, x_star, iterations, residual, clamps, trace", FROZEN_DSFP,
+                             ids=[row[0] for row in FROZEN_DSFP])
+    def test_solve_keeps_its_bits(self, name, y_star, x_star, iterations, residual, clamps, trace):
+        res = dsfp_solve(*frozen_case(name))
+        assert digest(res.y_star.tobytes()) == y_star
+        assert digest(res.x_star.tobytes()) == x_star
+        assert res.iterations == iterations
+        assert res.residual.hex() == residual
+        assert res.clamp_events == clamps
+        assert digest(";".join(f"{k}:{d.hex()}" for k, d in res.trace).encode()) == trace
+
+    @pytest.mark.parametrize("name, tau, y, probs, clamped", FROZEN_DSFP_MAP,
+                             ids=[row[0] for row in FROZEN_DSFP_MAP])
+    def test_map_keeps_its_bits(self, name, tau, y, probs, clamped):
+        game, _ = frozen_case(name)
+        s = dsfp_map(game, tau, y)
+        assert digest(s.probs.tobytes()) == probs
+        assert s.clamped is clamped
+
+    def test_map_leaves_a_read_only_point_alone(self):
+        game, _ = frozen_case("saturated")
+        y = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
+        y.flags.writeable = False
+        assert dsfp_map(game, 1.0, y).clamped
+        assert y.tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
+
+    @pytest.mark.parametrize("name", ["y0", "unbounded"])
+    def test_results_own_their_arrays(self, name):
+        # the loop damps in place: neither result may share memory with
+        # the other or with the start point, and a solve leaves y0 as it was
+        game, config = frozen_case(name)
+        start = None if isinstance(config.y0, str) else config.y0.tobytes()
+        res = dsfp_solve(game, config)
+        assert not np.shares_memory(res.y_star, res.x_star)
+        if start is not None:
+            assert config.y0.tobytes() == start
+            assert not np.shares_memory(res.y_star, config.y0)
 
 
 class TestTauRange:
