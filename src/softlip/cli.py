@@ -54,6 +54,7 @@ from softlip.games import (
     DsfpConfig,
     DsfpResult,
     MatrixGame,
+    contraction_factor,
     dsfp_solve,
     tau_min,
 )
@@ -265,6 +266,13 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: JSON string escapes: backslash, quote and newline by name, every other
+#: control character (below U+0020) as \u00XX.
+_STRING_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04x}" for c in range(0x20)} | {"\\": "\\\\", '"': '\\"', "\n": "\\n"}
+)
+
+
 def _emit(obj, indent: int, out: list) -> None:
     """Append the report text of `obj` to `out`. numpy values become Python
     values first (`tolist`, so a 0-d array is its scalar); a dict, list or
@@ -288,8 +296,7 @@ def _emit(obj, indent: int, out: list) -> None:
             out.append("\n" + pad)
         out.append(close)
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        out.append(f'"{escaped}"')
+        out.append(f'"{obj.translate(_STRING_ESCAPES)}"')
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -539,14 +546,14 @@ def cmd_dsfp(args, argv: list[str]) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
-    res = dsfp_solve(game, config)
-    if not (math.isfinite(res.contraction_nominal) and math.isfinite(res.contraction_safe)):
-        # ||A||_p^2 / (4 tau^2) overflowed: a true "not certified" that no
-        # report can carry, so it is an input error before any output
+    if not all(map(math.isfinite, contraction_factor(game, resolved_tau, order))):
+        # ||A||_p^2 / (4 tau^2) overflows: a true "not certified" that no
+        # report can carry, so it is an input error before any step
         raise InputError(
             f"--tau {format_float(resolved_tau)} is too small for this payoff: the contraction "
             "factor ||A||_p^2 / (4 tau^2) overflows float64; use a larger tau"
         )
+    res = dsfp_solve(game, config)
     print(
         f"dsfp: converged={'true' if res.converged else 'false'} "
         f"iterations={res.iterations} residual={format_float(res.residual)}"

@@ -219,18 +219,11 @@ def _scaled_logits(v: np.ndarray, lam: float) -> np.ndarray:
     return z
 
 
-def _softmax_rows(v: np.ndarray, lam: float, bounded: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_rows(v: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Softmax at inverse temperature lam along the last axis, unvalidated,
     and the clamp flag of each row (0-d for a vector); each row has the
-    bits and the flag of `softmax` of that row.
-
-    `bounded` skips `_scaled_logits`' overflow check (a dot product, about
-    1 us a call) for a caller that has bounded every |lam * v| by half the
-    float max, so that neither a product nor a row's span overflows; the
-    bits are the same. Then lam may also be negative: -lam with v has the
-    bits of lam with -v, without the negated copy.
-    """
-    return _softmax_kernel(lam * v if bounded else _scaled_logits(v, lam))
+    bits and the flag of `softmax` of that row."""
+    return _softmax_kernel(_scaled_logits(v, lam))
 
 
 def log_sum_exp(x, t: Union[Temperature, float] = 1.0) -> float:

@@ -357,14 +357,14 @@ def _estimate(
     order, in blocks of at most _BLOCK_ELEMENTS entries that may straddle
     epsilons. A row's draw does not depend on p, so each row builds its
     generator and draws once for every order, and each order rescales that
-    draw onto its own sphere; in top-eigenvector mode the perturbed softmax
-    is shared as well. Each row has the bits of a per-pair evaluation with
-    `sample_perturbation`, `softmax` and `vector_norm`; each order keeps,
-    per epsilon, its own maximum (first occurrence) and mean (added left to
-    right), so no table entry depends on the block size, on the other
-    epsilons or on the other orders. A report's headline value and
-    provenance are those of its first epsilon with the largest aggregate,
-    and its clamps are summed over the epsilons.
+    draw onto its own sphere; in top-eigenvector mode the draw is the
+    input's unit witness, scaled by epsilon alone. Each row has the bits of
+    a per-pair evaluation with `sample_perturbation`, `softmax` and
+    `vector_norm`; each order keeps, per epsilon, its own maximum (first
+    occurrence) and mean (added left to right), so no table entry depends
+    on the block size, on the other epsilons or on the other orders. A
+    report's headline value and provenance are those of its first epsilon
+    with the largest aggregate, and its clamps are summed over the epsilons.
 
     An order's error is the one its first failing row raises, which is the
     one its epsilon raises alone; an order stops at that row and so do the
@@ -409,29 +409,22 @@ def _estimate(
                 while not g[r].any():
                     block_rngs[r].standard_normal(out=g[r])
         else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                delta = scale[:, None] * units[inputs_of]
-                z = data[inputs_of]
-                z += delta
-            probs = None
+            g = units[inputs_of]
         for k, tally in enumerate(live):
             p = tally.spec.p
             with np.errstate(over="ignore", invalid="ignore"):  # failures are raised below
-                if random:
-                    delta = g * (scale / row_norms(g, p))[:, None]
-                    z = data[inputs_of]
-                    z += delta
+                delta = g * (scale / row_norms(g, p) if random else scale)[:, None]
+                z = data[inputs_of]
+                z += delta
                 realized = row_norms(delta, p)
             if not (np.isfinite(z).all() and realized.all()):
                 r = int((~np.isfinite(z).all(axis=1) | (realized == 0.0)).argmax())
                 failure = _row_error(tally.spec, float(scale[r]), realized[r])
                 del live[k:]  # an order after this one can no longer name the error
                 break
-            if random or probs is None:
-                probs, clamped = _softmax_rows(z, lam)
-                probs -= base[inputs_of]
-                block_clamps = int(clamped.sum())
-            tally.add(row_norms(probs, p) / realized, block_clamps, segments, pairs)
+            probs, clamped = _softmax_rows(z, lam)
+            probs -= base[inputs_of]
+            tally.add(row_norms(probs, p) / realized, int(clamped.sum()), segments, pairs)
         if not live:
             break
     if failure is not None:

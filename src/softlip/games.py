@@ -23,9 +23,10 @@ Both softmaxes of a step run `core._softmax_kernel`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
 before they are scaled, so a payoff near the float max still answers at a
 small tau. `dsfp_solve` decides once per solve whether the payoff bounds
-every logit so that check can be skipped. A bounded step then costs little
-more than its two matvecs, and the damping updates T(y) in place with the
-bits of the written-out formula.
+every logit so that no product can overflow; a bounded step then scales
+its logits itself, skips the overflow check and costs little more than its
+two matvecs, and the damping updates T(y) in place with the bits of the
+written-out formula.
 
 tau must satisfy TAU_MIN <= tau < TAU_LIMIT, that is 2^-512 <= tau < 2^511
 (about 7.5e-155 to 6.7e153): there 1/tau and 4 tau^2 are normal floats, so
@@ -41,7 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from softlip.core import SimplexPoint, _count, _softmax_rows, boundary_point
+from softlip.core import SimplexPoint, _count, _softmax_kernel, _softmax_rows, boundary_point
 from softlip.opnorm import (
     NormOrder,
     _SQUARES_MIN,
@@ -168,15 +169,17 @@ def _dsfp_step(
     the row player's response, and `clamped` covers both inner softmaxes.
 
     `bounded` asserts that every |lam * logit| stays below half the float
-    max (see `dsfp_solve`); the softmaxes then skip their overflow check
-    with the same bits. Negation is exact, so there -lam * (A y) has the
-    bits of lam * -(A y) and saves the negated copy.
+    max (see `dsfp_solve`); the step then scales the logits itself and runs
+    `core._softmax_kernel`, skipping `core._scaled_logits`' overflow check
+    with the same bits. Negation is exact, so -lam * (A y) has the bits of
+    lam * -(A y) and saves the negated copy.
     """
     if bounded:
-        x, x_clamped = _softmax_rows(a @ y, -lam, True)
+        x, x_clamped = _softmax_kernel(-lam * (a @ y))
+        t_y, y_clamped = _softmax_kernel(lam * (a.T @ x))
     else:
         x, x_clamped = _softmax_rows(-(a @ y), lam)
-    t_y, y_clamped = _softmax_rows(a.T @ x, lam, bounded)
+        t_y, y_clamped = _softmax_rows(a.T @ x, lam)
     return t_y, x, bool(x_clamped) or bool(y_clamped)
 
 
@@ -280,8 +283,6 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     stop = config.tol * alpha
     trace: list = []
     stride = 1
-    stopped = False
-    iterations = 0
     clamps = 0
     for k in range(1, config.max_iter + 1):
         y_next, _, clamped = _dsfp_step(game.a, lam, y, bounded)
@@ -293,23 +294,23 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
         y_next += beta * y
         step = y_next - y
         # p = 2: one dot product gives row_norms' bits whenever its sum is in
-        # range, which a NaN or inf in the iterate is not
+        # range, which a NaN or inf in the iterate is not. From a finite y,
+        # the step is finite exactly when y_next is, and row_norms gives a
+        # non-finite row inf or NaN without a warning.
         squares = float(np.vecdot(step, step)) if is_two else math.nan
         if _SQUARES_MIN <= squares < math.inf:
             disp = math.sqrt(squares)
         else:
-            if not np.all(np.isfinite(y_next)):
-                raise DsfpError(f"non-finite iterate at step {k}")
             disp = float(row_norms(step[None], order)[0])
+            if not math.isfinite(disp):
+                raise DsfpError(f"non-finite iterate at step {k}")
         if k % stride == 0:
             trace.append((k, disp))
             if len(trace) >= _TRACE_CAP:
                 trace = trace[::2]  # geometric thinning: drop every other entry
                 stride *= 2
         y = y_next
-        iterations = k
         if disp <= stop:
-            stopped = True
             break
     t_y, x_star, clamped = _dsfp_step(game.a, lam, y, bounded)
     clamps += int(clamped)
@@ -318,13 +319,13 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     return DsfpResult(
         y_star=y,
         x_star=x_star,
-        iterations=iterations,
+        iterations=k,
         residual=residual,
         contraction_nominal=nominal,
         contraction_safe=safe,
         regularized_value=regularized_value(game, config.tau, x_star, y),
         trace=tuple(trace),
-        converged=stopped and residual <= config.tol,
+        converged=disp <= stop and residual <= config.tol,
         certified=safe < 1.0,
         clamp_events=clamps,
         config=config,

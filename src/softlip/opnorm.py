@@ -7,8 +7,9 @@ compute exactly, so every operator gets one certified bracket
 for a stored witness v found by nonlinear power iteration, and the upper
 end is the smaller of the interpolation bound ||A||_1^(1/p) *
 ||A||_inf^(1-1/p) and the Riesz-Thorin bound from ||A||_1, ||A||_2 and
-||A||_inf, rounded outward (`_outward_upper`); an infinite upper end is
-never collapsed onto the lower one. The power iteration (`_boyd_lower`)
+||A||_inf, rounded outward (`_outward_upper`); ends that agree to
+relative 1e-9 are marked exact and the upper end stays outward. The
+power iteration (`_boyd_lower`)
 sees A only through its row maps V -> V A^T and U -> U A, so an operator
 with a cheap product (the softmax Jacobian, say) never needs its dense
 matrix. The dense 2-norm forms one Gram matrix (`_gram`), of A scaled by
@@ -161,8 +162,6 @@ class NormEstimate:
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper):
             raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
-        if self.exact and self.lower != self.upper:
-            raise ValueError("exact estimates must have lower == upper")
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -421,27 +420,21 @@ def _outward_upper(one: float, two: float, inf: float, order: NormOrder) -> tupl
 
 class _MatrixNorms:
     """The norms `_upper_norms` reads from one validated matrix that is
-    never written: (||A||_1, ||A||_inf) from `_one_inf` and the
-    `_two_norm_upper` end of ||A||_2, each computed on first use and kept,
-    so every order and every caller holding this object share one
-    eigensolve."""
-
-    __slots__ = ("arr", "_sums", "_two")
+    never written: `one_inf`, (||A||_1, ||A||_inf) from `_one_inf`, and
+    `two`, the `_two_norm_upper` end of ||A||_2. Each is computed on first
+    use and kept, so every order and every caller holding this object
+    share one eigensolve."""
 
     def __init__(self, arr: np.ndarray):
         self.arr = arr
-        self._sums: Optional[tuple[float, float]] = None
-        self._two: Optional[float] = None
 
+    @functools.cached_property
     def one_inf(self) -> tuple[float, float]:
-        if self._sums is None:
-            self._sums = _one_inf(self.arr)
-        return self._sums
+        return _one_inf(self.arr)
 
+    @functools.cached_property
     def two(self) -> float:
-        if self._two is None:
-            self._two = _two_norm_upper(self.arr)
-        return self._two
+        return _two_norm_upper(self.arr)
 
 
 def _upper_norms(norms: _MatrixNorms, order: NormOrder) -> tuple[float, float]:
@@ -459,14 +452,14 @@ def _upper_norms(norms: _MatrixNorms, order: NormOrder) -> tuple[float, float]:
     upper end that `opnorm_p_estimate` starts from.
     """
     if order.is_two:
-        two = norms.two() * (1.0 + _UPPER_SLACK)
+        two = norms.two * (1.0 + _UPPER_SLACK)
         return two, two
-    one, inf = norms.one_inf()
+    one, inf = norms.one_inf
     if order.is_one:
         return one, inf
     if order.is_infinity:
         return inf, one
-    two = norms.two()
+    two = norms.two
     return _outward_upper(one, two, inf, order)[0], _outward_upper(inf, two, one, order)[0]
 
 
@@ -571,9 +564,10 @@ def _power_bracket(
     `cap_name`) where that is smaller; the lower end is `_boyd_lower` over
     `_restart_block(n)`, clamped to `cap`. An upper end below that realized
     ratio by rounding noise (relative 1e-9, at every scale) is lifted onto
-    it, and anything more raises OpNormError. Finite ends that agree to
-    relative 1e-9 collapse onto the witnessed lower end, marked exact; an
-    infinite upper end never does. `method` names the winning bound.
+    it, since a float ratio above a proved bound is itself above the norm;
+    anything more raises OpNormError. Finite ends that agree to relative
+    1e-9 are marked exact and keep their outward upper end; an infinite
+    upper end never is. `method` names the winning bound.
     """
     upper, bound = _outward_upper(one, two, inf, order)
     if cap < upper:
@@ -585,9 +579,10 @@ def _power_bracket(
             f"certified ratio {lower} exceeds upper bound {upper}",
             NormEstimate(0.0, upper, exact=False, method="inconsistent"),
         )
+    upper = max(upper, lower)
     exact = upper < math.inf and upper - lower <= 1e-9 * upper
     method = f"power iteration + {bound}"
-    return NormEstimate(lower, lower if exact else upper, exact, method, witness)
+    return NormEstimate(lower, upper, exact, method, witness)
 
 
 def opnorm_p_estimate(A, p: Union[NormOrder, float, str]) -> NormEstimate:

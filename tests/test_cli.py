@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import softlip.cli as cli
+import softlip.games as games_module
 import softlip.lipschitz as lipschitz_module
 from softlip.cli import (
     EXIT_INPUT,
@@ -306,6 +307,29 @@ class TestJsonEmission:
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError, match="cannot serialize"):
             dumps_report({"x": object()})
+
+    def test_control_characters_are_escaped(self):
+        # only backslash, quote and newline were escaped, so a raw tab made
+        # the report invalid JSON
+        text = "".join(map(chr, range(0x20))) + '\\"\x7f\u00e9'
+        doc = dumps_report({"s": text})
+        assert json.loads(doc) == {"s": text}
+        assert doc.startswith('{\n  "s": "\\u0000\\u0001')
+        assert "\\u0009" in doc and "\\n" in doc and "\\u000a" not in doc
+
+    @pytest.mark.parametrize("char", ["\t", "\r"], ids=["tab", "cr"])
+    def test_paths_with_control_characters_load(self, char, fixture_dir, tmp_path):
+        # the paths land in manifest.command; json.loads is strict
+        matrix = tmp_path / f"scores{char}8.csv"
+        matrix.write_bytes((fixture_dir / "attention_scores_8x8.csv").read_bytes())
+        prefix = tmp_path / f"est{char}out"
+        assert main(["estimate", "--matrix", str(matrix), "--trials", "2",
+                     "--out", str(prefix)]) == EXIT_OK
+        report = tmp_path / f"jac{char}.json"
+        assert main(["jacobian-norm", "--inline", "0,1", "--json-out", str(report)]) == EXIT_OK
+        assert load_report(report)["manifest"]["command"][-1] == str(report)
+        estimate = load_report(f"{prefix}.json")
+        assert str(matrix) in estimate["manifest"]["command"]
 
 
 class TestJacobianNormCommand:
@@ -668,6 +692,25 @@ class TestDsfpCommand:
         assert captured.err.startswith("error: --tau 1e-150 is too small for this payoff")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_overflowing_factor_takes_no_step(self, tmp_path, monkeypatch, capsys, p):
+        # the factor was checked after a full solve: 10,000 steps on a
+        # 200 x 200 payoff before the same exit 2
+        steps = []
+        step = games_module._dsfp_step
+
+        def counted(*args):
+            steps.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(games_module, "_dsfp_step", counted)
+        path = tmp_path / "big.csv"
+        path.write_text("1e10,0\n0,1e10\n", encoding="utf-8")
+        argv = ["dsfp", "--payoff", str(path), "--tau", "1e-150", "--p", p]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: --tau 1e-150 is too small for this payoff")
+        assert steps == []
 
     @pytest.mark.parametrize("rows, flags", [
         # lam * (A y) overflowed: the solve failed with exit 4

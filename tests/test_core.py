@@ -218,7 +218,7 @@ class TestCallersArrays:
             _softmax_rows(v, lam)
             softmax(v[0], lam)
             softmax(v[1], lam)
-        _softmax_rows(v[:1], 2.0, bounded=True)  # the first row's span stays in range
+        _softmax_kernel(2.0 * v[:1])  # the bounded dsfp step; the first row's span stays in range
         _softmax_kernel(v[:1])
         assert v.tobytes() == before
 
@@ -245,8 +245,8 @@ def test_softmax_rows_match_softmax_bitwise(shape, lam, data):
         assert got.tobytes() == want.probs.tobytes()
         assert bool(flag) == want.clamped
     if math.isfinite(2.0 * lam * float(np.abs(v).max())):
-        # the check-free path of a caller that bounded lam * v
-        fast, fast_clamped = _softmax_rows(v, lam, bounded=True)
+        # the check-free path of a caller that bounded lam * v (the dsfp step)
+        fast, fast_clamped = _softmax_kernel(lam * v)
         assert fast.tobytes() == s.tobytes()
         assert fast_clamped.tolist() == clamped.tolist()
 

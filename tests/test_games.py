@@ -362,8 +362,7 @@ class TestUpperNorms:
             a = rng.standard_normal(shape)
             for p in (1.25, 1.5, 3.0, 7.0):
                 est = opnorm_p_estimate(a, p)
-                if not est.exact:
-                    assert _upper_norms(_MatrixNorms(a), NormOrder.of(p))[0] == est.upper
+                assert _upper_norms(_MatrixNorms(a), NormOrder.of(p))[0] == est.upper
 
     def test_never_above_interpolation(self, monkeypatch):
         # an eigensolve that rounds ||A||_2 far up still leaves the old bound
@@ -530,13 +529,15 @@ class TestSolverLoop:
 
     def test_non_finite_iterate_raises(self, monkeypatch):
         # the step's softmaxes give no NaN on a finite payoff, so a step
-        # that returns one is patched in to reach the guard
-        def nan_step(a, lam, y, bounded=False):
-            return np.full(a.shape[1], np.nan), np.full(a.shape[0], np.nan), False
+        # that returns one is patched in to reach the guard; at p = 3 every
+        # step's displacement takes row_norms, and an inf iterate gives inf
+        for value, p in ((math.nan, 2.0), (math.inf, 3.0)):
+            def bad_step(a, lam, y, bounded=False):
+                return np.full(a.shape[1], value), np.full(a.shape[0], value), False
 
-        monkeypatch.setattr(games_module, "_dsfp_step", nan_step)
-        with pytest.raises(DsfpError, match="step 1"):
-            dsfp_solve(MatrixGame(MATCHING_PENNIES), DsfpConfig(tau=1.0))
+            monkeypatch.setattr(games_module, "_dsfp_step", bad_step)
+            with pytest.raises(DsfpError, match="step 1"):
+                dsfp_solve(MatrixGame(MATCHING_PENNIES), DsfpConfig(tau=1.0, p=p))
 
     def test_overflowing_logits_solve(self):
         # lam * (-(A y)) = 1e310 overflowed, so the first softmax was NaN and

@@ -520,6 +520,14 @@ class TestPowerBracketLift:
         assert est.lower == pytest.approx(scale, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_exact_bracket_keeps_its_outward_upper_end(self, scale):
+        # the ends agree to 1e-9, and the upper end is the outward bound, not
+        # the witnessed ratio, which may sit a few ulp below the norm
+        est = self.bracket(scale, 1.0)
+        outward, _ = opnorm._outward_upper(scale, scale, scale, NormOrder(1.5))
+        assert est.exact and est.upper == outward > est.lower
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
     def test_inconsistent_upper_ends_raise(self, scale):
         # a tiny operator's upper end half its realized ratio is no rounding
         with pytest.raises(OpNormError, match="exceeds upper bound"):
@@ -621,9 +629,12 @@ class TestNormEstimateType:
         with pytest.raises(ValueError):
             NormEstimate(2.0, 1.0, exact=False, method="x")
 
-    def test_exact_requires_equality(self):
+    def test_exact_ends_need_not_be_equal(self):
+        # exact means the ends agree to relative 1e-9; the upper end stays outward
+        est = NormEstimate(1.0, 1.0 + 1e-12, exact=True, method="x")
+        assert est.upper > est.lower
         with pytest.raises(ValueError):
-            NormEstimate(1.0, 1.5, exact=True, method="x")
+            NormEstimate(1.5, 1.0, exact=True, method="x")
 
 
 class TestTwoNormFallback:
