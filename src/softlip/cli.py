@@ -296,7 +296,12 @@ def _emit(obj, indent: int, out: list) -> None:
             out.append("\n" + pad)
         out.append(close)
     elif isinstance(obj, str):
-        out.append(f'"{obj.translate(_STRING_ESCAPES)}"')
+        text = obj.translate(_STRING_ESCAPES)
+        if not text.isascii():
+            # a lone surrogate, argv's form of a byte that is not UTF-8, which
+            # UTF-8 cannot encode, as \uXXXX; other code points stay raw
+            text = text.encode("utf-8", "backslashreplace").decode("utf-8")
+        out.append(f'"{text}"')
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -339,9 +344,12 @@ def _fields_dict(obj, **keys) -> dict:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write `text` to `path` as UTF-8; a failed write is an input error."""
+    """Write `text` to `path` as UTF-8; a failed write is an input error.
+    The text is encoded before the file is opened, so a text that cannot be
+    encoded leaves no file behind."""
+    data = text.encode("utf-8")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

@@ -13,7 +13,16 @@ applied inside attention.
 Reproducibility contract: every (input, trial, epsilon) triple draws from
 its own generator seeded by `subseed`, so results are bit-identical no
 matter how the work is partitioned or ordered. Ties in the maximum break
-toward the lowest input index, then the lowest trial index.
+toward the lowest input index, then the lowest trial index. Since a
+block's draws are a function of the seed, the sweep's shape, n and the
+block's rows alone, the process keeps the blocks it drew lately in a draw
+memo (`_held_draws`): per process, bounded to 2^18 floats and read-only.
+A block drawn before, for another input of the same shape say, hashes no
+seed and builds no generator, and the memo changes no bit. Only a sweep
+whose draws fit the memo whole is held, so it pays off for small heads
+alone: at 100 trials and 3 epsilons, square heads of up to 29 x 29. A
+larger sweep, a ViT or GPT-2 head say, draws every block afresh and
+leaves the held blocks in place.
 
 An epsilon sweep runs as one pass over rows in (epsilon, input, trial)
 order: the inputs are validated and their softmax taken once, and blocks
@@ -37,8 +46,8 @@ epsilons, and hands each state to PCG64's own seeding.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -178,22 +187,73 @@ def _fixed_seed_type() -> type:
     return FixedSeed
 
 
-def _generators(seed: int, count: int, trials_per_input: int, *epsilon_indices: int):
-    """Yield `np.random.default_rng(subseed(seed, i, t, j))` for the rows of
-    `_estimate` in order, bit for bit: for each j of `epsilon_indices` in
-    turn, the rows 0 to count - 1, each (i, t) = divmod(row, trials_per_input).
-    Each is `PCG64(SeedSequence(subseed))`, with the subseeds and their seed
-    states computed _SEED_ROWS rows at a time, across epsilon boundaries and
-    however few rows a block holds."""
+#: Each thread's last batch of seed states with its key. A sweep runs in
+#: one thread and takes its rows in order, so blocks of a few rows each
+#: hash a batch once, and sweeps in other threads keep their own batch.
+_LAST_BATCH = threading.local()
+
+
+def _batch_states(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple,
+                  batch: int) -> np.ndarray:
+    """The seed states of the rows `batch * _SEED_ROWS` up to the next
+    batch of the rows that `_generators` walks, one row each, across
+    epsilons."""
+    key = (seed, count, trials_per_input, epsilon_indices, batch, _SEED_ROWS)
+    last = getattr(_LAST_BATCH, "held", None)
+    if last is not None and last[0] == key:
+        return last[1]
+    first = batch * _SEED_ROWS
+    total = count * len(epsilon_indices)
+    epsilon_of, pairs = np.divmod(np.arange(first, min(first + _SEED_ROWS, total)), count)
+    inputs_of, trials_of = np.divmod(pairs, trials_per_input)
+    epsilons = np.array([j & _MASK64 for j in epsilon_indices], dtype=np.uint64)
+    states = _seed_states(_subseeds(seed, inputs_of, trials_of, epsilons[epsilon_of]))
+    _LAST_BATCH.held = (key, states)
+    return states
+
+
+def _generators(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple,
+                start: int, stop: int):
+    """Yield `np.random.default_rng(subseed(seed, i, t, j))` for the rows
+    `start` to `stop - 1` of `_estimate` in order, bit for bit: for each j
+    of `epsilon_indices` in turn, the rows 0 to count - 1, each (i, t) =
+    divmod(row, trials_per_input). Each is `PCG64(SeedSequence(subseed))`,
+    with the subseeds and their seed states computed _SEED_ROWS rows at a
+    time, across epsilon boundaries and however few rows a block holds."""
     fixed = _fixed_seed_type()
     generator, pcg64 = np.random.Generator, np.random.PCG64
-    epsilons = np.array([j & _MASK64 for j in epsilon_indices], dtype=np.uint64)
-    total = count * len(epsilon_indices)
-    for start in range(0, total, _SEED_ROWS):
-        epsilon_of, pairs = np.divmod(np.arange(start, min(start + _SEED_ROWS, total)), count)
-        inputs_of, trials_of = np.divmod(pairs, trials_per_input)
-        for state in _seed_states(_subseeds(seed, inputs_of, trials_of, epsilons[epsilon_of])):
+    for batch in range(start // _SEED_ROWS, (stop - 1) // _SEED_ROWS + 1):
+        first = batch * _SEED_ROWS
+        states = _batch_states(seed, count, trials_per_input, epsilon_indices, batch)
+        for state in states[max(start - first, 0):stop - first]:
             yield generator(pcg64(fixed(state)))
+
+
+def _draws(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple, n: int,
+           start: int, stop: int) -> np.ndarray:
+    """The standard normal draws of the rows `start` to `stop - 1` of
+    `_generators`, n entries each, as a read-only (stop - start, n) array;
+    a row that draws the measure-zero zero vector draws again from its own
+    stream. The draws are a function of these arguments alone."""
+    g = np.empty((stop - start, n))
+    rngs = list(_generators(seed, count, trials_per_input, epsilon_indices, start, stop))
+    for rng, row in zip(rngs, g):
+        rng.standard_normal(out=row)
+    for r in np.flatnonzero(~g.any(axis=1)):
+        while not g[r].any():
+            rngs[r].standard_normal(out=g[r])
+    g.flags.writeable = False
+    return g
+
+
+#: Most blocks the draw memo holds: 2^18 floats (2 MiB) of blocks of at
+#: most _BLOCK_ELEMENTS entries each.
+_HELD_BLOCKS = 64
+
+#: `_draws` with the blocks it drew lately held, per process: a block drawn
+#: before, for another input of the same shape say, hashes no seed and
+#: builds no generator. `_estimate` uses it only for sweeps it holds whole.
+_held_draws = functools.lru_cache(maxsize=_HELD_BLOCKS)(_draws)
 
 
 @dataclass(frozen=True)
@@ -356,9 +416,11 @@ def _estimate(
     taken, once. The (epsilon, input, trial) rows are evaluated in that
     order, in blocks of at most _BLOCK_ELEMENTS entries that may straddle
     epsilons. A row's draw does not depend on p, so each row builds its
-    generator and draws once for every order, and each order rescales that
-    draw onto its own sphere; in top-eigenvector mode the draw is the
-    input's unit witness, scaled by epsilon alone. Each row has the bits of
+    generator and draws once for every order (or not at all, when the draw
+    memo holds its block: a sweep of at most _HELD_BLOCKS blocks of at most
+    _BLOCK_ELEMENTS entries each is held whole), and each order rescales that draw onto its own
+    sphere; in top-eigenvector mode the draw is the input's unit witness,
+    scaled by epsilon alone. Each row has the bits of
     a per-pair evaluation with `sample_perturbation`, `softmax` and
     `vector_norm`; each order keeps, per epsilon, its own maximum (first
     occurrence) and mean (added left to right), so no table entry depends
@@ -385,12 +447,15 @@ def _estimate(
     tallies = [_Tally(s, len(epsilons), int(clamped.sum()) * len(epsilons)) for s in specs]
     live, failure = list(tallies), None
     random = spec.mode == MODE_RANDOM
+    step = max(1, _BLOCK_ELEMENTS // n)
     if random:
-        rngs = _generators(spec.seed, count, spec.trials_per_input, *epsilon_indices)
+        draw_key = (spec.seed, count, spec.trials_per_input, tuple(epsilon_indices), n)
+        # a sweep the memo cannot hold whole would evict its own blocks in turn
+        fits = n <= _BLOCK_ELEMENTS and total <= step * _HELD_BLOCKS
+        draws = _held_draws if fits else _draws
     else:
         # the unit-temperature witness of each input, scaled per epsilon
         units = np.stack([_secular_witness(s) for s in _softmax_rows(data, 1.0)[0]])
-    step = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, total, step):
         stop = min(start + step, total)
         epsilon_of, pairs = np.divmod(np.arange(start, stop), count)
@@ -400,16 +465,7 @@ def _estimate(
             (j, max(j * count, start) - start, min((j + 1) * count, stop) - start)
             for j in range(int(epsilon_of[0]), int(epsilon_of[-1]) + 1)
         ]
-        if random:
-            g = np.empty((stop - start, n))
-            block_rngs = list(itertools.islice(rngs, stop - start))
-            for rng, row in zip(block_rngs, g):
-                rng.standard_normal(out=row)
-            for r in np.flatnonzero(~g.any(axis=1)):  # the measure-zero zero draw
-                while not g[r].any():
-                    block_rngs[r].standard_normal(out=g[r])
-        else:
-            g = units[inputs_of]
+        g = draws(*draw_key, start, stop) if random else units[inputs_of]
         for k, tally in enumerate(live):
             p = tally.spec.p
             with np.errstate(over="ignore", invalid="ignore"):  # failures are raised below

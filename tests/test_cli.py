@@ -331,6 +331,29 @@ class TestJsonEmission:
         estimate = load_report(f"{prefix}.json")
         assert str(matrix) in estimate["manifest"]["command"]
 
+    def test_lone_surrogates_are_escaped(self):
+        # argv holds the byte 0xff of a path as U+DCFF, which UTF-8 cannot encode
+        text = "a\udcff\ud800b\U0001f600"  # the emoji is one code point, kept raw
+        doc = dumps_report({"s": text})
+        assert '"a\\udcff\\ud800b\U0001f600"' in doc
+        doc.encode("utf-8")
+        assert json.loads(doc) == {"s": text}
+
+    def test_paths_that_are_not_utf8_write_strict_json(self, fixture_dir, tmp_path):
+        # the report was written as UTF-8 after its file was opened, so the
+        # surrogate in manifest.command exited 2 with an encoder error that
+        # named neither the path nor the option, and left an empty file
+        out = tmp_path / "m\udcff.json"
+        assert main(["dsfp", "--payoff", str(fixture_dir / "matching_pennies.csv"),
+                     "--out", str(out)]) == EXIT_OK
+        assert load_report(out)["manifest"]["command"][-1] == str(out)
+        prefix = tmp_path / "est\udcff"
+        assert main(["estimate", "--matrix", str(fixture_dir / "attention_scores_8x8.csv"),
+                     "--trials", "2", "--out", str(prefix)]) == EXIT_OK
+        assert load_report(f"{prefix}.json")["manifest"]["command"][-1] == str(prefix)
+        assert os.fsencode(out).endswith(b"m\xff.json")
+        assert (tmp_path / "est\udcff.csv").read_text(encoding="utf-8").startswith("epsilon,")
+
 
 class TestJacobianNormCommand:
     def test_uniform_closed_form(self, capsys, tmp_path):

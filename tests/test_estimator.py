@@ -1,4 +1,6 @@
+import concurrent.futures
 import itertools
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -139,7 +141,7 @@ class TestSeeding:
     def test_draws_over_thousands_of_rows(self):
         # 3000 rows span three batches of seed states
         count, trials = 3000, 7
-        rngs = list(estimator._generators(97, count, trials, 1))
+        rngs = list(estimator._generators(97, count, trials, (1,), 0, count))
         assert len(rngs) == count
         for row, rng in enumerate(rngs):
             expected = np.random.default_rng(subseed(97, row // trials, row % trials, 1))
@@ -155,7 +157,7 @@ class TestSeeding:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_generators_for_any_seed(self, seed):
-        for row, rng in enumerate(estimator._generators(seed, 40, 6, 3)):
+        for row, rng in enumerate(estimator._generators(seed, 40, 6, (3,), 0, 40)):
             expected = np.random.default_rng(subseed(seed, row // 6, row % 6, 3))
             np.testing.assert_array_equal(rng.standard_normal(7), expected.standard_normal(7))
             np.testing.assert_array_equal(rng.standard_normal(3), expected.standard_normal(3))
@@ -799,3 +801,209 @@ class TestOrderSweep:
         inputs = np.random.default_rng(96).normal(size=(3, 4))
         order_sweep(inputs, 1.0, spec(trials=5), self.EPSILONS, (1, 2, 3, "inf"))
         assert len(built) == 3 * 5 * len(self.EPSILONS)
+
+
+def count_generators(monkeypatch):
+    """Count the generators `_estimate` builds from here on, through the one
+    place that builds them."""
+    built = []
+    batched = estimator._generators
+
+    def counted(*args):
+        for rng in batched(*args):
+            built.append(rng)
+            yield rng
+
+    monkeypatch.setattr(estimator, "_generators", counted)
+    return built
+
+
+def sweep_keys(seed, count, trials, epsilon_indices, n):
+    """The memo keys of a random-mode sweep's blocks, in order."""
+    step = max(1, estimator._BLOCK_ELEMENTS // n)
+    total = count * len(epsilon_indices)
+    return [(seed, count, trials, epsilon_indices, n, start, min(start + step, total))
+            for start in range(0, total, step)]
+
+
+class TestDrawMemo:
+    """A random-mode block drawn before in this process comes from the
+    draw memo: no seed is hashed, no generator is built and no bit moves."""
+
+    EPSILONS = [1e-1, 1e-2, 1e-3]
+
+    def heads(self, count, rows=8, n=16, seed=97):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(rows, n)) * scale for scale in np.geomspace(0.5, 4.0, count)]
+
+    def test_a_repeated_sweep_builds_no_generator(self, monkeypatch):
+        # heads of one shape at one seed draw the same 8 x 10 x 3 rows
+        built = count_generators(monkeypatch)
+        first, second = self.heads(2)
+        s = spec(p=2, eps=1e-1, trials=10, seed=41)
+        cold = epsilon_sweep(first, 1.0, s, self.EPSILONS)
+        assert len(built) == 240
+        assert epsilon_sweep(first, 1.0, s, self.EPSILONS) == cold
+        other = epsilon_sweep(list(second), 1.0, s, self.EPSILONS)
+        orders = order_sweep(second, 1.0, s, self.EPSILONS, (1, 3, "inf"))
+        assert len(built) == 240
+        assert_sweep_matches(other, list(second), 1.0, s, self.EPSILONS)
+        for order, report in zip((1, 3, "inf"), orders):
+            assert report == one_order_at_a_time(second, 1.0, s, self.EPSILONS, [order])[0]
+
+    @pytest.mark.parametrize("n", [2, 16, 129])
+    @pytest.mark.parametrize("seed_rows", [1, 7, 1024])
+    @pytest.mark.parametrize("block", [4, 24, 4096])
+    def test_cold_and_warm_are_bit_identical(self, block, seed_rows, n, monkeypatch):
+        # 15 rows per epsilon: blocks of 1, 2 or 12 rows and seed batches of
+        # 1 or 7 rows end inside epsilons; a row wider than a block is not held
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(estimator, "_SEED_ROWS", seed_rows)
+        built = count_generators(monkeypatch)
+        rng = np.random.default_rng(98)
+        inputs = [rng.normal(size=n) * 3.0 for _ in range(3)]
+        s = spec(p=1.5, trials=5, seed=9, aggregate="mean")
+        cold = order_sweep(inputs, 1.0, s, self.EPSILONS, (1.5, 2))
+        assert len(built) == 45
+        warm = order_sweep(inputs, 1.0, s, self.EPSILONS, (1.5, 2))
+        assert len(built) == (45 if n <= block else 90)
+        assert warm == cold
+        for report in cold:
+            table = [oracle(inputs, 1.0, replace(s, p=report.p, epsilon=e), j)[0]
+                     for j, e in enumerate(self.EPSILONS)]
+            assert report.per_epsilon_table == tuple(zip(self.EPSILONS, table))
+
+    def test_held_blocks_are_read_only_and_never_written(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 16 * 30)  # 8 blocks
+        head = self.heads(1)[0]
+        s = spec(p=2, trials=10, seed=5)
+        epsilon_sweep(head, 1.0, s, self.EPSILONS)
+        keys = sweep_keys(5, 80, 10, (0, 1, 2), 16)
+        held = [estimator._held_draws(*key) for key in keys]
+        info = estimator._held_draws.cache_info()
+        assert (len(keys), info.misses, info.hits) == (8, 8, 8)
+        copies = [block.copy() for block in held]
+        for p in (1, 2, 3, "inf"):  # every order rescales the same held draws
+            epsilon_sweep(400.0 * head, 1.0, replace(s, p=p), self.EPSILONS)
+        with pytest.raises(ValueError, match="finite entries"):
+            epsilon_sweep(np.full((8, 16), 1.5e308), 1.0, s, [1e308])
+        for key, block, copy in zip(keys, held, copies):
+            assert estimator._held_draws(*key) is block
+            assert not block.flags.writeable
+            np.testing.assert_array_equal(block, copy)
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+
+    def test_a_change_of_key_misses(self, monkeypatch):
+        built = count_generators(monkeypatch)
+        rng = np.random.default_rng(99)
+        s = spec(p=2, trials=4, seed=3)
+        epsilon_sweep(rng.normal(size=(5, 6)), 1.0, s, self.EPSILONS)
+        assert len(built) == 60
+        for inputs, changed, rows in [
+            (rng.normal(size=(5, 6)), replace(s, seed=4), 60),
+            (rng.normal(size=(5, 6)), replace(s, trials_per_input=3), 45),
+            (rng.normal(size=(4, 6)), s, 48),  # fewer rows
+            (rng.normal(size=(5, 7)), s, 60),  # another n
+        ]:
+            del built[:]
+            epsilon_sweep(inputs, 1.0, changed, self.EPSILONS)
+            assert len(built) == rows
+        del built[:]
+        empirical_lp(rng.normal(size=(5, 6)), 1.0, s, epsilon_index=1)  # one epsilon of three
+        assert len(built) == 20
+
+    def test_held_blocks_stay_bounded(self, monkeypatch):
+        built = count_generators(monkeypatch)
+        assert estimator._HELD_BLOCKS * estimator._BLOCK_ELEMENTS == 1 << 18
+        for seed in range(1000):
+            g = estimator._held_draws(seed, 1, 1, (0,), 300, 0, 1)
+        info = estimator._held_draws.cache_info()
+        assert info.currsize == info.maxsize == estimator._HELD_BLOCKS
+        assert len(built) == 1000
+        for seed in range(1000 - estimator._HELD_BLOCKS, 1000):  # the latest are held
+            estimator._held_draws(seed, 1, 1, (0,), 300, 0, 1)
+        assert len(built) == 1000
+        estimator._held_draws(0, 1, 1, (0,), 300, 0, 1)  # the oldest went first
+        assert len(built) == 1001
+        np.testing.assert_array_equal(g[0], np.random.default_rng(subseed(999, 0, 0, 0)).standard_normal(300))
+
+    def test_a_sweep_the_memo_cannot_hold_whole_is_drawn_afresh(self, monkeypatch):
+        # at n = 16 a block holds 256 rows, so 8 inputs x 682 trials x 3
+        # epsilons fill the 64 held blocks and 683 trials need a 65th
+        built = count_generators(monkeypatch)
+        small, big = self.heads(2)
+        s = spec(p=2, trials=10, seed=41)
+        epsilon_sweep(small, 1.0, s, self.EPSILONS)
+        assert len(built) == 240
+        over = replace(s, trials_per_input=683)
+        first = epsilon_sweep(big, 1.0, over, self.EPSILONS)
+        assert epsilon_sweep(big, 1.0, over, self.EPSILONS) == first
+        assert len(built) == 240 + 2 * 8 * 683 * 3
+        epsilon_sweep(small, 1.0, s, self.EPSILONS)  # still held: the big sweep evicted nothing
+        assert len(built) == 240 + 2 * 8 * 683 * 3
+        del built[:]
+        fits = replace(s, trials_per_input=682)
+        first = epsilon_sweep(big, 1.0, fits, self.EPSILONS)
+        assert epsilon_sweep(big, 1.0, fits, self.EPSILONS) == first
+        assert len(built) == 8 * 682 * 3
+        del built[:]
+        for n, drawn in [(estimator._BLOCK_ELEMENTS, 6), (estimator._BLOCK_ELEMENTS + 1, 12)]:
+            wide = np.random.default_rng(100).normal(size=(3, n))  # one row a block
+            for _ in range(2):
+                empirical_lp(wide, 1.0, replace(s, trials_per_input=2))
+            assert len(built) == drawn
+            del built[:]
+
+    def test_threads_share_the_memo(self):
+        # more threads than cores, switching often, over keys that evict each
+        # other: a lost update would break a sweep or a held block
+        heads = self.heads(6)
+        specs = [spec(p=p, trials=10, seed=seed) for p in (1, "inf") for seed in (1, 2)]
+        jobs = [(head, s) for head in heads for s in specs]
+        serial = [epsilon_sweep(head, 1.0, s, self.EPSILONS) for head, s in jobs]
+        keys = [(seed, 1, 1, (0,), 3000, 0, 1) for seed in range(400)]
+        estimator._held_draws.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                sweeps = [pool.submit(epsilon_sweep, head, 1.0, s, self.EPSILONS) for head, s in jobs]
+                draws = [pool.submit(estimator._held_draws, *key) for key in keys]
+                threaded = [f.result(timeout=60) for f in sweeps]
+                drawn = [f.result(timeout=60) for f in draws]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert estimator._held_draws.cache_info().currsize <= estimator._HELD_BLOCKS
+        for key, g in zip(keys, drawn):
+            reference = np.random.default_rng(subseed(key[0], 0, 0, 0)).standard_normal(3000)
+            np.testing.assert_array_equal(g[0], reference)
+
+    def test_threads_keep_their_own_seed_batch(self, monkeypatch):
+        # wide rows draw one row a block; sweeps running at once in four
+        # threads must not evict each other's batch of seed states, so each
+        # hashes its 90 rows once, as it does alone
+        hashed = []
+        batched = estimator._seed_states
+
+        def counted(entropy):
+            hashed.append(len(entropy))
+            return batched(entropy)
+
+        monkeypatch.setattr(estimator, "_seed_states", counted)
+        wide = np.random.default_rng(101).normal(size=(3, estimator._BLOCK_ELEMENTS + 1))
+        specs = [spec(p=2, trials=10, seed=seed) for seed in range(4)]
+        serial = [epsilon_sweep(wide, 1.0, s, self.EPSILONS) for s in specs]
+        assert hashed == [90] * 4
+        del hashed[:]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(epsilon_sweep, wide, 1.0, s, self.EPSILONS) for s in specs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert hashed == [90] * 4
