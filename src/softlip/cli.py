@@ -6,7 +6,10 @@ CSV score matrices), `dsfp` (regularized game solving), and `scsa` (the
 refined attention bound). Input matrices are headerless CSV; reports are
 JSON documents {"manifest": ..., "result": ...} whose numeric fields carry
 17 significant digits, so re-running a manifest's command reproduces the
-report byte-for-byte (the timestamp sits in its own field).
+report byte-for-byte (the timestamp sits in its own field) on the same
+numpy version and SIMD dispatch level: numpy's AVX-512 and AVX2 kernels
+for `exp`, `log` and non-integer `**` differ in the last bit of some
+results. The golden reports were recorded with numpy 2.4.6 under AVX-512.
 
 `main` may be called any number of times in one process; every call
 parses with the same parser, built by the first.

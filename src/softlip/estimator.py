@@ -39,7 +39,7 @@ Report k is the `epsilon_sweep` of order k alone, bit for bit, and
 
 Each triple's stream is exactly `np.random.default_rng(subseed(...))`,
 that is `PCG64(SeedSequence(subseed))`. The estimator computes the
-subseeds and their SeedSequence states for a batch of rows at once, across
+subseeds and their SeedSequence states for a block's rows at once, across
 epsilons, and hands each state to PCG64's own seeding.
 """
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -70,12 +69,9 @@ MODE_TOP_EIGENVECTOR = "top-eigenvector"
 _MASK64 = (1 << 64) - 1
 
 #: Most float64 entries one block of (input, trial) rows holds; bounds the
-#: estimator's working memory whatever the number of inputs and trials.
-_BLOCK_ELEMENTS = 1 << 12
-
-#: Rows whose generator seeds are computed together, so wide rows (blocks
-#: of one row) share the fixed cost of a batch too.
-_SEED_ROWS = 1 << 10
+#: estimator's working memory whatever the number of inputs and trials, and
+#: is large enough that a block pays for hashing its own rows' seeds.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -187,46 +183,22 @@ def _fixed_seed_type() -> type:
     return FixedSeed
 
 
-#: Each thread's last batch of seed states with its key. A sweep runs in
-#: one thread and takes its rows in order, so blocks of a few rows each
-#: hash a batch once, and sweeps in other threads keep their own batch.
-_LAST_BATCH = threading.local()
-
-
-def _batch_states(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple,
-                  batch: int) -> np.ndarray:
-    """The seed states of the rows `batch * _SEED_ROWS` up to the next
-    batch of the rows that `_generators` walks, one row each, across
-    epsilons."""
-    key = (seed, count, trials_per_input, epsilon_indices, batch, _SEED_ROWS)
-    last = getattr(_LAST_BATCH, "held", None)
-    if last is not None and last[0] == key:
-        return last[1]
-    first = batch * _SEED_ROWS
-    total = count * len(epsilon_indices)
-    epsilon_of, pairs = np.divmod(np.arange(first, min(first + _SEED_ROWS, total)), count)
-    inputs_of, trials_of = np.divmod(pairs, trials_per_input)
-    epsilons = np.array([j & _MASK64 for j in epsilon_indices], dtype=np.uint64)
-    states = _seed_states(_subseeds(seed, inputs_of, trials_of, epsilons[epsilon_of]))
-    _LAST_BATCH.held = (key, states)
-    return states
-
-
 def _generators(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple,
                 start: int, stop: int):
     """Yield `np.random.default_rng(subseed(seed, i, t, j))` for the rows
     `start` to `stop - 1` of `_estimate` in order, bit for bit: for each j
     of `epsilon_indices` in turn, the rows 0 to count - 1, each (i, t) =
     divmod(row, trials_per_input). Each is `PCG64(SeedSequence(subseed))`,
-    with the subseeds and their seed states computed _SEED_ROWS rows at a
-    time, across epsilon boundaries and however few rows a block holds."""
+    with the subseeds and seed states of all these rows computed at once,
+    across epsilon boundaries."""
+    epsilon_of, pairs = np.divmod(np.arange(start, stop), count)
+    inputs_of, trials_of = np.divmod(pairs, trials_per_input)
+    epsilons = np.array([j & _MASK64 for j in epsilon_indices], dtype=np.uint64)
+    states = _seed_states(_subseeds(seed, inputs_of, trials_of, epsilons[epsilon_of]))
     fixed = _fixed_seed_type()
     generator, pcg64 = np.random.Generator, np.random.PCG64
-    for batch in range(start // _SEED_ROWS, (stop - 1) // _SEED_ROWS + 1):
-        first = batch * _SEED_ROWS
-        states = _batch_states(seed, count, trials_per_input, epsilon_indices, batch)
-        for state in states[max(start - first, 0):stop - first]:
-            yield generator(pcg64(fixed(state)))
+    for state in states:
+        yield generator(pcg64(fixed(state)))
 
 
 def _draws(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple, n: int,
@@ -246,9 +218,9 @@ def _draws(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple,
     return g
 
 
-#: Most blocks the draw memo holds: 2^18 floats (2 MiB) of blocks of at
-#: most _BLOCK_ELEMENTS entries each.
-_HELD_BLOCKS = 64
+#: Most blocks the draw memo holds: 2^18 floats (2 MiB), whatever the
+#: block size, of blocks of at most _BLOCK_ELEMENTS entries each.
+_HELD_BLOCKS = (1 << 18) // _BLOCK_ELEMENTS
 
 #: `_draws` with the blocks it drew lately held, per process: a block drawn
 #: before, for another input of the same shape say, hashes no seed and
@@ -329,16 +301,10 @@ def sample_perturbation(
         if base is None:
             raise ValueError("top-eigenvector mode needs the base input")
         return spec.epsilon * _secular_witness(softmax(base).probs)
-    g = _draw(rng, n)
-    return g * (spec.epsilon / vector_norm(g, spec.p))
-
-
-def _draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A standard normal direction, redrawing the measure-zero zero vector."""
     g = rng.standard_normal(n)
     while not g.any():
         g = rng.standard_normal(n)
-    return g
+    return g * (spec.epsilon / vector_norm(g, spec.p))
 
 
 def _as_inputs(inputs) -> np.ndarray:

@@ -139,7 +139,7 @@ class TestSeeding:
             np.testing.assert_array_equal(state, expected)
 
     def test_draws_over_thousands_of_rows(self):
-        # 3000 rows span three batches of seed states
+        # 3000 rows, their seeds hashed in one call
         count, trials = 3000, 7
         rngs = list(estimator._generators(97, count, trials, (1,), 0, count))
         assert len(rngs) == count
@@ -594,21 +594,17 @@ class TestSweepKernel:
     EPSILONS = [1e-1, 1e-2, 1e-3]
 
     # 5 inputs x 7 trials = 35 rows per epsilon at n = 6: blocks of 1, 8 and
-    # 50 rows and seed batches of 1, 16 and 40 rows end inside epsilons, and
-    # the defaults take all 105 rows in one block and one batch
-    @pytest.mark.parametrize("block, seed_rows", [
-        (1, 1), (48, 16), (300, 40), (48, 1024), (4096, 16), (4096, 1024),
-    ])
+    # 50 rows end inside epsilons, blocks of 35 rows end exactly on them, 105
+    # rows fill one block exactly, and 4096 or 16384 entries take all 105
+    # rows in one block with room to spare
+    @pytest.mark.parametrize("block", [1, 6, 48, 210, 300, 630, 4096, 1 << 14])
     @pytest.mark.parametrize("mode", [MODE_RANDOM, MODE_TOP_EIGENVECTOR])
     @pytest.mark.parametrize("aggregate", ["max", "mean"])
-    def test_blocks_and_seed_batches_straddle_epsilons(
-        self, block, seed_rows, mode, aggregate, monkeypatch
-    ):
+    def test_blocks_straddle_epsilons(self, block, mode, aggregate, monkeypatch):
         rng = np.random.default_rng(91)
         inputs = [rng.normal(size=6) * 4.0 for _ in range(5)]
         s = spec(p=1.5, trials=7, mode=mode, seed=8, aggregate=aggregate)
         monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
-        monkeypatch.setattr(estimator, "_SEED_ROWS", seed_rows)
         swept = epsilon_sweep(inputs, 1.0, s, self.EPSILONS)
         assert_sweep_matches(swept, inputs, 1.0, s, self.EPSILONS)
 
@@ -851,14 +847,14 @@ class TestDrawMemo:
         for order, report in zip((1, 3, "inf"), orders):
             assert report == one_order_at_a_time(second, 1.0, s, self.EPSILONS, [order])[0]
 
-    @pytest.mark.parametrize("n", [2, 16, 129])
-    @pytest.mark.parametrize("seed_rows", [1, 7, 1024])
-    @pytest.mark.parametrize("block", [4, 24, 4096])
-    def test_cold_and_warm_are_bit_identical(self, block, seed_rows, n, monkeypatch):
-        # 15 rows per epsilon: blocks of 1, 2 or 12 rows and seed batches of
-        # 1 or 7 rows end inside epsilons; a row wider than a block is not held
+    @pytest.mark.parametrize("n", [2, 16, 129, 197, 2048])
+    @pytest.mark.parametrize("block", [4, 24, 4096, 1 << 14])
+    def test_cold_and_warm_are_bit_identical(self, block, n, monkeypatch):
+        # 15 rows per epsilon: blocks of 1, 2, 8, 12, 20 or 31 rows end inside
+        # epsilons; a row wider than a block is not held, and neither is a
+        # sweep of more blocks than the memo holds (n = 2048 in 4096-entry
+        # blocks: 45 rows in 23 blocks)
         monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
-        monkeypatch.setattr(estimator, "_SEED_ROWS", seed_rows)
         built = count_generators(monkeypatch)
         rng = np.random.default_rng(98)
         inputs = [rng.normal(size=n) * 3.0 for _ in range(3)]
@@ -866,7 +862,8 @@ class TestDrawMemo:
         cold = order_sweep(inputs, 1.0, s, self.EPSILONS, (1.5, 2))
         assert len(built) == 45
         warm = order_sweep(inputs, 1.0, s, self.EPSILONS, (1.5, 2))
-        assert len(built) == (45 if n <= block else 90)
+        held = n <= block and 45 <= (block // n) * estimator._HELD_BLOCKS
+        assert len(built) == (45 if held else 90)
         assert warm == cold
         for report in cold:
             table = [oracle(inputs, 1.0, replace(s, p=report.p, epsilon=e), j)[0]
@@ -929,8 +926,8 @@ class TestDrawMemo:
         np.testing.assert_array_equal(g[0], np.random.default_rng(subseed(999, 0, 0, 0)).standard_normal(300))
 
     def test_a_sweep_the_memo_cannot_hold_whole_is_drawn_afresh(self, monkeypatch):
-        # at n = 16 a block holds 256 rows, so 8 inputs x 682 trials x 3
-        # epsilons fill the 64 held blocks and 683 trials need a 65th
+        # at n = 16 a block holds 1024 rows, so 8 inputs x 682 trials x 3
+        # epsilons fill the 16 held blocks and 683 trials need a 17th
         built = count_generators(monkeypatch)
         small, big = self.heads(2)
         s = spec(p=2, trials=10, seed=41)
@@ -952,6 +949,14 @@ class TestDrawMemo:
             wide = np.random.default_rng(100).normal(size=(3, n))  # one row a block
             for _ in range(2):
                 empirical_lp(wide, 1.0, replace(s, trials_per_input=2))
+            assert len(built) == drawn
+            del built[:]
+        # the documented boundary: at 100 trials and 3 epsilons a 29 x 29
+        # head's sweep fits the memo's 2^18 floats, and a 30 x 30 head's not
+        for n, drawn in [(29, 29 * 100 * 3), (30, 2 * 30 * 100 * 3)]:
+            head = np.random.default_rng(102).normal(size=(n, n))
+            for _ in range(2):
+                epsilon_sweep(head, 1.0, replace(s, trials_per_input=100), self.EPSILONS)
             assert len(built) == drawn
             del built[:]
 
@@ -980,10 +985,10 @@ class TestDrawMemo:
             reference = np.random.default_rng(subseed(key[0], 0, 0, 0)).standard_normal(3000)
             np.testing.assert_array_equal(g[0], reference)
 
-    def test_threads_keep_their_own_seed_batch(self, monkeypatch):
-        # wide rows draw one row a block; sweeps running at once in four
-        # threads must not evict each other's batch of seed states, so each
-        # hashes its 90 rows once, as it does alone
+    def test_threads_give_the_serial_results(self, monkeypatch):
+        # wide rows draw one row a block, and each block hashes its own
+        # row's seed, so sweeps running at once in four threads share no
+        # seed state and give the results they give alone
         hashed = []
         batched = estimator._seed_states
 
@@ -995,7 +1000,7 @@ class TestDrawMemo:
         wide = np.random.default_rng(101).normal(size=(3, estimator._BLOCK_ELEMENTS + 1))
         specs = [spec(p=2, trials=10, seed=seed) for seed in range(4)]
         serial = [epsilon_sweep(wide, 1.0, s, self.EPSILONS) for s in specs]
-        assert hashed == [90] * 4
+        assert hashed == [1] * 360
         del hashed[:]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1006,4 +1011,4 @@ class TestDrawMemo:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
-        assert hashed == [90] * 4
+        assert hashed == [1] * 360
