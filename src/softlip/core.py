@@ -167,20 +167,36 @@ def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax along the last axis of pre-scaled logits, unvalidated.
 
     Takes one vector or a C-contiguous stack of rows, and returns the
-    softmax and a clamp flag per row (0-d for a vector). Rows may have any
-    length >= 1 (the game solver softmaxes length-1 payoff rows for
-    degenerate 1-strategy games). Entries that round to exact 0 are clamped
-    to the smallest positive normal and only those rows are renormalized,
-    keeping the result strictly positive; each row gets the same bits as
-    the vector on its own.
+    softmax and a clamp flag per row (a numpy bool for a vector). Rows may
+    have any length >= 1 (the game solver softmaxes length-1 payoff rows
+    for degenerate 1-strategy games). Entries that round to exact 0 are
+    clamped to the smallest positive normal and only those rows are
+    renormalized, keeping the result strictly positive; each row gets the
+    same bits as the vector on its own.
 
-    `z` is only read: the shift z - max z is the one array the kernel
-    allocates, and it is exponentiated and normalized in place. The
-    reductions are the ufunc reduces behind `ndarray.max` and `.sum`, with
-    their bits. One minimum over all entries skips the clamp mask when no
-    entry is 0; a NaN minimum falls through to it and, as before, flags
-    nothing.
+    A vector is overwritten with its softmax and returned: the shift, the
+    exponential and the normalization run in place, and its max, sum and
+    minimum are scalar reductions. That is the game solver's step, whose
+    logits live in a buffer it owns, and `_softmax_rows`, whose scaled
+    logits are a fresh array. A stack is only read: the shift z - max z is
+    the one array the kernel allocates, and it is exponentiated and
+    normalized in place. Both take the ufunc reduces behind `ndarray.max`
+    and `.sum`, with their bits. One minimum over all entries skips the
+    clamp mask when no entry is 0; a NaN minimum falls through to it and,
+    as before, flags nothing.
     """
+    if z.ndim == 1:
+        z -= np.maximum.reduce(z)
+        np.exp(z, out=z)
+        z /= np.add.reduce(z)
+        if np.minimum.reduce(z) > 0.0:
+            return z, np.False_
+        zero = z == 0.0
+        clamped = zero.any()
+        if clamped:
+            z[zero] = _TINY
+            z /= np.add.reduce(z)
+        return z, clamped
     s = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True))
     np.exp(s, out=s)
     s /= np.add.reduce(s, axis=-1, keepdims=True)

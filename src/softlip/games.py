@@ -22,11 +22,14 @@ factor of one game share its one eigensolve, whatever the order.
 Both softmaxes of a step run `core._softmax_kernel`, the arithmetic of
 `core.softmax`: logits whose product with 1/tau overflows are shifted
 before they are scaled, so a payoff near the float max still answers at a
-small tau. `dsfp_solve` decides once per solve whether the payoff bounds
-every logit so that no product can overflow; a bounded step then scales
-its logits itself, skips the overflow check and costs little more than its
-two matvecs, and the damping updates T(y) in place with the bits of the
-written-out formula.
+small tau. `dsfp_solve` allocates one workspace when it starts: a step
+writes A y and then x into an n-vector, A^T x and then T(y) into an
+m-vector, the damping and the displacement write into the workspace too,
+and the iterate alternates between two m-vectors, so each result owns its
+memory. The solve also decides once whether the payoff bounds every logit
+so that no product can overflow; a bounded step then scales its logits in
+place, skips the overflow check and softmaxes them in place, with scalar
+reductions. Every step keeps the bits of the written-out formulas.
 
 tau must satisfy TAU_MIN <= tau < TAU_LIMIT, that is 2^-512 <= tau < 2^511
 (about 7.5e-155 to 6.7e153): there 1/tau and 4 tau^2 are normal floats, so
@@ -163,24 +166,36 @@ def _check_strategy(y, m: int) -> np.ndarray:
 
 
 def _dsfp_step(
-    a: np.ndarray, lam: float, y: np.ndarray, bounded: bool = False
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(T(y), x, clamped) at lam = 1/tau, unvalidated: x = sig_lam(-A y) is
-    the row player's response, and `clamped` covers both inner softmaxes.
+    a: np.ndarray, lam: float, y: np.ndarray, x: np.ndarray, t_y: np.ndarray, bounded: bool = False
+) -> bool:
+    """One step at lam = 1/tau, unvalidated, into the caller's buffers: `x`
+    (n entries) receives A y and then the row player's response x =
+    sig_lam(-A y), `t_y` (m entries) receives A^T x and then T(y). Returns
+    whether either inner softmax clamped. Neither buffer may overlap `y`.
+    The matvecs are `np.dot` with `out=`: the BLAS gemv behind `a @ y`, with
+    its bits and less call overhead than `np.matmul`.
 
     `bounded` asserts that every |lam * logit| stays below half the float
-    max (see `dsfp_solve`); the step then scales the logits itself and runs
-    `core._softmax_kernel`, skipping `core._scaled_logits`' overflow check
-    with the same bits. Negation is exact, so -lam * (A y) has the bits of
-    lam * -(A y) and saves the negated copy.
+    max (see `dsfp_solve`); the step then scales the logits in their
+    buffer and runs `core._softmax_kernel` on it in place, skipping
+    `core._scaled_logits`' overflow check with the same bits. Negation is
+    exact, so -lam * (A y) has the bits of lam * -(A y). Otherwise the
+    softmaxes of `core._softmax_rows` allocate, and their results are
+    copied into the buffers.
     """
+    np.dot(a, y, out=x)
     if bounded:
-        x, x_clamped = _softmax_kernel(-lam * (a @ y))
-        t_y, y_clamped = _softmax_kernel(lam * (a.T @ x))
+        x *= -lam
+        x_clamped = _softmax_kernel(x)[1]
+        np.dot(a.T, x, out=t_y)
+        t_y *= lam
+        y_clamped = _softmax_kernel(t_y)[1]
     else:
-        x, x_clamped = _softmax_rows(-(a @ y), lam)
-        t_y, y_clamped = _softmax_rows(a.T @ x, lam)
-    return t_y, x, bool(x_clamped) or bool(y_clamped)
+        np.negative(x, out=x)
+        x[...], x_clamped = _softmax_rows(x, lam)
+        np.dot(a.T, x, out=t_y)
+        t_y[...], y_clamped = _softmax_rows(t_y, lam)
+    return bool(x_clamped) or bool(y_clamped)
 
 
 def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
@@ -189,7 +204,8 @@ def dsfp_map(game: MatrixGame, tau: float, y) -> SimplexPoint:
     The returned point's `clamped` flag covers both inner softmaxes.
     """
     _check_tau(tau)
-    t_y, _, clamped = _dsfp_step(game.a, 1.0 / tau, _check_strategy(y, game.m))
+    t_y = np.empty(game.m)
+    clamped = _dsfp_step(game.a, 1.0 / tau, _check_strategy(y, game.m), np.empty(game.n), t_y)
     return SimplexPoint(t_y, clamped=clamped)
 
 
@@ -262,20 +278,26 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     an exception, just converged = False. Non-finite iterates raise.
 
     The start point is validated here, once; the steps run the unvalidated
-    kernel behind `dsfp_map`, with the same arithmetic and so the same bits.
+    kernel behind `dsfp_map`, with the same arithmetic and so the same bits,
+    in one workspace allocated here.
     `x_star` is the final step's inner response sig_{1/tau}(-A y_star).
     """
+    a = game.a
+    # the workspace: x, T(y) (then the step y_next - y) and two iterates,
+    # y and y_next, which swap after each step
+    x, t_y, y, y_next = np.empty(game.n), np.empty(game.m), np.empty(game.m), np.empty(game.m)
     if isinstance(config.y0, str):
-        y = np.full(game.m, 1.0 / game.m)
+        y.fill(1.0 / game.m)
     else:
-        y = _check_strategy(config.y0, game.m).copy()
+        y[...] = _check_strategy(config.y0, game.m)
     lam = 1.0 / float(config.tau)
     # y and x stay nonnegative with sums within m * 1e-12 of 1
     # (`core.boundary_point`), so every logit, an entry of A y or A^T x, is
     # below 2 max|a_ij| in magnitude. With 4 lam max|a_ij| finite, every
     # |lam * logit| stays below half the float max, and a step skips
-    # `_scaled_logits`' overflow check.
-    bounded = math.isfinite(4.0 * lam * float(np.abs(game.a).max()))
+    # `_scaled_logits`' overflow check. max|a_ij| is max(max a, -min a) on
+    # the finite payoff, with no n x m temporary.
+    bounded = math.isfinite(4.0 * lam * max(float(a.max()), -float(a.min())))
     alpha = config.alpha
     beta = 1.0 - alpha
     order = config.p
@@ -285,14 +307,13 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
     stride = 1
     clamps = 0
     for k in range(1, config.max_iter + 1):
-        y_next, _, clamped = _dsfp_step(game.a, lam, y, bounded)
-        clamps += int(clamped)
-        # damp T(y), a fresh array, in place: IEEE addition commutes, so
-        # alpha T(y) + beta y has the bits of (1 - alpha) y + alpha T(y), and
-        # at alpha = 1 it is T(y) + 0 = T(y)
-        y_next *= alpha
-        y_next += beta * y
-        step = y_next - y
+        clamps += _dsfp_step(a, lam, y, x, t_y, bounded)
+        # IEEE addition commutes, so beta y + alpha T(y) has the bits of
+        # (1 - alpha) y + alpha T(y), and at alpha = 1 it is 0 + T(y) = T(y)
+        np.multiply(y, beta, out=y_next)
+        t_y *= alpha
+        y_next += t_y
+        step = np.subtract(y_next, y, out=t_y)
         # p = 2: one dot product gives row_norms' bits whenever its sum is in
         # range, which a NaN or inf in the iterate is not. From a finite y,
         # the step is finite exactly when y_next is, and row_norms gives a
@@ -309,21 +330,20 @@ def dsfp_solve(game: MatrixGame, config: DsfpConfig) -> DsfpResult:
             if len(trace) >= _TRACE_CAP:
                 trace = trace[::2]  # geometric thinning: drop every other entry
                 stride *= 2
-        y = y_next
+        y, y_next = y_next, y
         if disp <= stop:
             break
-    t_y, x_star, clamped = _dsfp_step(game.a, lam, y, bounded)
-    clamps += int(clamped)
+    clamps += _dsfp_step(a, lam, y, x, t_y, bounded)
     residual = float(row_norms((t_y - y)[None], order)[0])
     nominal, safe = contraction_factor(game, config.tau, order)
     return DsfpResult(
         y_star=y,
-        x_star=x_star,
+        x_star=x,
         iterations=k,
         residual=residual,
         contraction_nominal=nominal,
         contraction_safe=safe,
-        regularized_value=regularized_value(game, config.tau, x_star, y),
+        regularized_value=regularized_value(game, config.tau, x, y),
         trace=tuple(trace),
         converged=disp <= stop and residual <= config.tol,
         certified=safe < 1.0,

@@ -723,9 +723,9 @@ class TestDsfpCommand:
         steps = []
         step = games_module._dsfp_step
 
-        def counted(*args):
-            steps.append(args)
-            return step(*args)
+        def counted(a, lam, y, x, t_y, bounded=False):
+            steps.append(lam)
+            return step(a, lam, y, x, t_y, bounded)
 
         monkeypatch.setattr(games_module, "_dsfp_step", counted)
         path = tmp_path / "big.csv"

@@ -150,8 +150,9 @@ class TestSoftmaxKernel:
         for n in (1, 2, 9, 64, 513):
             for scale in (0.1, 3.0, 900.0):
                 z = scale * rng.standard_normal(n)
-                s, clamped = _softmax_kernel(z)
                 want, want_clamped = self.one_vector(z)
+                s, clamped = _softmax_kernel(z)
+                assert s is z  # a vector is softmaxed in place
                 np.testing.assert_array_equal(s, want)
                 assert clamped.shape == () and bool(clamped) == want_clamped
 

@@ -495,16 +495,22 @@ def reference_solve(game, config):
 
 
 class TestSolverLoop:
-    @pytest.mark.parametrize("p", [2, 3])
-    @pytest.mark.parametrize("alpha", [1.0, 0.3])
-    @pytest.mark.parametrize("case", ["random", "nonsquare", "saturated"])
+    @pytest.mark.parametrize("case, alpha, p", [
+        *((case, alpha, p) for case in ("random", "nonsquare", "saturated")
+          for alpha in (1.0, 0.3) for p in (2, 3)),
+        # one-strategy games: the softmax of a length-1 row, x or T(y)
+        ("1x4", 1.0, 2), ("1x4", 0.3, 3), ("4x1", 1.0, 2), ("4x1", 0.3, 3),
+        # hundreds of damped steps, each swapping the solver's iterate buffers
+        ("damped", 0.05, 2), ("damped", 0.05, 3),
+    ])
     def test_same_bits_as_the_public_map(self, case, alpha, p):
         if case == "saturated":
             # softmax entries underflow, so clamps fire on every step
             game = MatrixGame(800.0 * random_game(59).a)
             config = DsfpConfig(tau=1.0, alpha=alpha, p=p, tol=1e-12, max_iter=40)
         else:
-            game = random_game(61, (5, 5) if case == "random" else (4, 7))
+            shapes = {"random": (5, 5), "nonsquare": (4, 7), "1x4": (1, 4), "4x1": (4, 1), "damped": (12, 30)}
+            game = random_game(61, shapes[case])
             config = DsfpConfig(tau=1.01 * tau_min(game, p), alpha=alpha, p=p, tol=1e-12)
         res = dsfp_solve(game, config)
         y, trace, iterations, residual, clamps = reference_solve(game, config)
@@ -515,6 +521,20 @@ class TestSolverLoop:
         assert res.clamp_events == clamps
         if case == "saturated":
             assert clamps > 0
+        if case == "damped":
+            assert iterations > 200
+
+    def test_bounded_reads_the_most_negative_entry(self):
+        # max|a_ij| = 1e300 is the most negative entry, so 4 lam max|a_ij|
+        # overflows and every step takes the overflow-checked softmaxes; a
+        # bound read from the largest entry, 2, would scale -lam (A y) = 5e309
+        # itself and overflow
+        game = MatrixGame(np.array([[1.0, -1e300], [0.5, 2.0]]))
+        config = DsfpConfig(tau=1e-10, max_iter=20)
+        res = dsfp_solve(game, config)
+        y, trace, iterations, residual, clamps = reference_solve(game, config)
+        assert res.y_star.tobytes() == y.tobytes()
+        assert (res.trace, res.iterations, res.residual, res.clamp_events) == (trace, iterations, residual, clamps)
 
     def test_step_whose_squares_underflow(self):
         # equal rows make T constant, sig(0, -500) = (1, 7.1e-218): the first
@@ -532,8 +552,10 @@ class TestSolverLoop:
         # that returns one is patched in to reach the guard; at p = 3 every
         # step's displacement takes row_norms, and an inf iterate gives inf
         for value, p in ((math.nan, 2.0), (math.inf, 3.0)):
-            def bad_step(a, lam, y, bounded=False):
-                return np.full(a.shape[1], value), np.full(a.shape[0], value), False
+            def bad_step(a, lam, y, x, t_y, bounded=False):
+                x.fill(value)
+                t_y.fill(value)
+                return False
 
             monkeypatch.setattr(games_module, "_dsfp_step", bad_step)
             with pytest.raises(DsfpError, match="step 1"):
@@ -599,6 +621,9 @@ def frozen_case(name):
     if name == "damped":
         game = random_game(43, (50, 50))
         return game, DsfpConfig(tau=1.01 * tau_min(game, 2), alpha=0.05)
+    if name == "damped-p3":
+        game = random_game(47, (12, 30))
+        return game, DsfpConfig(tau=1.01 * tau_min(game, 3), alpha=0.05, p=3)
     if name == "saturated":
         game = MatrixGame(800.0 * random_game(59).a)
         return game, DsfpConfig(tau=1.0, alpha=0.3, tol=1e-12, max_iter=40)
@@ -617,14 +642,15 @@ def digest(data: bytes) -> str:
 
 
 # Solver results recorded before the step and its softmax kernel were made
-# to work in place: (case, y_star digest, x_star digest, iterations,
-# residual, clamp events, trace digest). TestSolverLoop compares the loop
-# with `dsfp_map`, which runs the same kernel, so only fixed bits can show
-# a kernel that changes them.
+# to work in place, damped-p3 before the solve ran on one workspace: (case,
+# y_star digest, x_star digest, iterations, residual, clamp events, trace
+# digest). TestSolverLoop compares the loop with `dsfp_map`, which runs the
+# same kernel, so only fixed bits can show a kernel that changes them.
 FROZEN_DSFP = [
     ("random", "723678a440b108d9", "fbf7badd55cde190", 11, "0x1.9fc6d4afe713fp-47", 0, "1371cd8d86ff98b6"),
     ("nonsquare", "ad42f8afa50e7007", "7f64b400a3b50722", 70, "0x1.2b9dde4b3e6e2p-41", 0, "af8ab4f2eea84682"),
     ("damped", "0aae869df527ceca", "38861fdf86ec3a95", 337, "0x1.9f0561ca31fd5p-34", 0, "5a5c33cb08929eb0"),
+    ("damped-p3", "1f6aca3691a85cd3", "b2741c4fc179bf2f", 348, "0x1.9bb4cd48eb9b9p-34", 0, "35975b206b7c830b"),
     ("saturated", "c9f78e80572c5eda", "140b38418367b7ea", 40, "0x1.4a5fdb35579c4p-1", 11, "16d2ac9bc742154b"),
     ("unbounded", "606e5166986dd9f1", "606e5166986dd9f1", 1, "0x0.0p+0", 0, "3682badd440ffd3f"),
     ("unbounded-random", "7dfcfb2b0ac0a371", "12367c562ac614da", 50, "0x1.6a09e667f3bcdp+0", 51, "2c725791b3885023"),
@@ -664,13 +690,15 @@ class TestFrozenDsfp:
         assert dsfp_map(game, 1.0, y).clamped
         assert y.tolist() == [0.0, 0.0, 0.5, 0.5, 0.0]
 
-    @pytest.mark.parametrize("name", ["y0", "unbounded"])
+    @pytest.mark.parametrize("name", ["y0", "unbounded", "random", "damped"])
     def test_results_own_their_arrays(self, name):
-        # the loop damps in place: neither result may share memory with
-        # the other or with the start point, and a solve leaves y0 as it was
+        # the loop writes into its workspace: each result owns its memory
+        # and shares none with the other or with the start point, and a
+        # solve leaves y0 as it was
         game, config = frozen_case(name)
         start = None if isinstance(config.y0, str) else config.y0.tobytes()
         res = dsfp_solve(game, config)
+        assert res.y_star.flags.owndata and res.x_star.flags.owndata
         assert not np.shares_memory(res.y_star, res.x_star)
         if start is not None:
             assert config.y0.tobytes() == start
