@@ -162,6 +162,29 @@ class SoftmaxJacobian:
 #: the product nor a row's span can overflow.
 _SAFE_SQUARES = 2.0**1020
 
+#: `_row_max` reduces a block of at least this many rows, each at most this
+#: long, across a transposed copy.
+_NARROW = 32
+
+
+def _row_max(a: np.ndarray, initial=None) -> np.ndarray:
+    """The maximum of each row of a 2-D array (NaN where a row holds one),
+    starting from `initial` when one is given.
+
+    The row maximum of the softmax stacks, `opnorm.row_norms` and the
+    power iteration. numpy's reduce along rows pays a fixed cost for each
+    row, whatever its length, so a block of many narrow rows (`_NARROW` or
+    more rows of at most `_NARROW` entries) is copied transposed and
+    reduced across its rows, where the inner loop runs down the whole
+    block; every other block takes the plain per-row reduce. A maximum is
+    exact in any order, so both give the same values; only a row whose
+    maximum ties +0.0 with -0.0 may get either zero.
+    """
+    rows, n = a.shape
+    if n <= _NARROW <= rows:
+        return np.maximum.reduce(np.ascontiguousarray(a.T), axis=0, initial=initial)
+    return np.maximum.reduce(a, axis=1, initial=initial)
+
 
 def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax along the last axis of pre-scaled logits, unvalidated.
@@ -180,10 +203,12 @@ def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logits live in a buffer it owns, and `_softmax_rows`, whose scaled
     logits are a fresh array. A stack is only read: the shift z - max z is
     the one array the kernel allocates, and it is exponentiated and
-    normalized in place. Both take the ufunc reduces behind `ndarray.max`
-    and `.sum`, with their bits. One minimum over all entries skips the
-    clamp mask when no entry is 0; a NaN minimum falls through to it and,
-    as before, flags nothing.
+    normalized in place. A stack takes its row maxima from `_row_max`,
+    exact in any layout; a maximum that ties +0.0 with -0.0 may be either
+    zero, and z minus either gives the same exponentials. The row sums are
+    the ufunc reduce behind `ndarray.sum` along C-contiguous rows, with its
+    bits. One minimum over all entries skips the clamp mask when no entry
+    is 0; a NaN minimum falls through to it and, as before, flags nothing.
     """
     if z.ndim == 1:
         z -= np.maximum.reduce(z)
@@ -197,7 +222,7 @@ def _softmax_kernel(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             z[zero] = _TINY
             z /= np.add.reduce(z)
         return z, clamped
-    s = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True))
+    s = np.subtract(z, _row_max(z)[:, None])
     np.exp(s, out=s)
     s /= np.add.reduce(s, axis=-1, keepdims=True)
     if np.minimum.reduce(s, axis=None) > 0.0:

@@ -23,13 +23,17 @@ solver's contraction diagnostics read. It takes the norms it needs from a
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+
+from softlip.core import _row_max
 
 #: Orders beyond this are indistinguishable from infinity in float64.
 P_COERCE_TO_INF = 1e6
@@ -185,7 +189,7 @@ def _rescaled_two_norms(a: np.ndarray) -> np.ndarray:
     """The 2-norm of every row, each row scaled by the exact power of two
     that brings its largest magnitude into [1/2, 1) before squaring, so
     neither overflow nor underflow loses it."""
-    _, expo = np.frexp(np.abs(a).max(axis=1))
+    _, expo = np.frexp(_row_max(np.abs(a)))
     scaled = np.ldexp(a, -expo[:, None])
     with np.errstate(over="ignore"):  # a norm beyond the float max is inf
         return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), expo)
@@ -194,17 +198,19 @@ def _rescaled_two_norms(a: np.ndarray) -> np.ndarray:
 def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
     """The lp norm of every row of a 2-D float64 array, unvalidated.
 
-    Rows are reduced in C order, so each row's norm has the same bits as
+    Rows are summed in C order, so each row's norm has the same bits as
     that row on its own (a Fortran-ordered sum adds sequentially instead
-    of pairwise). p = 2 takes the BLAS dot product per row and rescales
-    only the rows whose sum of squares overflowed or fell below
-    _SQUARES_MIN (`_rescaled_two_norms`); every other row keeps the plain
-    dot product's bits. General p factors out the row's max entry before
-    powering, so huge orders (up to the coercion threshold) neither
-    overflow nor underflow, and takes the final root in Python floats
-    (libm), which numpy's vectorized power does not reproduce to the last
-    bit. At every p a row holding inf, or whose norm is beyond the float
-    max, has norm inf, and a row holding NaN has norm NaN, with no warning.
+    of pairwise); row maxima come from `core._row_max`, exact in any
+    layout. p = 2 takes the BLAS dot product per row and rescales only the
+    rows whose sum of squares overflowed or fell below _SQUARES_MIN
+    (`_rescaled_two_norms`); every other row keeps the plain dot product's
+    bits. General p factors out the row's max entry m before powering, so
+    huge orders (up to the coercion threshold) neither overflow nor
+    underflow, and takes m * s ** (1/p) in Python floats, one map over all
+    rows: libm's `pow` per row, which numpy's vectorized power does not
+    reproduce to the last bit. At every p a row holding inf, or whose norm
+    is beyond the float max, has norm inf, and a row holding NaN has norm
+    NaN, with no warning.
     """
     order = NormOrder.of(p)
     a = np.ascontiguousarray(rows, dtype=np.float64)
@@ -220,13 +226,16 @@ def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
         return _abs_sums(a, 1)
     a = np.abs(a)
     if order.is_infinity:
-        return a.max(axis=1)
+        return _row_max(a)
     # the row max, clamped into [5e-324, float max] so that an all-zero row
     # sums to 0 and a row holding inf to inf, with no 0/0 or inf/inf
-    m = np.minimum(a.max(axis=1, initial=5e-324), _FLOAT_MAX)
-    powered = (a / m[:, None]) ** order.p
-    inv_p = 1.0 / order.p
-    return np.array([mi * si**inv_p for mi, si in zip(m.tolist(), powered.sum(axis=1).tolist())])
+    m = np.minimum(_row_max(a, initial=5e-324), _FLOAT_MAX)
+    a /= m[:, None]
+    sums = np.add.reduce(a**order.p, axis=1)
+    # m * s ** (1/p) in Python floats, whose product overflows to inf with
+    # no warning, mapped over the rows in C
+    roots = map(pow, sums.tolist(), itertools.repeat(1.0 / order.p))
+    return np.fromiter(map(operator.mul, m.tolist(), roots), np.float64, len(m))
 
 
 def vector_norm(v, p: Union[NormOrder, float, str]) -> float:
@@ -498,10 +507,12 @@ def _boyd_lower(
     then v <- psi_q(A^T psi_p(u)) normalized in lp, where
     psi_r(t) = sign(t) |t|^(r-1). Each map scales its rows by their max
     entry first, and that one |U| / max gives both the sweep's ratio and
-    psi_p; norms within the loop are vectorized (`row_norms` takes its
-    root in Python floats). A row mapped to 0 (the all-ones restart of a
-    matrix with zero row sums, say) stays 0 rather than dividing by its
-    zero norm; its ratio was recorded on the sweep before. Returns
+    psi_p; norms within the loop are vectorized, with numpy's power for
+    the root (`row_norms` takes libm's). Row maxima come from
+    `core._row_max`; a block of _BOYD_RESTARTS rows always takes its
+    per-row reduce. A row mapped to 0 (the all-ones restart of a matrix
+    with zero row sums, say) stays 0 rather than dividing by its zero
+    norm; its ratio was recorded on the sweep before. Returns
     (ratio, witness), the ratio measured once more from the witness through
     `apply` and `row_norms`, so it is reproducible to the last ulp.
     """
@@ -524,7 +535,7 @@ def _boyd_lower(
         for _ in range(_BOYD_MAX_ITER):
             U = apply(V)
             R = np.abs(U)
-            m = R.max(axis=1)
+            m = _row_max(R)
             R /= np.maximum(m, _TINY)[:, None]  # a zero row stays zero
             if floor_u:
                 np.putmask(R, R < floor_u, 0.0)
@@ -541,7 +552,7 @@ def _boyd_lower(
                     break
             W = apply_t(np.copysign(D, U))
             T = np.abs(W)
-            T /= np.maximum(T.max(axis=1), _TINY)[:, None]
+            T /= np.maximum(_row_max(T), _TINY)[:, None]
             if floor_w:
                 np.putmask(T, T < floor_w, 0.0)
             mag = T**dual_expo  # |psi_q(w)|, up to scale

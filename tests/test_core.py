@@ -9,6 +9,7 @@ from softlip.core import (
     _bits_float,
     _float_bits,
     _jacobian_times,
+    _row_max,
     _scaled_logits,
     _secular_witness,
     _softmax_kernel,
@@ -133,6 +134,22 @@ class TestSoftmax:
             Temperature(-1.0)
 
 
+class TestRowMax:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [
+        (31, 32), (32, 32), (32, 33), (2048, 8), (64, 1), (8, 2), (20, 4096),
+    ])
+    def test_each_row_is_the_reduce_of_that_row(self, shape, order):
+        # both sides of the shape rule, and its edges at 32 rows and 32 entries
+        a = np.array(np.random.default_rng(14).standard_normal(shape), order=order)
+        a[0, -1] = np.nan
+        a[-1] = -np.inf
+        a[shape[0] // 2, 0] = np.inf
+        for initial in (None, 5e-324):
+            want = np.array([np.maximum.reduce(row, initial=initial) for row in a])
+            assert _row_max(a, initial).tobytes() == want.tobytes()
+
+
 class TestSoftmaxKernel:
     @staticmethod
     def one_vector(z):
@@ -156,11 +173,14 @@ class TestSoftmaxKernel:
                 np.testing.assert_array_equal(s, want)
                 assert clamped.shape == () and bool(clamped) == want_clamped
 
-    def test_rows_match_vectors(self):
+    @pytest.mark.parametrize("shape", [(30, 17), (64, 4), (2048, 8)])
+    def test_rows_match_vectors(self, shape):
+        # the stacks of many narrow rows take their row maxima across a
+        # transposed copy (`core._row_max`)
         rng = np.random.default_rng(12)
-        z = rng.standard_normal((30, 17)) * np.geomspace(0.1, 900.0, 30)[:, None]
+        z = rng.standard_normal(shape) * np.geomspace(0.1, 900.0, shape[0])[:, None]
         s, clamped = _softmax_kernel(z)
-        assert clamped.shape == (30,)
+        assert clamped.shape == shape[:1]
         assert clamped.any() and not clamped.all()  # both branches are exercised
         for row, got, flag in zip(z, s, clamped):
             want, want_flag = self.one_vector(row)
@@ -178,16 +198,22 @@ class TestSoftmaxKernel:
             np.testing.assert_array_equal(got, want.probs)
             assert flag == want.clamped
 
-    def test_nan_and_fully_clamped_rows_match_vectors(self):
+    @pytest.mark.parametrize("shape", [(4, 4), (64, 4), (2048, 8)])
+    def test_nan_and_fully_clamped_rows_match_vectors(self, shape):
         # a NaN row stays NaN and unflagged; in the clamped row every entry
-        # but the max underflows
-        z = np.array([
+        # but the max underflows; the fourth row's max ties +0.0 with -0.0,
+        # and z minus either zero has the same exponentials
+        z = np.random.default_rng(13).standard_normal(shape)
+        z[:4, :4] = [
             [0.5, -1.0, 2.0, 0.0],
             [0.0, np.nan, 1.0, -3.0],
             [0.0, -800.0, -900.0, -1e4],
-        ])
+            [-0.0, -1.0, 0.0, -2.0],
+        ]
+        z[2, 4:] = -1e4
+        z[3, 4:] = -3.0
         s, clamped = _softmax_kernel(z)
-        assert clamped.tolist() == [False, False, True]
+        assert clamped[:4].tolist() == [False, False, True, False]
         assert np.isnan(s[1]).all()
         for row, got, flag in zip(z, s, clamped):
             want, want_flag = self.one_vector(row)
