@@ -16,13 +16,17 @@ matter how the work is partitioned or ordered. Ties in the maximum break
 toward the lowest input index, then the lowest trial index. Since a
 block's draws are a function of the seed, the sweep's shape, n and the
 block's rows alone, the process keeps the blocks it drew lately in a draw
-memo (`_held_draws`): per process, bounded to 2^18 floats and read-only.
-A block drawn before, for another input of the same shape say, hashes no
-seed and builds no generator, and the memo changes no bit. Only a sweep
-whose draws fit the memo whole is held, so it pays off for small heads
-alone: at 100 trials and 3 epsilons, square heads of up to 29 x 29. A
-larger sweep, a ViT or GPT-2 head say, draws every block afresh and
-leaves the held blocks in place.
+memo (`_held_draws`), and beside them, per norm order and epsilon values,
+each block's row scales epsilon / ||g||_p and realized norms ||d||_p
+(`_held_scales`): per process, read-only, and bounded to 2^18 floats
+each, 4 MiB in all. A block drawn before, for another input of the same
+shape say, hashes no seed and builds no generator, an order that rescaled
+it before at these epsilons takes its scales and realized norms, and
+neither memo changes a bit. Only a sweep that fits both memos whole is
+held, so they pay off for small heads alone: at 100 trials and 3
+epsilons, square heads of up to 29 x 29. A larger sweep, a ViT or GPT-2
+head say, draws and rescales every block afresh and leaves the held
+entries in place.
 
 An epsilon sweep runs as one pass over rows in (epsilon, input, trial)
 order: the inputs are validated and their softmax taken once, and blocks
@@ -47,6 +51,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -65,6 +71,8 @@ from softlip.opnorm import NormOrder, row_norms, vector_norm
 
 MODE_RANDOM = "random-gaussian-normalized"
 MODE_TOP_EIGENVECTOR = "top-eigenvector"
+
+_EPSILON_ERROR = "perturbation magnitude epsilon must be positive and finite"
 
 _MASK64 = (1 << 64) - 1
 
@@ -218,14 +226,65 @@ def _draws(seed: int, count: int, trials_per_input: int, epsilon_indices: tuple,
     return g
 
 
-#: Most blocks the draw memo holds: 2^18 floats (2 MiB), whatever the
-#: block size, of blocks of at most _BLOCK_ELEMENTS entries each.
-_HELD_BLOCKS = (1 << 18) // _BLOCK_ELEMENTS
+#: Most floats each of the estimator's two memos holds: 2^18 (2 MiB), so
+#: 4 MiB in all per process.
+_HELD_FLOATS = 1 << 18
+
+#: Most blocks the draw memo holds: 2^18 floats, whatever the block size,
+#: of blocks of at most _BLOCK_ELEMENTS entries each.
+_HELD_BLOCKS = _HELD_FLOATS // _BLOCK_ELEMENTS
 
 #: `_draws` with the blocks it drew lately held, per process: a block drawn
 #: before, for another input of the same shape say, hashes no seed and
 #: builds no generator. `_estimate` uses it only for sweeps it holds whole.
 _held_draws = functools.lru_cache(maxsize=_HELD_BLOCKS)(_draws)
+
+
+class _ScaleMemo:
+    """The row scales `c = epsilon / ||g||_p` of held draw blocks g and the
+    realized norms `||g * c||_p`, per block, order and epsilon values, held
+    read-only and least recently used first out, at most `floats` floats in
+    all. Both are functions of the key alone, so a held pair has the bits
+    that computing it again gives."""
+
+    def __init__(self, floats: int):
+        self.floats = floats
+        self._entries: OrderedDict = OrderedDict()
+        self._held = 0
+        self._lock = threading.Lock()
+
+    def get(self, key) -> Optional[tuple]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key, scales: np.ndarray, realized: np.ndarray) -> None:
+        scales.flags.writeable = realized.flags.writeable = False
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = (scales, realized)
+            self._held += 2 * scales.size
+            while self._held > self.floats:
+                self._held -= 2 * self._entries.popitem(last=False)[1][0].size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._held = 0
+
+    def info(self) -> tuple[int, int]:
+        """The entries and the floats held."""
+        with self._lock:
+            return len(self._entries), self._held
+
+
+#: The row scales and realized norms of the draw memo's sweeps, one entry
+#: per block and order: a head swept before at one order, or another head
+#: of the same shape, rescales no draw and measures no realized norm.
+_held_scales = _ScaleMemo(_HELD_FLOATS)
 
 
 @dataclass(frozen=True)
@@ -242,7 +301,7 @@ class PerturbationSpec:
     def __post_init__(self):
         object.__setattr__(self, "p", NormOrder.of(self.p))
         if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("perturbation magnitude epsilon must be positive and finite")
+            raise ValueError(_EPSILON_ERROR)
         trials = _count(self.trials_per_input, "trials_per_input", 1)
         object.__setattr__(self, "trials_per_input", trials)
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
@@ -309,8 +368,20 @@ def sample_perturbation(
 
 def _as_inputs(inputs) -> np.ndarray:
     """The inputs as the rows of one C-ordered float64 array, validated once;
-    C order keeps each row's reductions bit-identical to the row on its own."""
-    if not isinstance(inputs, np.ndarray):
+    C order keeps each row's reductions bit-identical to the row on its own.
+
+    A list or tuple of rows of one length converts in one call. Anything
+    else, such as ragged rows, `Logits` rows or an iterator, converts row
+    by row, which names the input's fault; both give the same array."""
+    rows = None
+    if isinstance(inputs, (list, tuple)) and inputs:
+        try:
+            rows = np.array(inputs, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):  # row by row below raises as before
+            pass
+    if rows is not None:
+        inputs = rows
+    elif not isinstance(inputs, np.ndarray):
         rows = [np.asarray(x.values if isinstance(x, Logits) else x, dtype=np.float64)
                 for x in inputs]
         if len({r.shape for r in rows}) > 1:
@@ -354,14 +425,12 @@ class _Tally:
                     self.sums[j] += value
 
 
-def _row_error(spec: PerturbationSpec, epsilon: float, realized: float) -> ValueError:
+def _row_error(epsilon: float, realized: float) -> ValueError:
     """The error of a failing row, which is the one its epsilon raises alone:
     a NaN or inf epsilon's spec error, else too small (its perturbation
     rounds to zero) or not finite (the perturbed logits overflow)."""
-    try:
-        replace(spec, epsilon=epsilon)
-    except ValueError as exc:
-        return exc
+    if not 0.0 < epsilon < math.inf:
+        return ValueError(_EPSILON_ERROR)
     if not realized:
         return ValueError("epsilon is too small: a perturbation rounds to zero")
     return ValueError("logits must have finite entries")
@@ -382,11 +451,15 @@ def _estimate(
     taken, once. The (epsilon, input, trial) rows are evaluated in that
     order, in blocks of at most _BLOCK_ELEMENTS entries that may straddle
     epsilons. A row's draw does not depend on p, so each row builds its
-    generator and draws once for every order (or not at all, when the draw
-    memo holds its block: a sweep of at most _HELD_BLOCKS blocks of at most
-    _BLOCK_ELEMENTS entries each is held whole), and each order rescales that draw onto its own
-    sphere; in top-eigenvector mode the draw is the input's unit witness,
-    scaled by epsilon alone. Each row has the bits of
+    generator and draws once for every order, and each order rescales that
+    draw onto its own sphere; in top-eigenvector mode the draw is the
+    input's unit witness, scaled by epsilon alone. A random-mode sweep
+    whose draws fit the draw memo (at most _HELD_BLOCKS blocks) and whose
+    row scales and realized norms fit the scale memo (2 floats per row and
+    order, at most _HELD_FLOATS) is held whole: a block drawn before builds
+    no generator, and an order that rescaled it before at these epsilons
+    takes its held scales and realized norms, so it computes one p-norm
+    per row, the numerator's, and not three. Each row has the bits of
     a per-pair evaluation with `sample_perturbation`, `softmax` and
     `vector_norm`; each order keeps, per epsilon, its own maximum (first
     occurrence) and mean (added left to right), so no table entry depends
@@ -414,11 +487,13 @@ def _estimate(
     live, failure = list(tallies), None
     random = spec.mode == MODE_RANDOM
     step = max(1, _BLOCK_ELEMENTS // n)
+    # a sweep the memos cannot hold whole would evict its own entries in turn
+    fits = (random and n <= _BLOCK_ELEMENTS and total <= step * _HELD_BLOCKS
+            and 2 * total * len(specs) <= _HELD_FLOATS)
     if random:
         draw_key = (spec.seed, count, spec.trials_per_input, tuple(epsilon_indices), n)
-        # a sweep the memo cannot hold whole would evict its own blocks in turn
-        fits = n <= _BLOCK_ELEMENTS and total <= step * _HELD_BLOCKS
         draws = _held_draws if fits else _draws
+        epsilon_key = tuple(scales.tolist())
     else:
         # the unit-temperature witness of each input, scaled per epsilon
         units = np.stack([_secular_witness(s) for s in _softmax_rows(data, 1.0)[0]])
@@ -431,19 +506,32 @@ def _estimate(
             (j, max(j * count, start) - start, min((j + 1) * count, stop) - start)
             for j in range(int(epsilon_of[0]), int(epsilon_of[-1]) + 1)
         ]
-        g = draws(*draw_key, start, stop) if random else units[inputs_of]
+        if random:
+            block_key = (*draw_key, start, stop)
+            g = draws(*block_key)
+        else:
+            g = units[inputs_of]
         for k, tally in enumerate(live):
             p = tally.spec.p
+            key = (*block_key, p.p, epsilon_key) if fits else None
+            held = _held_scales.get(key) if fits else None
             with np.errstate(over="ignore", invalid="ignore"):  # failures are raised below
-                delta = g * (scale / row_norms(g, p) if random else scale)[:, None]
+                if held:
+                    c, realized = held
+                else:
+                    c = scale / row_norms(g, p) if random else scale
+                delta = g * c[:, None]
                 z = data[inputs_of]
                 z += delta
-                realized = row_norms(delta, p)
+                if not held:
+                    realized = row_norms(delta, p)
             if not (np.isfinite(z).all() and realized.all()):
                 r = int((~np.isfinite(z).all(axis=1) | (realized == 0.0)).argmax())
-                failure = _row_error(tally.spec, float(scale[r]), realized[r])
+                failure = _row_error(float(scale[r]), realized[r])
                 del live[k:]  # an order after this one can no longer name the error
                 break
+            if fits and not held:  # a failing block holds nothing
+                _held_scales.put(key, c, realized)
             probs, clamped = _softmax_rows(z, lam)
             probs -= base[inputs_of]
             tally.add(row_norms(probs, p) / realized, int(clamped.sum()), segments, pairs)
@@ -534,7 +622,8 @@ def order_sweep(
     specs, bad_order = [], None
     for order in orders:
         try:
-            specs.append(replace(base_spec, p=order))
+            # the base spec is valid, and so is its own order
+            specs.append(base_spec if order is base_spec.p else replace(base_spec, p=order))
         except (TypeError, ValueError) as exc:
             if not specs:
                 raise
@@ -546,7 +635,8 @@ def order_sweep(
         raise ValueError("need at least one epsilon")
     if any(e <= 0.0 for e in epsilons):
         raise ValueError("epsilons must be positive")
-    replace(base_spec, epsilon=float(epsilons[0]))  # run alone, it fails its spec before the inputs
+    if not 0.0 < float(epsilons[0]) < math.inf:  # run alone, it fails its spec before the inputs
+        raise ValueError(_EPSILON_ERROR)
     reports = _estimate(inputs, t, specs, epsilons, range(len(epsilons)))
     if bad_order is not None:
         raise bad_order

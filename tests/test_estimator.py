@@ -315,10 +315,21 @@ class TestRowwise:
         assert empirical_lp(list(scores), 1.0, s) == whole
         assert empirical_lp([Logits(r) for r in scores], 1.0, s) == whole
         assert empirical_lp(scores.tolist(), 1.0, s) == whole
+        # a list or tuple converts in one call, the rest row by row
+        assert empirical_lp(tuple(scores), 1.0, s) == whole
+        assert empirical_lp([Logits(scores[0]), *scores[1:]], 1.0, s) == whole
+        assert empirical_lp((r for r in scores), 1.0, s) == whole
+        assert empirical_lp([r.astype(np.float32) for r in scores], 1.0, s) == \
+            empirical_lp(scores.astype(np.float32), 1.0, s)
 
     @pytest.mark.parametrize("inputs,message", [
         (np.zeros((0, 3)), "need at least one input vector"),
+        ([], "need at least one input vector"),
         ([np.zeros(3), np.zeros((1, 3))], "same length"),
+        ([[1.0, 2.0], [3.0]], "same length"),
+        ([[1.0, 2.0], Logits(np.zeros(3))], "same length"),
+        ([1.0, 2.0], r"2-D array of input rows, got shape \(2,\)"),
+        (["ab", "cd"], "could not convert string to float: 'ab'"),
         (np.zeros((3, 1)), "at least 2 entries"),
         ([[0.0, np.inf]], "finite entries"),
         (np.zeros((2, 2, 2)), "2-D"),
@@ -822,6 +833,27 @@ def sweep_keys(seed, count, trials, epsilon_indices, n):
             for start in range(0, total, step)]
 
 
+def count_row_norms(monkeypatch):
+    """Count the p-norm calls `_estimate` makes from here on: three per
+    block and order that rescales its draws, one per block and order that
+    takes its held row scales and realized norms."""
+    calls = []
+    row_norms = estimator.row_norms
+
+    def counted(rows, p):
+        calls.append(len(rows))
+        return row_norms(rows, p)
+
+    monkeypatch.setattr(estimator, "row_norms", counted)
+    return calls
+
+
+def held_scale_entries():
+    """The scale memo's entries, as (key, (scales, realized)) pairs."""
+    with estimator._held_scales._lock:
+        return list(estimator._held_scales._entries.items())
+
+
 class TestDrawMemo:
     """A random-mode block drawn before in this process comes from the
     draw memo: no seed is hashed, no generator is built and no bit moves."""
@@ -891,6 +923,127 @@ class TestDrawMemo:
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 0.0
 
+    def test_held_scales_are_read_only_and_never_written(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", 16 * 30)  # 8 blocks
+        head = self.heads(1)[0]
+        s = spec(p=3, trials=10, seed=5)
+        epsilon_sweep(head, 1.0, s, self.EPSILONS)
+        keys = [key + (3.0, tuple(self.EPSILONS)) for key in sweep_keys(5, 80, 10, (0, 1, 2), 16)]
+        held = [estimator._held_scales.get(key) for key in keys]
+        assert [key for key, _ in held_scale_entries()] == keys
+        copies = [(c.copy(), r.copy()) for c, r in held]
+        for scale in (0.5, 400.0):  # other heads rescale nothing
+            epsilon_sweep(scale * head, 1.0, s, self.EPSILONS)
+        with pytest.raises(ValueError, match="finite entries"):
+            epsilon_sweep(np.full((8, 16), 1.5e308), 1.0, s, [1e308])
+        for key, entry, (c, r) in zip(keys, held, copies):
+            assert estimator._held_scales.get(key) is entry
+            for array, copy in zip(entry, (c, r)):
+                assert not array.flags.writeable
+                np.testing.assert_array_equal(array, copy)
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    @pytest.mark.parametrize("block", [4, 24, 4096, 1 << 14])
+    @pytest.mark.parametrize("aggregate", ["max", "mean"])
+    def test_held_scales_are_bit_identical(self, block, n, aggregate, monkeypatch):
+        # 15 rows per epsilon: 24-entry blocks hold 12 rows at n = 2 and 4
+        # at n = 5, and some end inside epsilons
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        built = count_generators(monkeypatch)
+        calls = count_row_norms(monkeypatch)
+        rng = np.random.default_rng(103)
+        inputs = [rng.normal(size=n) * 3.0 for _ in range(3)]
+        orders = (1, 1.5, 2, 3, "inf")
+        s = spec(p=1, trials=5, seed=9, aggregate=aggregate)
+        cold = order_sweep(inputs, 1.0, s, self.EPSILONS, orders)
+        blocks = len(sweep_keys(9, 15, 5, (0, 1, 2), n))
+        assert (len(built), len(calls)) == (45, 3 * blocks * len(orders))
+        warm = order_sweep(inputs, 1.0, s, self.EPSILONS, orders)
+        held = n <= block and blocks <= estimator._HELD_BLOCKS
+        assert len(built) == (45 if held else 90)
+        assert len(calls) == (4 if held else 6) * blocks * len(orders)
+        assert estimator._held_scales.info() == ((blocks * len(orders), 2 * 45 * len(orders))
+                                                 if held else (0, 0))
+        assert warm == cold
+        for report in cold:
+            table = [oracle(inputs, 1.0, replace(s, p=report.p, epsilon=e), j)[0]
+                     for j, e in enumerate(self.EPSILONS)]
+            assert report.per_epsilon_table == tuple(zip(self.EPSILONS, table))
+
+    def test_other_epsilons_take_the_draws_but_not_the_scales(self, monkeypatch):
+        built = count_generators(monkeypatch)
+        calls = count_row_norms(monkeypatch)
+        head = self.heads(1)[0]
+        s = spec(p=3, trials=10, seed=41)
+        epsilon_sweep(head, 1.0, s, self.EPSILONS)
+        other = [2e-1, 3e-2, 1e-3]  # the same epsilon indices, one value kept
+        swept = epsilon_sweep(head, 1.0, s, other)
+        assert (len(built), len(calls)) == (240, 6)
+        assert estimator._held_scales.info() == (2, 2 * 2 * 240)
+        assert_sweep_matches(swept, list(head), 1.0, s, other)
+
+    def test_spellings_of_one_order_share_one_entry(self, monkeypatch):
+        calls = count_row_norms(monkeypatch)
+        head = self.heads(1)[0]
+        s = spec(p=3, trials=10, seed=41)
+        reports = [epsilon_sweep(head, 1.0, replace(s, p=p), self.EPSILONS)
+                   for p in (3, 3.0, NormOrder(3), "3")]
+        reports += order_sweep(head, 1.0, s, self.EPSILONS, (3.0, NormOrder(3)))
+        assert len(calls) == 3 + 5
+        assert estimator._held_scales.info() == (1, 2 * 240)
+        assert all(report == reports[0] for report in reports)
+
+    @pytest.mark.parametrize("sweep_first", [False, True])
+    def test_empirical_lp_is_a_row_of_the_held_sweep(self, sweep_first):
+        head = self.heads(1, seed=104)[0]
+        s = spec(p=1.5, trials=10, seed=41, aggregate="mean")
+        if sweep_first:
+            swept = epsilon_sweep(head, 1.0, s, self.EPSILONS)
+        singles = [empirical_lp(head, 1.0, replace(s, epsilon=e), epsilon_index=j)
+                   for j, e in enumerate(self.EPSILONS)]
+        if not sweep_first:
+            swept = epsilon_sweep(head, 1.0, s, self.EPSILONS)
+        assert swept.per_epsilon_table == tuple((e, r.empirical_lp) for e, r in zip(self.EPSILONS, singles))
+        for j, single in enumerate(singles):
+            assert single == empirical_lp(head, 1.0, replace(s, epsilon=self.EPSILONS[j]), epsilon_index=j)
+            assert_matches_oracle(single, list(head), 1.0, replace(s, epsilon=self.EPSILONS[j]), j)
+
+    # NaN fails its spec, 5e-324 rounds to a zero perturbation and 1e308
+    # overflows the second input's logits, each in the second epsilon
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "epsilon must be positive and finite"),
+        (5e-324, "epsilon is too small"),
+        (1e308, "finite entries"),
+    ])
+    @pytest.mark.parametrize("block", [4, 4096])  # blocks of one row, one block
+    def test_a_failing_sweep_holds_no_scale_of_its_failing_block(self, bad, message, block, monkeypatch):
+        monkeypatch.setattr(estimator, "_BLOCK_ELEMENTS", block)
+        failing = [np.zeros(4), np.full(4, 1.5e308)]
+        s = spec(p=3, trials=3)
+        epsilons = [1e-2, bad]
+        errors = []
+        for _ in range(2):  # cold and warm
+            with pytest.raises(ValueError) as raised:
+                order_sweep(failing, 1.0, s, epsilons, (3, 1))
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] and message in errors[0]
+        for _, (c, realized) in held_scale_entries():
+            assert np.isfinite(c).all() and np.isfinite(realized).all() and realized.all()
+        if block == 4096:  # one block for all rows: only an order that passed it holds it
+            passed = [3.0] if bad == 5e-324 else []  # the l1 sphere alone rounds to zero
+            assert [key[-2] for key, _ in held_scale_entries()] == passed
+        valid = [np.zeros(4), np.ones(4)]  # the same key, where 1e308 passes
+        for _ in range(2):
+            expected = one_order_at_a_time(valid, 1.0, s, epsilons, (3, 1))
+            if isinstance(expected, ValueError):
+                with pytest.raises(ValueError, match=str(expected)):
+                    order_sweep(valid, 1.0, s, epsilons, (3, 1))
+            else:
+                assert order_sweep(valid, 1.0, s, epsilons, (3, 1)) == expected
+                assert_sweep_matches(expected[0], valid, 1.0, s, epsilons)
+
     def test_a_change_of_key_misses(self, monkeypatch):
         built = count_generators(monkeypatch)
         rng = np.random.default_rng(99)
@@ -924,6 +1077,45 @@ class TestDrawMemo:
         estimator._held_draws(0, 1, 1, (0,), 300, 0, 1)  # the oldest went first
         assert len(built) == 1001
         np.testing.assert_array_equal(g[0], np.random.default_rng(subseed(999, 0, 0, 0)).standard_normal(300))
+
+    def test_held_scales_stay_bounded(self):
+        memo = estimator._held_scales
+        assert memo.floats == estimator._HELD_FLOATS == 1 << 18
+        entries = memo.floats // 2000  # of 1000 rows each
+        for seed in range(1000):
+            memo.put(seed, np.full(1000, float(seed)), np.ones(1000))
+        assert memo.info() == (entries, 2000 * entries)
+        for seed in range(1000 - entries, 1000):  # the latest are held
+            c, realized = memo.get(seed)
+            assert c[0] == seed and not c.flags.writeable and not realized.flags.writeable
+        assert memo.get(1000 - entries - 1) is None  # the oldest went first
+        memo.put(1000, np.zeros(1000), np.ones(1000))
+        assert memo.get(1000 - entries) is None  # and so did the least recently used
+        assert memo.info() == (entries, 2000 * entries)
+
+    def test_a_sweep_whose_scales_do_not_fit_is_not_held(self, monkeypatch):
+        # 8 inputs x 682 trials x 3 epsilons fill the draw memo's 16 blocks;
+        # their row scales and realized norms fit at 8 orders (2 x 16368 x 8
+        # floats), not at 9
+        built = count_generators(monkeypatch)
+        small, big = self.heads(2)
+        s = spec(p=2, trials=10, seed=41)
+        epsilon_sweep(small, 1.0, s, self.EPSILONS)
+        assert len(built) == 240 and estimator._held_scales.info() == (1, 480)
+        over = replace(s, trials_per_input=682)
+        orders = (1, 1.5, 2, 2.5, 3, 4, 5, 6, "inf")
+        first = order_sweep(big, 1.0, over, self.EPSILONS, orders)
+        assert order_sweep(big, 1.0, over, self.EPSILONS, orders) == first
+        assert len(built) == 240 + 2 * 16368
+        assert estimator._held_scales.info() == (1, 480)  # it evicted nothing
+        epsilon_sweep(small, 1.0, s, self.EPSILONS)  # and its draws are still held
+        assert len(built) == 240 + 2 * 16368
+        del built[:]
+        warm = order_sweep(big, 1.0, over, self.EPSILONS, orders[:8])
+        assert order_sweep(big, 1.0, over, self.EPSILONS, orders[:8]) == warm == first[:8]
+        assert len(built) == 16368
+        # a sweep that fits is held whole, the small head's entry going first
+        assert estimator._held_scales.info() == (16 * 8, 2 * 16368 * 8)
 
     def test_a_sweep_the_memo_cannot_hold_whole_is_drawn_afresh(self, monkeypatch):
         # at n = 16 a block holds 1024 rows, so 8 inputs x 682 trials x 3
@@ -969,18 +1161,32 @@ class TestDrawMemo:
         serial = [epsilon_sweep(head, 1.0, s, self.EPSILONS) for head, s in jobs]
         keys = [(seed, 1, 1, (0,), 3000, 0, 1) for seed in range(400)]
         estimator._held_draws.cache_clear()
+        estimator._held_scales.clear()
+
+        def put_and_get(seed):  # entries of 2 x 3000 floats: 43 fit
+            estimator._held_scales.put(("put", seed), np.full(3000, float(seed)), np.ones(3000))
+            return estimator._held_scales.get(("put", seed - 1))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
                 sweeps = [pool.submit(epsilon_sweep, head, 1.0, s, self.EPSILONS) for head, s in jobs]
                 draws = [pool.submit(estimator._held_draws, *key) for key in keys]
+                scales = [pool.submit(put_and_get, seed) for seed in range(400)]
                 threaded = [f.result(timeout=60) for f in sweeps]
                 drawn = [f.result(timeout=60) for f in draws]
+                got = [f.result(timeout=60) for f in scales]
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
         assert estimator._held_draws.cache_info().currsize <= estimator._HELD_BLOCKS
+        entries, floats = estimator._held_scales.info()
+        held = held_scale_entries()
+        assert entries == len(held) and floats == sum(2 * c.size for _, (c, _) in held)
+        assert floats <= estimator._HELD_FLOATS
+        for seed, entry in enumerate(got):
+            assert entry is None or entry[0][0] == seed - 1
         for key, g in zip(keys, drawn):
             reference = np.random.default_rng(subseed(key[0], 0, 0, 0)).standard_normal(3000)
             np.testing.assert_array_equal(g[0], reference)
