@@ -16,7 +16,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -290,9 +290,21 @@ def softmax(x, t: Union[Temperature, float] = 1.0) -> SimplexPoint:
     under adding a constant to every logit. The logits are scaled before
     the shift unless lam * x overflows (see `_scaled_logits`). Output
     entries that underflow to 0 are clamped (see SimplexPoint.clamped).
+
+    The point is built from the kernel's guarantees, with no second
+    `boundary_point` pass: `_softmax_rows` of validated logits returns a
+    fresh array, no view of the caller's, whose entries are finite,
+    strictly positive (a clamped entry is the smallest normal over a sum
+    near 1) and at most 1 (exp of at most 0 over a sum of at least 1), and
+    whose sum is 1 to within n roundings, far inside TOL_SIMPLEX_PER_ENTRY
+    * n. It is frozen here. `SimplexPoint(...)` itself still validates.
     """
     s, clamped = _softmax_rows(Logits.of(x).values, Temperature.of(t).lam)
-    return SimplexPoint(s, clamped=bool(clamped))
+    s.flags.writeable = False
+    point = object.__new__(SimplexPoint)
+    object.__setattr__(point, "probs", s)
+    object.__setattr__(point, "clamped", bool(clamped))
+    return point
 
 
 def jacobian(s, t: Union[Temperature, float] = 1.0) -> SoftmaxJacobian:
@@ -339,15 +351,18 @@ def _jacobian_diagonal(probs: np.ndarray) -> tuple[np.ndarray, int, float, np.nd
     return probs * comp, i, float(comp[i]), rest
 
 
-def _jacobian_times(probs: np.ndarray, lam: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+def _jacobian_times(
+    probs: np.ndarray, lam: float = 1.0, diagonal: Optional[tuple] = None
+) -> Callable[[np.ndarray], np.ndarray]:
     """The row map W -> W J of J = lam (Diag(s) - s s^T), in O(n) per row.
 
     J is symmetric, so each row w goes to J w, whose entry j is
     lam s_j (w_j - s.w). At the top entry i that cancels when s_i is near 1,
     so there it is lam s_i (w_i c - r.w), with c = 1 - s_i and r from
-    `_jacobian_diagonal`; both sums come from one product with [s, r].
+    `_jacobian_diagonal`, or from `diagonal` when the caller has already
+    taken it; both sums come from one product with [s, r].
     """
-    _, i, comp, rest = _jacobian_diagonal(probs)
+    _, i, comp, rest = diagonal or _jacobian_diagonal(probs)
     sums = np.stack([probs, rest], axis=1)
     scaled, scaled_top = lam * probs, lam * float(probs[i])
 
@@ -369,9 +384,10 @@ def _bits_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-def _secular_witness(probs: np.ndarray) -> np.ndarray:
+def _secular_witness(probs: np.ndarray, diagonal: Optional[tuple] = None) -> np.ndarray:
     """Unit top eigenvector of Diag(s) - s s^T, in O(n) time and memory,
-    signed so that its first nonzero entry is positive.
+    signed so that its first nonzero entry is positive. `diagonal` is
+    `_jacobian_diagonal(probs)` when the caller has already taken it.
 
     When the largest entry is tied (s_i1 == s_i2), (e_i1 - e_i2) / sqrt(2)
     is an exact eigenvector for mu = s_(1). Otherwise mu is the unique root
@@ -405,7 +421,8 @@ def _secular_witness(probs: np.ndarray) -> np.ndarray:
         wit = np.zeros(n)
         wit[min(i1, i2)], wit[max(i1, i2)] = math.sqrt(0.5), -math.sqrt(0.5)
         return wit
-    entries, _, _, rest = _jacobian_diagonal(probs)  # its top index is i1, as s1 > s2
+    # its top index is i1, as s1 > s2
+    entries, _, _, rest = diagonal or _jacobian_diagonal(probs)
     diag = float(entries[i1])  # entry (i1, i1) of Diag(s) - s s^T
     buf = np.empty(n)
 

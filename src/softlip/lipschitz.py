@@ -8,11 +8,15 @@ eigenvalue of Diag(s) - s s^T, a root of the secular equation of that
 rank-one update; for 1 < p < inf it is bracketed by a power iteration on
 the O(n) product V -> J V below and, above, by the smallest of the
 interpolation bound, the Riesz-Thorin bound from ||J||_1 = ||J||_inf and
-||J||_2, and lam/2. This module computes those constants, builds the
-witnesses that show lam/2 is sharp (an attaining point for p in {1, inf},
-an interior sequence approaching it for 1 < p < inf, and a concrete
-near-attaining secant pair), checks co-coercivity, and evaluates the
-refined attention-layer bound that the sharp constant yields.
+||J||_2, and lam/2. A call sets its point up once: the softmax point
+(validated with the logits, not again), one Jacobian diagonal that the
+closed form, the row map and the secular witness share, and each
+ratio's two norms from one `row_norms` call. This module computes those
+constants, builds the witnesses that show lam/2 is sharp (an attaining
+point for p in {1, inf}, an interior sequence approaching it for
+1 < p < inf, and a concrete near-attaining secant pair), checks
+co-coercivity, and evaluates the refined attention-layer bound that the
+sharp constant yields.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from softlip.opnorm import (
     NormEstimate,
     NormOrder,
     _power_bracket,
+    _ratio,
     opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
     vector_norm,
 )
@@ -161,24 +166,30 @@ def local_lipschitz(
     iteration's best ratio on `apply` below, and above the smallest of the
     interpolation bound and the Riesz-Thorin bound from ||J||_1 = ||J||_inf
     and ||J||_2, rounded outward, and lam/2; `method` names the one that won.
+
+    Each call takes `core._jacobian_diagonal` once and hands it to the
+    closed form, `_jacobian_times` and `_secular_witness`, and takes the
+    p = 2 ratio's two norms from one `row_norms` call (`opnorm._ratio`); the
+    bits are those of each part computing its own.
     """
     order = NormOrder.of(p)
     lam = Temperature.of(t).lam
     s = x if isinstance(x, SimplexPoint) else softmax(x, lam)
     probs = s.probs
+    diagonal = _jacobian_diagonal(probs)
+    top = int(diagonal[0].argmax())  # the largest column sum
+    one = lam * (2.0 * float(diagonal[0][top]))  # ||J||_1 = ||J||_inf: `closed_form_linf`
     if order.is_one or order.is_infinity:
-        val = lam * closed_form_linf(s)
         wit = np.zeros(s.n)
-        wit[int(_jacobian_diagonal(probs)[0].argmax())] = 1.0  # the largest column sum
+        wit[top] = 1.0
         if order.is_infinity:  # row i of J is J e_i; its signs realize the row sum
-            wit = np.sign(_jacobian_times(probs)(wit[None])[0])
-        return NormEstimate(val, val, exact=True, method="2s(1-s) closed form", witness=wit)
-    apply = _jacobian_times(probs, lam)
-    wit = _secular_witness(probs)
-    two = vector_norm(apply(wit[None])[0], 2.0) / vector_norm(wit, 2.0)
+            wit = np.sign(_jacobian_times(probs, 1.0, diagonal)(wit[None])[0])
+        return NormEstimate(one, one, exact=True, method="2s(1-s) closed form", witness=wit)
+    apply = _jacobian_times(probs, lam, diagonal)
+    wit = _secular_witness(probs, diagonal)
+    two = _ratio(apply(wit[None]), wit[None], 2.0)
     if order.is_two:
         return NormEstimate(two, two, exact=True, method="secular equation", witness=wit)
-    one = lam * closed_form_linf(s)  # ||J||_1 = ||J||_inf
     # a ratio rounded above lam/2 (by an ulp at s = (1/2, 1/2)) is lam/2
     return _power_bracket(
         apply, apply, s.n, order, one, two, one, cap=global_bound(lam), cap_name="lam/2 cap"

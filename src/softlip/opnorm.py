@@ -9,11 +9,15 @@ end is the smaller of the interpolation bound ||A||_1^(1/p) *
 ||A||_inf^(1-1/p) and the Riesz-Thorin bound from ||A||_1, ||A||_2 and
 ||A||_inf, rounded outward (`_outward_upper`); ends that agree to
 relative 1e-9 are marked exact and the upper end stays outward. The
-power iteration (`_boyd_lower`)
-sees A only through its row maps V -> V A^T and U -> U A, so an operator
-with a cheap product (the softmax Jacobian, say) never needs its dense
-matrix. The dense 2-norm forms one Gram matrix (`_gram`), of A scaled by
-the power of two that brings its largest entry into [1/2, 1).
+power iteration (`_boyd_lower`) sees A only through its row maps
+V -> V A^T and U -> U A, so an operator with a cheap product (the softmax
+Jacobian, say) never needs its dense matrix. It starts from fixed
+restart rows, kept read-only for the last 4 sizes n (`_restart_block`,
+64 n bytes each), scaled by their p-norms, kept for the last 64 pairs
+(n, p) (`_restart_norms`: 8 floats, 64 bytes of data, each whatever n
+is), so no call takes a norm of that block. The dense 2-norm forms one
+Gram matrix (`_gram`), of A scaled by the power of two that brings its
+largest entry into [1/2, 1).
 `_upper_norms` is the one policy for certified upper ends of ||A||_p and
 ||A^T||_p of a dense matrix without power iteration, which the game
 solver's contraction diagnostics read. It takes the norms it needs from a
@@ -236,6 +240,17 @@ def row_norms(rows: np.ndarray, p: Union[NormOrder, float, str]) -> np.ndarray:
     # no warning, mapped over the rows in C
     roots = map(pow, sums.tolist(), itertools.repeat(1.0 / order.p))
     return np.fromiter(map(operator.mul, m.tolist(), roots), np.float64, len(m))
+
+
+def _ratio(image: np.ndarray, w: np.ndarray, p: Union[NormOrder, float, str]) -> float:
+    """||A w||_p / ||w||_p from the rows `image` = A w and `w` (each of shape
+    (1, length)), each norm with the bits `row_norms` gives its row alone:
+    one call on the two rows stacked when they have one length."""
+    if image.shape == w.shape:
+        num, den = row_norms(np.concatenate((image, w)), p)
+    else:
+        (num,), (den,) = row_norms(image, p), row_norms(w, p)
+    return float(num / den)
 
 
 def vector_norm(v, p: Union[NormOrder, float, str]) -> float:
@@ -493,13 +508,28 @@ def _restart_block(n: int) -> np.ndarray:
     return block
 
 
+#: How many (n, p) pairs `_restart_norms` keeps.
+_RESTART_NORMS_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_RESTART_NORMS_KEPT)
+def _restart_norms(n: int, p: float) -> np.ndarray:
+    """`row_norms` of `_restart_block(n)` at order p: read-only, and kept
+    for the last _RESTART_NORMS_KEPT pairs (n, p) asked for, each
+    _BOYD_RESTARTS floats (64 bytes), whatever n is."""
+    norms = row_norms(_restart_block(n), p)
+    norms.flags.writeable = False
+    return norms
+
+
 def _boyd_lower(
     apply: Callable[[np.ndarray], np.ndarray],
     apply_t: Callable[[np.ndarray], np.ndarray],
     order: NormOrder,
-    V0: np.ndarray,
+    n: int,
 ) -> tuple[float, np.ndarray]:
-    """Best realized ratio ||A v||_p over the restart rows of V0.
+    """Best realized ratio ||A v||_p over the restart rows `_restart_block(n)`,
+    each first scaled by its cached norm (`_restart_norms`).
 
     A enters only through its row maps: apply(V) = V A^T (each row v to
     A v) and apply_t(U) = U A (each row u to A^T u). One dual-norm power
@@ -514,7 +544,7 @@ def _boyd_lower(
     with zero row sums, say) stays 0 rather than dividing by its zero
     norm; its ratio was recorded on the sweep before. Returns
     (ratio, witness), the ratio measured once more from the witness through
-    `apply` and `row_norms`, so it is reproducible to the last ulp.
+    `apply` and `row_norms` (`_ratio`), so it is reproducible to the last ulp.
     """
     p = order.p
     inv_p, dual_expo = 1.0 / p, 1.0 / (p - 1.0)
@@ -524,8 +554,8 @@ def _boyd_lower(
     # n 2^-1022.
     floor_u = _TINY**dual_expo if p > 2.0 else 0.0  # for D = R^(p-1)
     floor_w = _TINY ** (p - 1.0) if p < 2.0 else 0.0  # for T^(1/(p-1))
-    norms = row_norms(V0, order)
-    V = V0 / np.where(norms == 0.0, 1.0, norms)[:, None]
+    norms = _restart_norms(n, p)
+    V = _restart_block(n) / np.where(norms == 0.0, 1.0, norms)[:, None]
     best_ratio = -1.0
     best_witness = V[0].copy()
     stalled = 0
@@ -559,8 +589,7 @@ def _boyd_lower(
             norms = np.vecdot(T, mag) ** inv_p  # |psi_q|^p = T^(q-1) T; 0 or >= 1
             V = np.copysign(mag, W) / np.maximum(norms, _TINY)[:, None]
     w = best_witness[None]
-    lower = float(row_norms(apply(w), order)[0] / row_norms(w, order)[0])
-    return lower, best_witness
+    return _ratio(apply(w), w, order), best_witness
 
 
 def _power_bracket(
@@ -583,7 +612,7 @@ def _power_bracket(
     upper, bound = _outward_upper(one, two, inf, order)
     if cap < upper:
         upper, bound = cap, cap_name
-    lower, witness = _boyd_lower(apply, apply_t, order, _restart_block(n))
+    lower, witness = _boyd_lower(apply, apply_t, order, n)
     lower = min(lower, cap)
     if lower - upper > 1e-9 * upper:
         raise OpNormError(

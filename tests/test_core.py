@@ -16,6 +16,7 @@ from softlip.core import (
     _softmax_rows,
     Logits,
     SimplexPoint,
+    TOL_SIMPLEX_PER_ENTRY,
     Temperature,
     boundary_point,
     jacobian,
@@ -116,6 +117,40 @@ class TestSoftmax:
         assert s.clamped
         s = softmax([1e308, 1e308, 0.0], 10.0)
         assert s.probs[0] == s.probs[1] == 0.5
+
+    # (logits, lam, clamped): ordinary, saturated (scale 400), overflow-scale
+    # (lam * x overflows) and a subnormal entry exp(-742) that is not clamped
+    KERNEL_POINTS = [
+        (np.random.default_rng(21).standard_normal(16), 1.0, False),
+        (400.0 * np.array([1.0, 0.0, -2.5, 0.3, -0.7]), 1.0, True),
+        (1e300 * np.random.default_rng(22).standard_normal(8), 1.0, True),
+        (np.array([0.0, -185.5]), 4.0, False),
+    ]
+
+    @pytest.mark.parametrize("x, lam, clamped", KERNEL_POINTS)
+    def test_point_keeps_every_invariant(self, x, lam, clamped):
+        # the point is built from the kernel's output without a second
+        # validation; it must pass that validation all the same
+        x = x.copy()
+        s = softmax(x, lam)
+        probs = s.probs
+        assert s.clamped is clamped
+        assert probs.dtype == np.float64 and probs.shape == x.shape
+        assert not probs.flags.writeable
+        assert not np.shares_memory(probs, x)
+        assert np.all(np.isfinite(probs)) and probs.min() > 0.0 and probs.max() <= 1.0
+        assert abs(float(probs.sum()) - 1.0) <= TOL_SIMPLEX_PER_ENTRY * probs.size
+        # `==` on the dataclass compares arrays, so the fields are compared
+        again = SimplexPoint(probs)
+        assert again.probs.tobytes() == probs.tobytes() and not again.clamped
+        assert SimplexPoint.of(s) is s
+        before = probs.tobytes()
+        x[:] = 0.0  # the caller's array is not the point's
+        assert probs.tobytes() == before
+
+    def test_subnormal_entry_is_kept(self):
+        probs = softmax([0.0, -185.5], 4.0).probs
+        assert 0.0 < probs[1] < np.finfo(np.float64).tiny
 
     def test_rejects_single_logit(self):
         with pytest.raises(ValueError):

@@ -148,13 +148,23 @@ class TestLocalLipschitz:
             assert est.exact and est.upper == pytest.approx(lam / 2.0, rel=1e-15)
 
     def test_logits_or_their_softmax_point(self):
-        x = np.random.default_rng(12).standard_normal(9)
-        for p in (1, 1.5, 2, 3, "inf"):
-            by_logits = local_lipschitz(x, 2.5, p)
-            by_point = local_lipschitz(softmax(x, 2.5), 2.5, p)
-            assert (by_point.lower, by_point.upper) == (by_logits.lower, by_logits.upper)
-            assert by_point.method == by_logits.method
-            np.testing.assert_array_equal(by_point.witness, by_logits.witness)
+        # a seeded grid whose scale-400 points have clamped softmax entries;
+        # the point path and the logits path give the same bracket, bit for bit
+        rng = np.random.default_rng(12)
+        clamped = 0
+        for n in (2, 9, 64):
+            for scale in (0.1, 1.0, 40.0, 400.0):
+                x = scale * rng.standard_normal(n)
+                for lam in (0.5, 2.5):
+                    point = softmax(x, lam)
+                    clamped += point.clamped
+                    for p in (1, 1.5, 2, 3, "inf"):
+                        by_logits = local_lipschitz(x, lam, p)
+                        by_point = local_lipschitz(point, lam, p)
+                        assert (by_point.lower, by_point.upper) == (by_logits.lower, by_logits.upper)
+                        assert by_point.method == by_logits.method
+                        assert by_point.witness.tobytes() == by_logits.witness.tobytes()
+        assert clamped  # the grid holds clamped points
 
 
 # perfbench's tolerance for exact norms: 1e-12 relative, or 64 ulp at the
@@ -288,9 +298,9 @@ def count_jacobian_rows(monkeypatch):
     builds, rows = [], []
     build = lipschitz._jacobian_times
 
-    def counting(probs, lam=1.0):
+    def counting(probs, lam=1.0, diagonal=None):
         builds.append(lam)
-        times = build(probs, lam)
+        times = build(probs, lam, diagonal)
 
         def counted(W):
             rows.append(W.shape[0])
@@ -300,6 +310,27 @@ def count_jacobian_rows(monkeypatch):
 
     monkeypatch.setattr(lipschitz, "_jacobian_times", counting)
     return builds, rows
+
+
+@pytest.mark.parametrize("p", [1, 1.2, 1.5, 2, 3, 7, "inf"])
+def test_one_jacobian_diagonal_per_call(p, monkeypatch):
+    """The closed form, the row map and the secular witness share the
+    diagonal `local_lipschitz` takes once, from logits or from a point, at
+    a tied top entry too."""
+    calls = []
+    diagonal = core._jacobian_diagonal
+
+    def counting(probs):
+        calls.append(probs.size)
+        return diagonal(probs)
+
+    monkeypatch.setattr(core, "_jacobian_diagonal", counting)
+    monkeypatch.setattr(lipschitz, "_jacobian_diagonal", counting)
+    x = np.random.default_rng(13).standard_normal(12)
+    for point in (x, softmax(x, 2.0), np.array([1.0, 1.0, 0.0, -2.0])):
+        calls.clear()
+        local_lipschitz(point, 2.0, p)
+        assert calls == [point.n if hasattr(point, "n") else point.size]
 
 
 def assert_holds(ratio, est):

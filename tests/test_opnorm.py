@@ -625,6 +625,14 @@ class TestFrozenBoydBrackets:
         assert opnorm._restart_block(n) is block and not block.flags.writeable
         fresh = opnorm._restart_block.__wrapped__(n)
         assert block.shape == (opnorm._BOYD_RESTARTS, n) and block.tobytes() == fresh.tobytes()
+        # the rows' norms, kept per (n, p) in a bounded cache of
+        # _BOYD_RESTARTS floats each, are those of a fresh block
+        assert opnorm._restart_norms.cache_info().maxsize == opnorm._RESTART_NORMS_KEPT
+        for p in (1.5, 3.0):
+            norms = opnorm._restart_norms(n, p)
+            assert opnorm._restart_norms(n, p) is norms and not norms.flags.writeable
+            assert norms.shape == (opnorm._BOYD_RESTARTS,)
+            assert norms.tobytes() == opnorm.row_norms(fresh, p).tobytes()
 
 
 class TestMaxoutStrictness:
