@@ -51,6 +51,13 @@ def _frozen_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _vector_hash(arr: np.ndarray) -> int:
+    """A hash of a finite vector that agrees with `np.array_equal`: -0.0
+    is taken as 0.0 (adding 0.0 maps it there), the one pair of unequal
+    bytes that compare equal."""
+    return hash((arr + 0.0).tobytes())
+
+
 @dataclass(frozen=True)
 class Temperature:
     """Inverse temperature of the softmax; larger values sharpen the output."""
@@ -74,7 +81,8 @@ class Logits:
 
     Length-1 inputs are rejected: the softmax of a single logit is the
     constant 1 and its Jacobian is identically zero, so every Lipschitz
-    question below is degenerate there.
+    question below is degenerate there. Equality compares `values` by
+    value (`np.array_equal`), and the hash agrees with it.
     """
 
     values: np.ndarray
@@ -84,6 +92,14 @@ class Logits:
         if arr.size < 2:
             raise ValueError(f"logits need at least 2 entries, got {arr.size}")
         object.__setattr__(self, "values", arr)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return _vector_hash(self.values)
 
     @property
     def n(self) -> int:
@@ -101,7 +117,8 @@ class SimplexPoint:
     Entries must be in (0, 1] (the value 1.0 is reachable only through
     rounding of 1 - tiny) and sum to 1 within TOL_SIMPLEX_PER_ENTRY * n.
     `clamped` records whether an underflow clamp fired while producing
-    this point; it is metadata and does not affect equality of `probs`.
+    this point; it is metadata and does not affect equality, which compares
+    `probs` by value (`np.array_equal`), or the hash, which agrees with it.
     """
 
     probs: np.ndarray
@@ -114,6 +131,14 @@ class SimplexPoint:
         if arr.max() > 1.0:
             raise ValueError("probability entries must not exceed 1")
         object.__setattr__(self, "probs", arr)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.probs, other.probs)
+
+    def __hash__(self):
+        return _vector_hash(self.probs)
 
     @property
     def n(self) -> int:

@@ -8,20 +8,24 @@ eigenvalue of Diag(s) - s s^T, a root of the secular equation of that
 rank-one update; for 1 < p < inf it is bracketed by a power iteration on
 the O(n) product V -> J V below and, above, by the smallest of the
 interpolation bound, the Riesz-Thorin bound from ||J||_1 = ||J||_inf and
-||J||_2, and lam/2. A call sets its point up once: the softmax point
-(validated with the logits, not again), one Jacobian diagonal that the
-closed form, the row map and the secular witness share, and each
-ratio's two norms from one `row_norms` call. This module computes those
-constants, builds the witnesses that show lam/2 is sharp (an attaining
-point for p in {1, inf}, an interior sequence approaching it for
-1 < p < inf, and a concrete near-attaining secant pair), checks
-co-coercivity, and evaluates the refined attention-layer bound that the
-sharp constant yields.
+||J||_2, and lam/2. J is symmetric, so ||J||_p = ||J||_q for 1/p + 1/q = 1:
+the two orders of a conjugate pair share one power iteration, run at the
+order below 2, and a one-point memo (`_held_pair`: the last point's pair,
+2n + 2 floats) lets the pair's second call at that point reuse it. A call
+sets its point up once: the softmax point (validated with the logits, not
+again), one Jacobian diagonal that the closed form, the row map and the
+secular witness share, and each ratio's two norms from one `row_norms`
+call. This module computes those constants, builds the witnesses that
+show lam/2 is sharp (an attaining point for p in {1, inf}, an interior
+sequence approaching it for 1 < p < inf, and a concrete near-attaining
+secant pair), checks co-coercivity, and evaluates the refined
+attention-layer bound that the sharp constant yields.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -43,7 +47,9 @@ from softlip.fixtures import attaining_logits, example_logits
 from softlip.opnorm import (
     NormEstimate,
     NormOrder,
-    _power_bracket,
+    _boyd_lower,
+    _bracket,
+    _dual_witness,
     _ratio,
     opnorm_p_estimate,  # not called here; perfbench/spans.py wraps this name
     vector_norm,
@@ -144,6 +150,48 @@ def closed_form_linf(s) -> float:
     return 2.0 * float(_jacobian_diagonal(probs)[0].max())
 
 
+class _PairMemo:
+    """The last point's conjugate pair for `local_lipschitz`, held read-only
+    under a lock: one entry, whose key is (probs.tobytes(), lam, r) and
+    whose value is (||J||_2, the order-r lower end, its witness v, the dual
+    witness z of v), 2n + 2 floats beside the key's n. The value is a
+    function of the key alone, so a held pair has the bits that computing
+    it again gives."""
+
+    def __init__(self):
+        self._held = None
+        self._lock = threading.Lock()
+
+    def get(self, key) -> Optional[tuple]:
+        with self._lock:
+            held = self._held
+        return held[1] if held is not None and held[0] == key else None
+
+    def put(self, key, pair: tuple) -> None:
+        for arr in pair[2:]:
+            arr.flags.writeable = False
+        with self._lock:
+            self._held = (key, pair)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._held = None
+
+    def info(self) -> tuple[int, int]:
+        """The points and the floats held."""
+        with self._lock:
+            held = self._held
+        if held is None:
+            return 0, 0
+        _, _, v, z = held[1]
+        return 1, 2 + v.size + z.size
+
+
+#: Both orders of a conjugate pair at one point share one power iteration:
+#: a warm pass over many points gets no more hits than a cold one.
+_held_pair = _PairMemo()
+
+
 def global_bound(t: Union[Temperature, float]) -> float:
     """The global softmax Lipschitz constant lam/2, valid in every lp norm."""
     return Temperature.of(t).lam / 2.0
@@ -162,10 +210,22 @@ def local_lipschitz(
     once, as `apply` (J is symmetric, so it is its own transpose). p = 2 is
     exact: ||J||_2 is the ratio ||J w||_2 / ||w||_2 that `apply` gives at the
     top eigenvector w from the secular equation (`_secular_witness`). Other
-    orders get a certified bracket from `opnorm._power_bracket`: the power
-    iteration's best ratio on `apply` below, and above the smallest of the
-    interpolation bound and the Riesz-Thorin bound from ||J||_1 = ||J||_inf
-    and ||J||_2, rounded outward, and lam/2; `method` names the one that won.
+    orders get a certified bracket from `opnorm._bracket`: a realized ratio
+    below, and above the smallest of the interpolation bound and the
+    Riesz-Thorin bound at p from ||J||_1 = ||J||_inf and ||J||_2, rounded
+    outward, and lam/2; `method` names the one that won.
+
+    The ratio below comes from one power iteration (`opnorm._boyd_lower`)
+    at r = p for p < 2 and at the conjugate r = p/(p-1) for p > 2, since
+    ||J||_p = ||J^T||_q = ||J||_q. At p < 2 it is that run's ratio and
+    witness v; at p > 2 the witness is the run's dual vector
+    z = psi_r(J v) (`opnorm._dual_witness`) and the ratio ||J z||_p /
+    ||z||_p, measured at p, which Hoelder keeps at or above the r run's
+    ratio. The point's ||J||_2, the r run's ratio, v and z are held for
+    the last key (probs bytes, lam, r) alone (`_held_pair`), so the pair's
+    second call at a point skips the secular solve and the iteration; each
+    bracket is a function of (point, lam, p), the same bits whichever
+    order came first.
 
     Each call takes `core._jacobian_diagonal` once and hands it to the
     closed form, `_jacobian_times` and `_secular_witness`, and takes the
@@ -186,13 +246,26 @@ def local_lipschitz(
             wit = np.sign(_jacobian_times(probs, 1.0, diagonal)(wit[None])[0])
         return NormEstimate(one, one, exact=True, method="2s(1-s) closed form", witness=wit)
     apply = _jacobian_times(probs, lam, diagonal)
-    wit = _secular_witness(probs, diagonal)
-    two = _ratio(apply(wit[None]), wit[None], 2.0)
     if order.is_two:
+        wit = _secular_witness(probs, diagonal)
+        two = _ratio(apply(wit[None]), wit[None], 2.0)
         return NormEstimate(two, two, exact=True, method="secular equation", witness=wit)
+    # the pair's one iteration runs at the order below 2
+    r = order.p if order.p < 2.0 else order.p / (order.p - 1.0)
+    key = (probs.tobytes(), lam, r)
+    pair = _held_pair.get(key)
+    if pair is None:
+        wit = _secular_witness(probs, diagonal)
+        two = _ratio(apply(wit[None]), wit[None], 2.0)
+        lower, v = _boyd_lower(apply, apply, NormOrder(r), s.n)
+        pair = (two, lower, v, _dual_witness(apply, v, r))
+        _held_pair.put(key, pair)
+    two, lower, wit, dual = pair
+    if order.p > 2.0:  # ||J||_p = ||J||_r; the dual witness is measured at p
+        lower, wit = _ratio(apply(dual[None]), dual[None], order), dual
     # a ratio rounded above lam/2 (by an ulp at s = (1/2, 1/2)) is lam/2
-    return _power_bracket(
-        apply, apply, s.n, order, one, two, one, cap=global_bound(lam), cap_name="lam/2 cap"
+    return _bracket(
+        order, one, two, one, lower, wit.copy(), cap=global_bound(lam), cap_name="lam/2 cap"
     )
 
 

@@ -15,9 +15,14 @@ Jacobian, say) never needs its dense matrix. It starts from fixed
 restart rows, kept read-only for the last 4 sizes n (`_restart_block`,
 64 n bytes each), scaled by their p-norms, kept for the last 64 pairs
 (n, p) (`_restart_norms`: 8 floats, 64 bytes of data, each whatever n
-is), so no call takes a norm of that block. The dense 2-norm forms one
-Gram matrix (`_gram`), of A scaled by the power of two that brings its
-largest entry into [1/2, 1).
+is), so no call takes a norm of that block. `_bracket` builds the same
+bracket from a lower end found elsewhere: `lipschitz.local_lipschitz`,
+whose Jacobian is symmetric (||J||_p = ||J||_q for 1/p + 1/q = 1), runs
+one iteration per conjugate pair at the order r below 2, takes the run's
+dual vector psi_r(J v) (`_dual_witness`) as the witness at p > 2, and
+holds the last point's pair in a one-point memo (2n + 2 floats). The
+dense 2-norm forms one Gram matrix (`_gram`), of A scaled by the power of
+two that brings its largest entry into [1/2, 1).
 `_upper_norms` is the one policy for certified upper ends of ||A||_p and
 ||A^T||_p of a dense matrix without power iteration, which the game
 solver's contraction diagnostics read. It takes the norms it needs from a
@@ -592,27 +597,53 @@ def _boyd_lower(
     return _ratio(apply(w), w, order), best_witness
 
 
+def _dual_witness(apply, v: np.ndarray, r: float) -> np.ndarray:
+    """z = psi_r(A v) for a witness v at order r < 2, as `_boyd_lower`'s
+    sweep forms it: |A v| over its max entry, to the power r - 1, with the
+    signs of A v; v itself where A v = 0. With q = r / (r - 1), Hoelder
+    gives ||A v||_r^r = <v, A^T z> <= ||v||_r ||A^T z||_q and ||z||_q =
+    ||A v||_r^(r-1) before the scaling, so for a symmetric A the ratio
+    ||A z||_q / ||z||_q is at least ||A v||_r / ||v||_r."""
+    u = apply(v[None])[0]
+    mag = np.abs(u)
+    top = float(mag.max())
+    if top == 0.0:
+        return v
+    mag /= top
+    return np.copysign(mag ** (r - 1.0), u)
+
+
 def _power_bracket(
     apply, apply_t, n: int, order: NormOrder, one: float, two: float, inf: float,
     cap: float = math.inf, cap_name: str = "cap",
 ) -> NormEstimate:
     """The certified bracket of ||A||_p for a general order, A an operator on
-    R^n seen through its row maps (`_boyd_lower`), given upper ends (or the
-    values) of ||A||_1, ||A||_2 and ||A||_inf.
+    R^n seen through its row maps: `_bracket` with the lower end and
+    witness of `_boyd_lower` over `_restart_block(n)`."""
+    lower, witness = _boyd_lower(apply, apply_t, order, n)
+    return _bracket(order, one, two, inf, lower, witness, cap, cap_name)
+
+
+def _bracket(
+    order: NormOrder, one: float, two: float, inf: float, lower: float, witness: np.ndarray,
+    cap: float = math.inf, cap_name: str = "cap",
+) -> NormEstimate:
+    """The certified bracket of ||A||_p for a general order, given upper ends
+    (or the values) of ||A||_1, ||A||_2 and ||A||_inf and a ratio `lower`
+    that `witness` realizes.
 
     The upper end is `_outward_upper`, or a known bound `cap` (named
-    `cap_name`) where that is smaller; the lower end is `_boyd_lower` over
-    `_restart_block(n)`, clamped to `cap`. An upper end below that realized
-    ratio by rounding noise (relative 1e-9, at every scale) is lifted onto
-    it, since a float ratio above a proved bound is itself above the norm;
-    anything more raises OpNormError. Finite ends that agree to relative
-    1e-9 are marked exact and keep their outward upper end; an infinite
-    upper end never is. `method` names the winning bound.
+    `cap_name`) where that is smaller; the lower end is `lower`, clamped to
+    `cap`. An upper end below that realized ratio by rounding noise
+    (relative 1e-9, at every scale) is lifted onto it, since a float ratio
+    above a proved bound is itself above the norm; anything more raises
+    OpNormError. Finite ends that agree to relative 1e-9 are marked exact
+    and keep their outward upper end; an infinite upper end never is.
+    `method` names the winning bound.
     """
     upper, bound = _outward_upper(one, two, inf, order)
     if cap < upper:
         upper, bound = cap, cap_name
-    lower, witness = _boyd_lower(apply, apply_t, order, n)
     lower = min(lower, cap)
     if lower - upper > 1e-9 * upper:
         raise OpNormError(

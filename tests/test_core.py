@@ -140,9 +140,9 @@ class TestSoftmax:
         assert not np.shares_memory(probs, x)
         assert np.all(np.isfinite(probs)) and probs.min() > 0.0 and probs.max() <= 1.0
         assert abs(float(probs.sum()) - 1.0) <= TOL_SIMPLEX_PER_ENTRY * probs.size
-        # `==` on the dataclass compares arrays, so the fields are compared
         again = SimplexPoint(probs)
         assert again.probs.tobytes() == probs.tobytes() and not again.clamped
+        assert again == s and hash(again) == hash(s)
         assert SimplexPoint.of(s) is s
         before = probs.tobytes()
         x[:] = 0.0  # the caller's array is not the point's
@@ -516,6 +516,27 @@ class TestDomainTypes:
     def test_boundary_point_rejects_negative(self):
         with pytest.raises(ValueError):
             boundary_point([0.6, 0.5, -0.1])
+
+    def test_equality_and_hash_by_value(self):
+        # the generated `==` compared the array fields as a tuple, whose
+        # truth value numpy refuses, and the generated hash hashed an array
+        x = Logits([1.0, 2.0])
+        assert x == Logits([1.0, 2.0]) and hash(x) == hash(Logits([1.0, 2.0]))
+        assert x != Logits([1.0, 3.0]) and x != Logits([1.0, 2.0, 0.0])
+        assert Logits([0.0, 1.0]) == Logits([-0.0, 1.0])
+        assert hash(Logits([0.0, 1.0])) == hash(Logits([-0.0, 1.0]))
+        s = softmax([1.0, 2.0])
+        assert s == softmax([1.0, 2.0]) and hash(s) == hash(softmax([1.0, 2.0]))
+        assert s != softmax([1.0, 2.5])
+        # `clamped` is metadata: a clamped point equals its probs rebuilt
+        c = softmax(400.0 * np.array([1.0, 0.0, -2.5, 0.3, -0.7]))
+        rebuilt = SimplexPoint(c.probs)
+        assert c.clamped and not rebuilt.clamped
+        assert c == rebuilt and hash(c) == hash(rebuilt)
+        assert len({x, Logits([1.0, 2.0]), s, softmax([1.0, 2.0])}) == 2
+        # other types, the same entries in another type too, are unequal
+        assert Logits([0.5, 0.5]) != SimplexPoint([0.5, 0.5])
+        assert x != [1.0, 2.0] and s != s.probs.tolist()
 
     def test_logits_frozen(self):
         x = Logits(np.array([1.0, 2.0]))

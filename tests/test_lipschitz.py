@@ -333,6 +333,124 @@ def test_one_jacobian_diagonal_per_call(p, monkeypatch):
         assert calls == [point.n if hasattr(point, "n") else point.size]
 
 
+# Conjugate orders (1/r + 1/p = 1, r < 2 < p): J is symmetric, so both
+# brackets of a pair hold the one number ||J||_r = ||J||_p.
+CONJUGATE_PAIRS = [(1.5, 3.0), (1.2, 6.0), (7.0 / 6.0, 7.0)]
+
+
+def pair_grid():
+    """225 seeded (logits, lam): n in {2, 3, 5, 16, 64}, flat (scale 0.1),
+    ordinary and saturated (scale 400) logits, lam in {0.5, 1, 3}."""
+    rng = np.random.default_rng(33)
+    for n in (2, 3, 5, 16, 64):
+        for scale in (0.1, 1.0, 400.0):
+            for _ in range(5):
+                x = scale * rng.standard_normal(n)
+                for lam in (0.5, 1.0, 3.0):
+                    yield x, lam
+
+
+def bracket_bits(est):
+    return est.lower, est.upper, est.exact, est.method, est.witness.tobytes()
+
+
+@pytest.mark.parametrize("r, p", CONJUGATE_PAIRS)
+def test_conjugate_lower_ends_agree(r, p):
+    """The lower end at p is the run at r's dual vector measured at p, which
+    Hoelder keeps at or above the lower end at r, past a few ulp of
+    rounding; separate runs at r and p fell apart (at 66 of these 225
+    points for (1.5, 3) by more than 1e-6 relative)."""
+    assert math.isclose(1.0 / r + 1.0 / p, 1.0)
+    for x, lam in pair_grid():
+        below, above = local_lipschitz(x, lam, r), local_lipschitz(x, lam, p)
+        assert above.lower >= below.lower - 8.0 * math.ulp(below.lower), (x, lam)
+        assert above.lower <= below.upper and below.lower <= above.upper
+
+
+def count_pair_work(monkeypatch):
+    """Count the power iterations and secular solves `local_lipschitz` runs."""
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name, kind in (("_boyd_lower", "power"), ("_secular_witness", "secular")):
+        monkeypatch.setattr(lipschitz, name, counting(kind, getattr(lipschitz, name)))
+    return calls
+
+
+class TestHeldPair:
+    """The one-point memo of a conjugate pair (`lipschitz._held_pair`)."""
+
+    def test_second_order_of_a_pair_runs_no_iteration(self, monkeypatch):
+        calls = count_pair_work(monkeypatch)
+        x = np.random.default_rng(34).standard_normal(16)
+        local_lipschitz(x, 1.0, 1.5)
+        assert calls == ["secular", "power"]
+        local_lipschitz(softmax(x, 1.0), 1.0, 3.0)  # the same point
+        local_lipschitz(x, 1.0, 1.5)
+        local_lipschitz(x, 1.0, 3.0)
+        assert calls == ["secular", "power"]
+        calls.clear()
+        local_lipschitz(x, 1.0, 6.0)  # another pair: r = 1.2
+        local_lipschitz(x, 2.0, 6.0)  # another lam
+        assert calls == ["secular", "power"] * 2
+
+    @pytest.mark.parametrize("as_point", [False, True])
+    def test_history_does_not_move_a_bit(self, as_point):
+        rng = np.random.default_rng(35)
+        for n, scale in ((2, 1.0), (5, 0.1), (16, 1.0), (64, 4.0), (9, 400.0)):
+            x = scale * rng.standard_normal(n)
+            for lam in (0.5, 3.0):
+                point = softmax(x, lam) if as_point else x
+                for first, second in ((1.5, 3.0), (3.0, 1.5), (1.2, 6.0), (7.0, 7.0 / 6.0)):
+                    lipschitz._held_pair.clear()
+                    cold = bracket_bits(local_lipschitz(point, lam, second))
+                    lipschitz._held_pair.clear()
+                    local_lipschitz(point, lam, first)
+                    assert bracket_bits(local_lipschitz(point, lam, second)) == cold
+                    # the other form of the same point reads the held pair
+                    other = x if as_point else softmax(x, lam)
+                    assert bracket_bits(local_lipschitz(other, lam, second)) == cold
+
+    def test_keys_in_turn_get_their_own_brackets(self):
+        rng = np.random.default_rng(36)
+        x = rng.standard_normal(12)
+        y = x.copy()
+        y[3] = np.nextafter(y[3], np.inf)  # one ulp apart: another point
+        calls = [(v, lam, p) for v in (x, y, 3.0 * x) for lam in (1.0, 2.0) for p in (1.5, 3.0, 6.0)]
+        cold = []
+        for v, lam, p in calls:
+            lipschitz._held_pair.clear()
+            cold.append(bracket_bits(local_lipschitz(v, lam, p)))
+        lipschitz._held_pair.clear()
+        for k in np.random.default_rng(37).integers(0, len(calls), 200):
+            v, lam, p = calls[k]
+            assert bracket_bits(local_lipschitz(v, lam, p)) == cold[k], calls[k]
+
+    def test_holds_one_point_read_only(self):
+        assert lipschitz._held_pair.info() == (0, 0)
+        rng = np.random.default_rng(38)
+        for n in (2, 16, 64):
+            x = rng.standard_normal(n)
+            for p in (1.2, 2.0, 1.0, "inf", 1.5, 3.0):
+                est = local_lipschitz(x, 1.0, p)
+                assert lipschitz._held_pair.info() == (1, 2 * n + 2)
+            held = lipschitz._held_pair._held[1]
+            assert all(not arr.flags.writeable for arr in held[2:])
+            first = bracket_bits(est)
+            est.witness[:] = 0.0  # the caller's witness is its own
+            again = local_lipschitz(x, 1.0, 3.0)
+            assert bracket_bits(again) == first
+            assert not any(np.shares_memory(again.witness, arr) for arr in held[2:])
+        lipschitz._held_pair.clear()
+        assert lipschitz._held_pair.info() == (0, 0)
+
+
 def assert_holds(ratio, est):
     """A ratio realized by the dense power iteration lies under the bracket's
     upper end, exact or not: an exact bracket keeps its outward upper end."""
