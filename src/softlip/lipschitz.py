@@ -10,8 +10,10 @@ the O(n) product V -> J V below and, above, by the smallest of the
 interpolation bound, the Riesz-Thorin bound from ||J||_1 = ||J||_inf and
 ||J||_2, and lam/2. J is symmetric, so ||J||_p = ||J||_q for 1/p + 1/q = 1:
 the two orders of a conjugate pair share one power iteration, run at the
-order below 2, and a one-point memo (`_held_pair`: the last point's pair,
-2n + 2 floats) lets the pair's second call at that point reuse it. A call
+order below 2 from the point's top eigenvector and e_i1 - e_i2, and a
+one-point memo (`_held_pair`: the last point's ||J||_2, top eigenvector
+and pair, 3n + 2 floats) lets a p = 2 call and both orders of a pair at
+that point share one secular solve and one iteration. A call
 sets its point up once: the softmax point (validated with the logits, not
 again), one Jacobian diagonal that the closed form, the row map and the
 secular witness share, and each ratio's two norms from one `row_norms`
@@ -39,6 +41,7 @@ from softlip.core import (
     _jacobian_diagonal,
     _jacobian_times,
     _secular_witness,
+    _vector_hash,
     boundary_point,
     jacobian,  # not called here; perfbench/spans.py wraps this name
     softmax,
@@ -96,6 +99,8 @@ class LimitSequenceStep:
     `certified_ratio` is the realized ratio ||M(s) v||_p with the two-point
     witness v; `closed_form` is 1/2 - 2 delta (1 - delta), which equals
     1/2 - epsilon by the choice of delta. The two must agree to 1e-12.
+    Equality compares `s` by value (`np.array_equal`), and the hash agrees
+    with it.
     """
 
     k: int
@@ -113,6 +118,17 @@ class LimitSequenceStep:
                 f"certified ratio {self.certified_ratio!r} disagrees with "
                 f"closed form {self.closed_form!r}"
             )
+
+    def _scalars(self) -> tuple:
+        return self.k, self.epsilon, self.delta, self.certified_ratio, self.closed_form
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scalars() == other._scalars() and np.array_equal(self.s, other.s)
+
+    def __hash__(self):
+        return hash((self._scalars(), _vector_hash(self.s)))
 
 
 @dataclass(frozen=True)
@@ -150,12 +166,14 @@ def closed_form_linf(s) -> float:
     return 2.0 * float(_jacobian_diagonal(probs)[0].max())
 
 
-class _PairMemo:
-    """The last point's conjugate pair for `local_lipschitz`, held read-only
-    under a lock: one entry, whose key is (probs.tobytes(), lam, r) and
-    whose value is (||J||_2, the order-r lower end, its witness v, the dual
-    witness z of v), 2n + 2 floats beside the key's n. The value is a
-    function of the key alone, so a held pair has the bits that computing
+class _PointMemo:
+    """The last point's secular solve and power iteration for
+    `local_lipschitz`, held read-only under a lock: one entry, whose key is
+    (probs.tobytes(), lam) and whose value is (||J||_2, the top
+    eigenvector w, run), where run is None or, for the last order r below
+    2 alone, (r, the order-r lower end, its witness v, the dual witness z
+    of v): at most 3n + 2 floats beside the key's n. The value is a
+    function of the key alone, so a held entry has the bits that computing
     it again gives."""
 
     def __init__(self):
@@ -167,11 +185,11 @@ class _PairMemo:
             held = self._held
         return held[1] if held is not None and held[0] == key else None
 
-    def put(self, key, pair: tuple) -> None:
-        for arr in pair[2:]:
+    def put(self, key, two: float, w: np.ndarray, run: Optional[tuple] = None) -> None:
+        for arr in (w, *(run[2:] if run else ())):
             arr.flags.writeable = False
         with self._lock:
-            self._held = (key, pair)
+            self._held = (key, (two, w, run))
 
     def clear(self) -> None:
         with self._lock:
@@ -183,13 +201,14 @@ class _PairMemo:
             held = self._held
         if held is None:
             return 0, 0
-        _, _, v, z = held[1]
-        return 1, 2 + v.size + z.size
+        _, w, run = held[1]
+        return 1, 1 + w.size + (1 + run[2].size + run[3].size if run else 0)
 
 
-#: Both orders of a conjugate pair at one point share one power iteration:
-#: a warm pass over many points gets no more hits than a cold one.
-_held_pair = _PairMemo()
+#: The p = 2 call and both orders of a conjugate pair at one point share
+#: one secular solve and one power iteration: a warm pass over many points
+#: gets no more hits than a cold one.
+_held_pair = _PointMemo()
 
 
 def global_bound(t: Union[Temperature, float]) -> float:
@@ -217,15 +236,18 @@ def local_lipschitz(
 
     The ratio below comes from one power iteration (`opnorm._boyd_lower`)
     at r = p for p < 2 and at the conjugate r = p/(p-1) for p > 2, since
-    ||J||_p = ||J^T||_q = ||J||_q. At p < 2 it is that run's ratio and
-    witness v; at p > 2 the witness is the run's dual vector
+    ||J||_p = ||J^T||_q = ||J||_q. It starts from two rows, the point's own
+    witnesses: w, exact at p = 2, and the attaining direction e_i1 - e_i2
+    on the two largest entries of s (w is +-(e_i1 - e_i2)/sqrt(2) where
+    they tie, and at n = 2). At p < 2 the lower end is that run's ratio
+    and witness v; at p > 2 the witness is the run's dual vector
     z = psi_r(J v) (`opnorm._dual_witness`) and the ratio ||J z||_p /
     ||z||_p, measured at p, which Hoelder keeps at or above the r run's
-    ratio. The point's ||J||_2, the r run's ratio, v and z are held for
-    the last key (probs bytes, lam, r) alone (`_held_pair`), so the pair's
-    second call at a point skips the secular solve and the iteration; each
-    bracket is a function of (point, lam, p), the same bits whichever
-    order came first.
+    ratio. The point's ||J||_2 and w are held for the last key (probs
+    bytes, lam), and the r run's ratio, v and z for its last r alone
+    (`_held_pair`), so a p = 2 call and both orders of a pair at a point
+    share one secular solve and one iteration; each bracket is a function
+    of (point, lam, p), the same bits whichever order came first.
 
     Each call takes `core._jacobian_diagonal` once and hands it to the
     closed form, `_jacobian_times` and `_secular_witness`, and takes the
@@ -246,21 +268,29 @@ def local_lipschitz(
             wit = np.sign(_jacobian_times(probs, 1.0, diagonal)(wit[None])[0])
         return NormEstimate(one, one, exact=True, method="2s(1-s) closed form", witness=wit)
     apply = _jacobian_times(probs, lam, diagonal)
+    key = (probs.tobytes(), lam)
+    held = _held_pair.get(key)
+    if held is None:
+        w = _secular_witness(probs, diagonal)
+        two, run = _ratio(apply(w[None]), w[None], 2.0), None
+    else:
+        two, w, run = held
     if order.is_two:
-        wit = _secular_witness(probs, diagonal)
-        two = _ratio(apply(wit[None]), wit[None], 2.0)
-        return NormEstimate(two, two, exact=True, method="secular equation", witness=wit)
+        if held is None:
+            _held_pair.put(key, two, w)
+        return NormEstimate(two, two, exact=True, method="secular equation", witness=w.copy())
     # the pair's one iteration runs at the order below 2
     r = order.p if order.p < 2.0 else order.p / (order.p - 1.0)
-    key = (probs.tobytes(), lam, r)
-    pair = _held_pair.get(key)
-    if pair is None:
-        wit = _secular_witness(probs, diagonal)
-        two = _ratio(apply(wit[None]), wit[None], 2.0)
-        lower, v = _boyd_lower(apply, apply, NormOrder(r), s.n)
-        pair = (two, lower, v, _dual_witness(apply, v, r))
-        _held_pair.put(key, pair)
-    two, lower, wit, dual = pair
+    if run is None or run[0] != r:
+        # start from w and the attaining direction e_i1 - e_i2 on the two
+        # largest entries of s (`rest` is s with s_i1 set to 0)
+        _, i1, _, rest = diagonal
+        attaining = np.zeros(s.n)
+        attaining[i1], attaining[int(rest.argmax())] = 1.0, -1.0
+        lower, v = _boyd_lower(apply, apply, NormOrder(r), np.stack((w, attaining)))
+        run = (r, lower, v, _dual_witness(apply, v, r))
+        _held_pair.put(key, two, w, run)
+    _, lower, wit, dual = run
     if order.p > 2.0:  # ||J||_p = ||J||_r; the dual witness is measured at p
         lower, wit = _ratio(apply(dual[None]), dual[None], order), dual
     # a ratio rounded above lam/2 (by an ulp at s = (1/2, 1/2)) is lam/2

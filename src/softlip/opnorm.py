@@ -11,17 +11,19 @@ end is the smaller of the interpolation bound ||A||_1^(1/p) *
 relative 1e-9 are marked exact and the upper end stays outward. The
 power iteration (`_boyd_lower`) sees A only through its row maps
 V -> V A^T and U -> U A, so an operator with a cheap product (the softmax
-Jacobian, say) never needs its dense matrix. It starts from fixed
-restart rows, kept read-only for the last 4 sizes n (`_restart_block`,
-64 n bytes each), scaled by their p-norms, kept for the last 64 pairs
-(n, p) (`_restart_norms`: 8 floats, 64 bytes of data, each whatever n
-is), so no call takes a norm of that block. `_bracket` builds the same
-bracket from a lower end found elsewhere: `lipschitz.local_lipschitz`,
-whose Jacobian is symmetric (||J||_p = ||J||_q for 1/p + 1/q = 1), runs
-one iteration per conjugate pair at the order r below 2, takes the run's
-dual vector psi_r(J v) (`_dual_witness`) as the witness at p > 2, and
-holds the last point's pair in a one-point memo (2n + 2 floats). The
-dense 2-norm forms one Gram matrix (`_gram`), of A scaled by the power of
+Jacobian, say) never needs its dense matrix. It starts from the rows
+its caller gives, each scaled by its p-norm, and stops when two sweeps in
+a row raise the best ratio by no more than 1e-13 of itself, whatever the
+operator's scale. A dense matrix starts from fixed restart rows, kept
+read-only for the last 4 sizes n (`_restart_block`, 64 n bytes each).
+`_bracket` builds the same bracket from a lower end found elsewhere:
+`lipschitz.local_lipschitz`, whose Jacobian is symmetric (||J||_p =
+||J||_q for 1/p + 1/q = 1), runs one iteration per conjugate pair at the
+order r below 2 from the point's own two witnesses (its top eigenvector
+and e_i1 - e_i2), takes the run's dual vector psi_r(J v)
+(`_dual_witness`) as the witness at p > 2, and holds the last point's
+secular solve and pair in a one-point memo (3n + 2 floats). The dense
+2-norm forms one Gram matrix (`_gram`), of A scaled by the power of
 two that brings its largest entry into [1/2, 1).
 `_upper_norms` is the one policy for certified upper ends of ||A||_p and
 ||A^T||_p of a dense matrix without power iteration, which the game
@@ -513,28 +515,15 @@ def _restart_block(n: int) -> np.ndarray:
     return block
 
 
-#: How many (n, p) pairs `_restart_norms` keeps.
-_RESTART_NORMS_KEPT = 64
-
-
-@functools.lru_cache(maxsize=_RESTART_NORMS_KEPT)
-def _restart_norms(n: int, p: float) -> np.ndarray:
-    """`row_norms` of `_restart_block(n)` at order p: read-only, and kept
-    for the last _RESTART_NORMS_KEPT pairs (n, p) asked for, each
-    _BOYD_RESTARTS floats (64 bytes), whatever n is."""
-    norms = row_norms(_restart_block(n), p)
-    norms.flags.writeable = False
-    return norms
-
-
 def _boyd_lower(
     apply: Callable[[np.ndarray], np.ndarray],
     apply_t: Callable[[np.ndarray], np.ndarray],
     order: NormOrder,
-    n: int,
+    starts: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Best realized ratio ||A v||_p over the restart rows `_restart_block(n)`,
-    each first scaled by its cached norm (`_restart_norms`).
+    """Best realized ratio ||A v||_p over power iterations from the caller's
+    start rows `starts` (a 2-D block, one row per restart), each first
+    scaled by its p-norm (`row_norms`; a zero row is left as it is).
 
     A enters only through its row maps: apply(V) = V A^T (each row v to
     A v) and apply_t(U) = U A (each row u to A^T u). One dual-norm power
@@ -544,12 +533,15 @@ def _boyd_lower(
     entry first, and that one |U| / max gives both the sweep's ratio and
     psi_p; norms within the loop are vectorized, with numpy's power for
     the root (`row_norms` takes libm's). Row maxima come from
-    `core._row_max`; a block of _BOYD_RESTARTS rows always takes its
-    per-row reduce. A row mapped to 0 (the all-ones restart of a matrix
-    with zero row sums, say) stays 0 rather than dividing by its zero
-    norm; its ratio was recorded on the sweep before. Returns
-    (ratio, witness), the ratio measured once more from the witness through
-    `apply` and `row_norms` (`_ratio`), so it is reproducible to the last ulp.
+    `core._row_max`; a block of fewer than `core._NARROW` (32) rows takes its
+    per-row reduce. The iteration stops after two sweeps in a row that do
+    not raise the best ratio by more than _BOYD_STALL_TOL of itself, a
+    test that reads the same at every scale of A, or after _BOYD_MAX_ITER
+    sweeps. A row mapped to 0 (the all-ones restart of a matrix with zero
+    row sums, say) stays 0 rather than dividing by its zero norm; its ratio
+    was recorded on the sweep before. Returns (ratio, witness), the ratio
+    measured once more from the witness through `apply` and `row_norms`
+    (`_ratio`), so it is reproducible to the last ulp.
     """
     p = order.p
     inv_p, dual_expo = 1.0 / p, 1.0 / (p - 1.0)
@@ -559,8 +551,8 @@ def _boyd_lower(
     # n 2^-1022.
     floor_u = _TINY**dual_expo if p > 2.0 else 0.0  # for D = R^(p-1)
     floor_w = _TINY ** (p - 1.0) if p < 2.0 else 0.0  # for T^(1/(p-1))
-    norms = _restart_norms(n, p)
-    V = _restart_block(n) / np.where(norms == 0.0, 1.0, norms)[:, None]
+    norms = row_norms(starts, order)
+    V = starts / np.where(norms == 0.0, 1.0, norms)[:, None]
     best_ratio = -1.0
     best_witness = V[0].copy()
     stalled = 0
@@ -577,7 +569,7 @@ def _boyd_lower(
             D = R ** (p - 1.0)  # |psi_p(u)| / max|u|^(p-1)
             ratios = m * np.vecdot(R, D) ** inv_p  # ||u||_p, since ||v||_p = 1
             j = int(ratios.argmax())
-            if ratios[j] > best_ratio + _BOYD_STALL_TOL * max(1.0, best_ratio):
+            if ratios[j] > best_ratio + _BOYD_STALL_TOL * best_ratio:
                 best_ratio = float(ratios[j])
                 best_witness = V[j].copy()
                 stalled = 0
@@ -619,8 +611,8 @@ def _power_bracket(
 ) -> NormEstimate:
     """The certified bracket of ||A||_p for a general order, A an operator on
     R^n seen through its row maps: `_bracket` with the lower end and
-    witness of `_boyd_lower` over `_restart_block(n)`."""
-    lower, witness = _boyd_lower(apply, apply_t, order, n)
+    witness of `_boyd_lower` from the rows `_restart_block(n)`."""
+    lower, witness = _boyd_lower(apply, apply_t, order, _restart_block(n))
     return _bracket(order, one, two, inf, lower, witness, cap, cap_name)
 
 

@@ -367,6 +367,21 @@ def test_conjugate_lower_ends_agree(r, p):
         assert above.lower <= below.upper and below.lower <= above.upper
 
 
+def test_restart_rows_reach_the_better_maximum():
+    """The local iteration starts from the point's own witnesses (the top
+    eigenvector and e_i1 - e_i2) with a stop test relative to the ratio.
+    From 8 generic rows, the conjugate r = 1.2 run settled on a lower
+    maximum at this grid point (p = 6 lower end 0.01933 under 0.02828),
+    and at logit scale 400 the absolute stop test ended the run at a lower
+    end 1e-95 under an upper end of 4.08e-40."""
+    x, lam = list(pair_grid())[((4 * 3 + 1) * 5 + 3) * 3]  # n = 64, scale 1, draw 3, lam 0.5
+    assert x.size == 64 and lam == 0.5
+    assert local_lipschitz(x, lam, 6.0).lower >= 0.02404
+    worst = local_lipschitz(400.0 * np.random.default_rng(1).standard_normal(512), 1.0, 3.0)
+    assert worst.lower >= 0.99 * worst.upper
+    assert worst.upper == pytest.approx(4.08e-40, rel=1e-3)
+
+
 def count_pair_work(monkeypatch):
     """Count the power iterations and secular solves `local_lipschitz` runs."""
     calls = []
@@ -384,7 +399,8 @@ def count_pair_work(monkeypatch):
 
 
 class TestHeldPair:
-    """The one-point memo of a conjugate pair (`lipschitz._held_pair`)."""
+    """The one-point memo of a point's secular solve and conjugate pair
+    (`lipschitz._held_pair`)."""
 
     def test_second_order_of_a_pair_runs_no_iteration(self, monkeypatch):
         calls = count_pair_work(monkeypatch)
@@ -394,11 +410,27 @@ class TestHeldPair:
         local_lipschitz(softmax(x, 1.0), 1.0, 3.0)  # the same point
         local_lipschitz(x, 1.0, 1.5)
         local_lipschitz(x, 1.0, 3.0)
+        local_lipschitz(x, 1.0, 2.0)
         assert calls == ["secular", "power"]
         calls.clear()
-        local_lipschitz(x, 1.0, 6.0)  # another pair: r = 1.2
+        local_lipschitz(x, 1.0, 6.0)  # another pair at the point: r = 1.2
         local_lipschitz(x, 2.0, 6.0)  # another lam
-        assert calls == ["secular", "power"] * 2
+        assert calls == ["power", "secular", "power"]
+
+    def test_two_and_a_pair_share_one_secular_solve(self, monkeypatch):
+        calls = count_pair_work(monkeypatch)
+        x = np.random.default_rng(39).standard_normal(64)
+        two = local_lipschitz(x, 1.0, 2.0)
+        assert calls == ["secular"] and lipschitz._held_pair.info() == (1, 64 + 1)
+        local_lipschitz(x, 1.0, 1.5)
+        local_lipschitz(x, 1.0, 3.0)
+        assert calls == ["secular", "power"] and lipschitz._held_pair.info() == (1, 3 * 64 + 2)
+        # each call's witness is its own copy, writeable
+        again = local_lipschitz(x, 1.0, 2.0)
+        assert bracket_bits(again) == bracket_bits(two) and again.witness.flags.writeable
+        again.witness[:] = 0.0
+        assert bracket_bits(local_lipschitz(x, 1.0, 2.0)) == bracket_bits(two)
+        assert calls == ["secular", "power"]
 
     @pytest.mark.parametrize("as_point", [False, True])
     def test_history_does_not_move_a_bit(self, as_point):
@@ -407,7 +439,10 @@ class TestHeldPair:
             x = scale * rng.standard_normal(n)
             for lam in (0.5, 3.0):
                 point = softmax(x, lam) if as_point else x
-                for first, second in ((1.5, 3.0), (3.0, 1.5), (1.2, 6.0), (7.0, 7.0 / 6.0)):
+                for first, second in (
+                    (1.5, 3.0), (3.0, 1.5), (1.2, 6.0), (7.0, 7.0 / 6.0),
+                    (2.0, 1.5), (2.0, 7.0), (1.5, 2.0), (6.0, 1.5),
+                ):
                     lipschitz._held_pair.clear()
                     cold = bracket_bits(local_lipschitz(point, lam, second))
                     lipschitz._held_pair.clear()
@@ -422,7 +457,9 @@ class TestHeldPair:
         x = rng.standard_normal(12)
         y = x.copy()
         y[3] = np.nextafter(y[3], np.inf)  # one ulp apart: another point
-        calls = [(v, lam, p) for v in (x, y, 3.0 * x) for lam in (1.0, 2.0) for p in (1.5, 3.0, 6.0)]
+        calls = [
+            (v, lam, p) for v in (x, y, 3.0 * x) for lam in (1.0, 2.0) for p in (1.5, 2.0, 3.0, 6.0)
+        ]
         cold = []
         for v, lam, p in calls:
             lipschitz._held_pair.clear()
@@ -439,14 +476,15 @@ class TestHeldPair:
             x = rng.standard_normal(n)
             for p in (1.2, 2.0, 1.0, "inf", 1.5, 3.0):
                 est = local_lipschitz(x, 1.0, p)
-                assert lipschitz._held_pair.info() == (1, 2 * n + 2)
-            held = lipschitz._held_pair._held[1]
-            assert all(not arr.flags.writeable for arr in held[2:])
+                assert lipschitz._held_pair.info() == (1, 3 * n + 2)
+            _, w, (_, _, v, z) = lipschitz._held_pair._held[1]
+            held = (w, v, z)
+            assert all(not arr.flags.writeable for arr in held)
             first = bracket_bits(est)
             est.witness[:] = 0.0  # the caller's witness is its own
             again = local_lipschitz(x, 1.0, 3.0)
             assert bracket_bits(again) == first
-            assert not any(np.shares_memory(again.witness, arr) for arr in held[2:])
+            assert not any(np.shares_memory(again.witness, arr) for arr in held)
         lipschitz._held_pair.clear()
         assert lipschitz._held_pair.info() == (0, 0)
 
@@ -685,6 +723,16 @@ class TestWitnessLimitSequence:
     def test_near_collapse(self):
         (step,) = witness_limit_sequence(5, 2, [0.5 - 1e-15])
         assert step.certified_ratio == pytest.approx(0.0, abs=2e-15)
+
+    def test_steps_compare_by_value(self):
+        # the generated dataclass __eq__ compared `s` as a tuple field, whose
+        # truth value numpy refuses, and the generated hash failed on the array
+        (a,), (b,) = witness_limit_sequence(5, 2, [0.1]), witness_limit_sequence(5, 2, [0.1])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != witness_limit_sequence(5, 2, [0.2])[0]
+        assert a != witness_limit_sequence(6, 2, [0.1])[0]  # another n
+        assert a != witness_limit_sequence(5, 2, [0.05, 0.1])[1]  # another k alone
+        assert a.__eq__(a.s) is NotImplemented
 
     def test_rejections(self):
         with pytest.raises(ValueError):

@@ -625,14 +625,30 @@ class TestFrozenBoydBrackets:
         assert opnorm._restart_block(n) is block and not block.flags.writeable
         fresh = opnorm._restart_block.__wrapped__(n)
         assert block.shape == (opnorm._BOYD_RESTARTS, n) and block.tobytes() == fresh.tobytes()
-        # the rows' norms, kept per (n, p) in a bounded cache of
-        # _BOYD_RESTARTS floats each, are those of a fresh block
-        assert opnorm._restart_norms.cache_info().maxsize == opnorm._RESTART_NORMS_KEPT
-        for p in (1.5, 3.0):
-            norms = opnorm._restart_norms(n, p)
-            assert opnorm._restart_norms(n, p) is norms and not norms.flags.writeable
-            assert norms.shape == (opnorm._BOYD_RESTARTS,)
-            assert norms.tobytes() == opnorm.row_norms(fresh, p).tobytes()
+
+    @pytest.mark.parametrize("seed, shape, p", [
+        (1, (4, 4), 1.5), (2, (8, 8), 3.0), (9, (12, 40), 3.0), (5, (64, 64), 1.5),
+    ])
+    def test_matrix_lower_end_is_scale_free(self, seed, shape, p):
+        # every step of the iteration, its stop test included, commutes with
+        # an exact power-of-two scale; a stop test absolute below 1 ended
+        # the run on 2^-40 A sweeps early
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+        est = opnorm_p_estimate(a, p)
+        for k in (-40, 40):
+            scaled = opnorm_p_estimate(np.ldexp(a, k), p)
+            assert scaled.lower == math.ldexp(est.lower, k)
+            assert scaled.witness.tobytes() == est.witness.tobytes()
+
+    @pytest.mark.parametrize("seed, n, p", [(23, 16, 1.5), (27, 64, 1.5), (28, 64, 3.0)])
+    def test_jacobian_lower_end_is_scale_free(self, seed, n, p):
+        # at one point s, lam 2^k scales J = lam (Diag(s) - s s^T) exactly
+        s = softmax(np.random.default_rng(seed).normal(scale=2.0, size=n), 1.0)
+        est = local_lipschitz(s, 1.0, p)
+        for k in (-40, -10):
+            scaled = local_lipschitz(s, math.ldexp(1.0, k), p)
+            assert scaled.lower == math.ldexp(est.lower, k)
+            assert scaled.witness.tobytes() == est.witness.tobytes()
 
 
 class TestMaxoutStrictness:
