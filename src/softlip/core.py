@@ -12,6 +12,7 @@ eigenvector in O(n) from the secular equation of the rank-one update.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import struct
@@ -400,13 +401,47 @@ def _jacobian_times(
     return times
 
 
+#: One float64, packed and unpacked: the bit patterns of `_float_bits`.
+_F64 = struct.Struct("<d")
+
+
 def _float_bits(x: float) -> int:
     # For floats >= 0 the bit patterns, read as integers, keep their order.
-    return struct.unpack("<q", struct.pack("<d", x))[0]
+    return int.from_bytes(_F64.pack(x), "little", signed=True)
 
 
 def _bits_float(bits: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
+    return _F64.unpack(bits.to_bytes(8, "little", signed=True))[0]
+
+
+#: The secular solve's model steps; then it bisects bit patterns alone.
+_SECULAR_MODEL_STEPS = 16
+
+
+def _model_step(f: float, slope: float, t: float, pole: float, count: int, gap: float) -> float:
+    """The step from t to the root in (0, gap) of the model
+    F(t) = k o^2 / t + c - a / (gap - t) of `_secular_witness`, with o =
+    `pole` and k = `count`, whose c and a match F = `f` and F' = `slope` at
+    t; NaN where the floats give none. The step is t u for the root u of
+    c t u^2 + b u - f (gap - t) = 0, with b written without cancellation
+    and the three coefficients scaled by the largest before squaring, so
+    the step keeps its relative accuracy as f nears 0, at any scale."""
+    try:
+        span = gap - t
+        near = count * pole * (pole / t)  # k o^2 / t, with no o^2 to underflow
+        rest = slope + near / t  # the slope of F without its pole at 0
+        quad = (f - near - rest * span) * t
+        lin = f * (2.0 * t - gap) + near * span - rest * t * span
+        const = -f * span
+        scale = max(abs(quad), abs(lin), abs(const))
+        quad, lin, const = quad / scale, lin / scale, const / scale
+        lin += math.copysign(math.sqrt(lin * lin - 4.0 * quad * const), lin)
+        u = -2.0 * const / lin
+        if not 0.0 < t + t * u < gap and quad:  # the other root
+            u = -lin / (2.0 * quad)
+        return t * u
+    except (ValueError, ZeroDivisionError):
+        return math.nan
 
 
 def _secular_witness(probs: np.ndarray, diagonal: Optional[tuple] = None) -> np.ndarray:
@@ -424,20 +459,26 @@ def _secular_witness(probs: np.ndarray, diagonal: Optional[tuple] = None) -> np.
     decreasing between the two poles, and w_i = s_i / (s_i - mu). The root
     is searched in t = |mu - o|, its offset from the pole o in {s_(2),
     s_(1)} on its side of the midpoint, so s_i - mu = (s_i - o) -+ t keeps
-    its relative accuracy. The search keeps a bracket (lo, hi] of float bit
-    patterns of t and ends when they are adjacent floats. Inside it, it
-    takes regula falsi steps on h(t) = t f(mu) / o (sign-adjusted), which
-    removes the pole at t = 0: that is the rational model c / t + d of f
-    with its pole at the origin, and h(0) is the pole's residue over o. An
-    Illinois halving keeps both ends moving. A step bisects the bit
-    patterns instead when the last two steps did not halve the bracket, so
-    every three steps at least halve it: at most 3 x 63 steps, against 63
-    for bisection alone and about 8 to 17 in practice. The last bracket is
-    the one bisection ends on wherever the sign of f is monotone in t.
-    Saturated rows stay accurate: the i1 term is (d_i1 - mu) / (s_i1 - mu)
-    with d_i1 from `_jacobian_diagonal`, which does not cancel when s_i1
-    is near 1; s_i^2 is never formed, since it underflows for s_i below
-    1e-154; and w is scaled by t <= |s_i - mu|, so no entry overflows.
+    its relative accuracy. The search keeps a bracket (lo, hi] of floats t
+    and ends when they are adjacent. Each step evaluates f and f' at one
+    float inside it, and takes the next from a two-pole rational model of
+    f fitted there (Bunch, Nielsen and Sorensen 1978; Li 1993): the pole
+    at o with its weight k o^2 (k entries equal o), and the other pole of
+    the pair, at distance D = s_(1) - s_(2), with a constant and a weight
+    matched to the rest's value and slope. Its root converges
+    quadratically; taken at least one float inside the bracket, it moves
+    an end by a float or more each step, so the bracket closes within a
+    float or two of the root. A model root that is not finite or not
+    inside the bracket, and every step after _SECULAR_MODEL_STEPS, bisects
+    the bracket's bit patterns instead: at most 1 + 16 + 63 evaluations,
+    against 63 for bisection alone, and 5 to 6 on average in practice,
+    against 11 to 15 for the regula falsi steps this replaced. The last
+    bracket is the one bisection ends on wherever the sign of f is
+    monotone in t. Saturated rows stay accurate: the i1 term
+    is (d_i1 - mu) / (s_i1 - mu) with d_i1 from `_jacobian_diagonal`,
+    which does not cancel when s_i1 is near 1; s_i^2 is never formed,
+    since it underflows for s_i below 1e-154; and w is scaled by
+    t <= |s_i - mu|, so no entry overflows.
     """
     n = probs.size
     i2, i1 = np.argpartition(probs, n - 2)[n - 2:]
@@ -451,49 +492,42 @@ def _secular_witness(probs: np.ndarray, diagonal: Optional[tuple] = None) -> np.
     diag = float(entries[i1])  # entry (i1, i1) of Diag(s) - s s^T
     buf = np.empty(n)
 
-    def secular(shifted: np.ndarray, origin: float, d: float) -> float:
-        # f(origin + d), with shifted = probs - origin
+    def secular(shifted: np.ndarray, origin: float, d: float) -> tuple[float, float]:
+        # f and f' at origin + d, with shifted = probs - origin
         np.subtract(shifted, d, out=buf)
-        np.divide(rest, buf, out=buf)
-        return (diag - origin - d) / (s1 - origin - d) - float(rest @ buf)
+        np.divide(rest, buf, out=buf)  # s_i / (s_i - mu), 0 at i1
+        top = s1 - origin - d
+        pole = s1 / top
+        f = (diag - origin - d) / top - float(rest @ buf)
+        return f, -pole * pole - float(np.vecdot(buf, buf))
 
-    half = 0.5 * (s1 - s2)
+    gap = s1 - s2
+    half = 0.5 * gap
     shifted = probs - s2
-    f_half = secular(shifted, s2, half)
-    if f_half > 0.0:  # the root lies above the midpoint
-        origin, sign = s1, -1.0
-        shifted = probs - s1
-        h_lo = s1  # residue s_(1)^2 of the pole, over the scale s_(1)
-    else:
-        origin, sign = s2, 1.0
-        h_lo = float(np.count_nonzero(probs == s2)) * s2
-    # h(t) = t / origin * sign * f(origin + sign t): positive below the root
-    h_hi = half / origin * (sign * f_half)
-    lo, hi = 0, _float_bits(half)  # t lies in (lo, hi]
-    widths = (2 * hi, 2 * hi)  # bracket widths before the last two steps
-    held = 0  # +1 / -1 when lo / hi moved on the last step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if 2 * (hi - lo) <= widths[0] and h_lo >= 0.0 >= h_hi and h_lo > h_hi:
-            t_lo, t_hi = _bits_float(lo), _bits_float(hi)
-            t = t_lo + (t_hi - t_lo) * (h_lo / (h_lo - h_hi))
-            if t_lo <= t <= t_hi:
-                mid = min(max(_float_bits(t), lo + 1), hi - 1)
-        widths = (widths[1], hi - lo)
-        t = _bits_float(mid)
-        f = secular(shifted, origin, sign * t)
-        h = t / origin * (sign * f)
-        if (f > 0.0) == (sign > 0.0):  # the root lies beyond t
-            lo, h_lo = mid, h
-            if held == 1:
-                h_hi *= 0.5
-            held = 1
+    # near the poles f' overflows to -inf; the model then bisects
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, slope = secular(shifted, s2, half)
+        if f > 0.0:  # the root lies above the midpoint
+            origin, sign, count = s1, -1.0, 1
+            shifted = probs - s1
         else:
-            hi, h_hi = mid, h
-            if held == -1:
-                h_lo *= 0.5
-            held = -1
-    dist = _bits_float(lo or hi)
+            origin, sign, count = s2, 1.0, int(np.count_nonzero(probs == s2))
+        lo, hi, t = 0.0, half, half  # t lies in (lo, hi]
+        for step in itertools.count():
+            up = math.nextafter(lo, math.inf)
+            if up >= hi:
+                break
+            root = t + _model_step(sign * f, slope, t, origin, count, gap)
+            if step < _SECULAR_MODEL_STEPS and lo <= root <= hi and root > 0.0:
+                t = min(max(root, up), math.nextafter(hi, 0.0))
+            else:
+                t = _bits_float((_float_bits(lo) + _float_bits(hi)) // 2)
+            f, slope = secular(shifted, origin, sign * t)
+            if (f > 0.0) == (sign > 0.0):  # the root lies beyond t
+                lo = t
+            else:
+                hi = t
+    dist = lo or hi
     wit = probs * (dist / (shifted - sign * dist))
     wit /= np.abs(wit).max()
     wit /= np.sqrt(np.vecdot(wit, wit))  # `row_norms` at p = 2: no entry exceeds 1

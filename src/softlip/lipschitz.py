@@ -10,14 +10,16 @@ the O(n) product V -> J V below and, above, by the smallest of the
 interpolation bound, the Riesz-Thorin bound from ||J||_1 = ||J||_inf and
 ||J||_2, and lam/2. J is symmetric, so ||J||_p = ||J||_q for 1/p + 1/q = 1:
 the two orders of a conjugate pair share one power iteration, run at the
-order below 2 from the point's top eigenvector and e_i1 - e_i2, and a
-one-point memo (`_held_pair`: the last point's ||J||_2, top eigenvector
-and pair, 3n + 2 floats) lets a p = 2 call and both orders of a pair at
-that point share one secular solve and one iteration. A call
-sets its point up once: the softmax point (validated with the logits, not
-again), one Jacobian diagonal that the closed form, the row map and the
-secular witness share, and each ratio's two norms from one `row_norms`
-call. This module computes those constants, builds the witnesses that
+order below 2 from the point's top eigenvector and e_i1 - e_i2. Each
+point is set up once: a one-point memo (`_held_pair`) keeps the last
+point's softmax, its Jacobian diagonal (which the closed form, the row
+map and the secular witness share), its row map, ||J||_2 with the top
+eigenvector, and its pair, about 10n floats. So the five orders
+(1, 1.5, 2, 3, inf) at one point take one softmax, one diagonal, one row
+map, one secular solve and one iteration, whether the point comes as
+logits (found by their bytes, not validated again) or as the
+SimplexPoint. Each ratio takes its two norms from one `row_norms` call.
+This module computes those constants, builds the witnesses that
 show lam/2 is sharp (an attaining point for p in {1, inf}, an interior
 sequence approaching it for 1 < p < inf, and a concrete near-attaining
 secant pair), checks co-coercivity, and evaluates the refined
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -166,30 +168,68 @@ def closed_form_linf(s) -> float:
     return 2.0 * float(_jacobian_diagonal(probs)[0].max())
 
 
+class _HeldPoint(NamedTuple):
+    """One point's setup and results for `local_lipschitz`, all read-only:
+    the logits it came from (None for a point given as a SimplexPoint),
+    lam, the softmax `probs`, `core._jacobian_diagonal(probs)`, and, once
+    computed, the row map of J, ||J||_2 with the top eigenvector w, and
+    `run`: for the last order r below 2 alone, (r, the order-r lower end,
+    its witness v, the dual witness z of v). Every field is a function of
+    (probs, lam), and of the logits where those are held."""
+
+    logits: Optional[np.ndarray]
+    lam: float
+    probs: np.ndarray
+    diagonal: tuple
+    apply: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    two: Optional[float] = None
+    w: Optional[np.ndarray] = None
+    run: Optional[tuple] = None
+
+
+def _same_bits(held: np.ndarray, values: np.ndarray) -> bool:
+    """Whether two float64 vectors hold the same bytes (-0.0 is not 0.0),
+    compared in place: no copy of either, at any n."""
+    return (
+        held.shape == values.shape
+        and held[0] == values[0]  # most other points differ here already
+        and np.array_equal(held.view(np.int64), values.view(np.int64))
+    )
+
+
+def _held_floats(value) -> int:
+    """The floats an entry of `_PointMemo` holds, those its row map closes
+    over included."""
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, float):
+        return 1
+    if isinstance(value, tuple):
+        return sum(map(_held_floats, value))
+    if callable(value):
+        return sum(_held_floats(cell.cell_contents) for cell in value.__closure__ or ())
+    return 0
+
+
 class _PointMemo:
-    """The last point's secular solve and power iteration for
-    `local_lipschitz`, held read-only under a lock: one entry, whose key is
-    (probs.tobytes(), lam) and whose value is (||J||_2, the top
-    eigenvector w, run), where run is None or, for the last order r below
-    2 alone, (r, the order-r lower end, its witness v, the dual witness z
-    of v): at most 3n + 2 floats beside the key's n. The value is a
-    function of the key alone, so a held entry has the bits that computing
-    it again gives."""
+    """The last point `local_lipschitz` set up, held under a lock: one
+    `_HeldPoint`, whose arrays are read-only. A call finds it by the bytes
+    of its logits and lam, or, given a SimplexPoint or logits whose softmax
+    has the held bytes, by its probs and lam. The entry is a function of
+    that key alone, so a held entry has the bits that computing it again
+    gives."""
 
     def __init__(self):
         self._held = None
         self._lock = threading.Lock()
 
-    def get(self, key) -> Optional[tuple]:
+    def get(self) -> Optional[_HeldPoint]:
         with self._lock:
-            held = self._held
-        return held[1] if held is not None and held[0] == key else None
+            return self._held
 
-    def put(self, key, two: float, w: np.ndarray, run: Optional[tuple] = None) -> None:
-        for arr in (w, *(run[2:] if run else ())):
-            arr.flags.writeable = False
+    def put(self, held: _HeldPoint) -> None:
         with self._lock:
-            self._held = (key, (two, w, run))
+            self._held = held
 
     def clear(self) -> None:
         with self._lock:
@@ -197,18 +237,50 @@ class _PointMemo:
 
     def info(self) -> tuple[int, int]:
         """The points and the floats held."""
-        with self._lock:
-            held = self._held
-        if held is None:
-            return 0, 0
-        _, w, run = held[1]
-        return 1, 1 + w.size + (1 + run[2].size + run[3].size if run else 0)
+        held = self.get()
+        return (0, 0) if held is None else (1, _held_floats(tuple(held)))
 
 
-#: The p = 2 call and both orders of a conjugate pair at one point share
-#: one secular solve and one power iteration: a warm pass over many points
+#: A call at the held point reuses its softmax, diagonal and row map, and
+#: the p = 2 call and both orders of a conjugate pair there share one
+#: secular solve and one power iteration: a warm pass over many points
 #: gets no more hits than a cold one.
 _held_pair = _PointMemo()
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    """`arrays`, made read-only for `_held_pair`."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _point(x, lam: float) -> _HeldPoint:
+    """The held setup of the logits or SimplexPoint `x` at lam, or a new one
+    (not yet held). Logits with the held bytes skip their validation, which
+    the same bytes already passed; other logits are validated by `softmax`.
+    The logits and the softmax come read-only from `Logits` and `softmax`
+    (or the SimplexPoint)."""
+    held = _held_pair.get()
+    if isinstance(x, SimplexPoint):
+        logits, probs = None, x.probs
+    else:
+        values = x.values if isinstance(x, Logits) else np.asarray(x, dtype=np.float64)
+        if (
+            held is not None
+            and held.lam == lam
+            and held.logits is not None
+            and _same_bits(held.logits, values)
+        ):
+            return held
+        logits = x if isinstance(x, Logits) else Logits(values)
+        probs = softmax(logits, lam).probs
+        logits = logits.values
+    if held is not None and held.lam == lam and _same_bits(held.probs, probs):
+        return held if logits is None else held._replace(logits=logits)
+    entries, i, comp, rest = _jacobian_diagonal(probs)
+    _frozen(entries, rest)
+    return _HeldPoint(logits, lam, probs, (entries, i, comp, rest))
 
 
 def global_bound(t: Union[Temperature, float]) -> float:
@@ -243,58 +315,70 @@ def local_lipschitz(
     and witness v; at p > 2 the witness is the run's dual vector
     z = psi_r(J v) (`opnorm._dual_witness`) and the ratio ||J z||_p /
     ||z||_p, measured at p, which Hoelder keeps at or above the r run's
-    ratio. The point's ||J||_2 and w are held for the last key (probs
-    bytes, lam), and the r run's ratio, v and z for its last r alone
-    (`_held_pair`), so a p = 2 call and both orders of a pair at a point
-    share one secular solve and one iteration; each bracket is a function
-    of (point, lam, p), the same bits whichever order came first.
+    ratio.
 
-    Each call takes `core._jacobian_diagonal` once and hands it to the
-    closed form, `_jacobian_times` and `_secular_witness`, and takes the
-    p = 2 ratio's two norms from one `row_norms` call (`opnorm._ratio`); the
-    bits are those of each part computing its own.
+    The last point's setup is held (`_held_pair`, `_HeldPoint`): its
+    logits' bytes and lam, or its probs' bytes and lam where it came as a
+    SimplexPoint (or as other logits with the same softmax), find its
+    softmax, its `core._jacobian_diagonal` (which the closed form,
+    `_jacobian_times` and `_secular_witness` share), its row map, ||J||_2
+    with w, and the r run's ratio, v and z for its last r alone. Logits
+    with the held bytes skip the `Logits` validation, which those bytes
+    passed; they are compared in place, with no copy, at any n. So the
+    orders at one point share one softmax, one diagonal, one row map, one
+    secular solve and one iteration per pair (at lam = 1 the inf witness
+    reads the same row map too). The entry is a function of its key
+    alone: each bracket is a function of (point, lam, p), the same bits
+    whichever order and form came first, and a warm pass over many points
+    gets no more hits than a cold one. The p = 2 ratio takes its two
+    norms from one `row_norms` call (`opnorm._ratio`); the bits are those
+    of each part computing its own.
     """
     order = NormOrder.of(p)
     lam = Temperature.of(t).lam
-    s = x if isinstance(x, SimplexPoint) else softmax(x, lam)
-    probs = s.probs
-    diagonal = _jacobian_diagonal(probs)
+    held, estimate = _bracket_at(_point(x, lam), order)
+    _held_pair.put(held)
+    return estimate
+
+
+def _bracket_at(held: _HeldPoint, order: NormOrder) -> tuple[_HeldPoint, NormEstimate]:
+    """`local_lipschitz` at the point `held` sets up: the bracket, and the
+    entry with what it computed added."""
+    probs, lam, diagonal = held.probs, held.lam, held.diagonal
     top = int(diagonal[0].argmax())  # the largest column sum
     one = lam * (2.0 * float(diagonal[0][top]))  # ||J||_1 = ||J||_inf: `closed_form_linf`
+    if held.apply is None and not (order.is_one or (order.is_infinity and lam != 1.0)):
+        # J's row map, held for the other orders; at lam = 1 the inf witness reads it
+        held = held._replace(apply=_jacobian_times(probs, lam, diagonal))
     if order.is_one or order.is_infinity:
-        wit = np.zeros(s.n)
+        wit = np.zeros(probs.size)
         wit[top] = 1.0
         if order.is_infinity:  # row i of J is J e_i; its signs realize the row sum
-            wit = np.sign(_jacobian_times(probs, 1.0, diagonal)(wit[None])[0])
-        return NormEstimate(one, one, exact=True, method="2s(1-s) closed form", witness=wit)
-    apply = _jacobian_times(probs, lam, diagonal)
-    key = (probs.tobytes(), lam)
-    held = _held_pair.get(key)
-    if held is None:
-        w = _secular_witness(probs, diagonal)
-        two, run = _ratio(apply(w[None]), w[None], 2.0), None
-    else:
-        two, w, run = held
+            unit = held.apply if lam == 1.0 else _jacobian_times(probs, 1.0, diagonal)
+            wit = np.sign(unit(wit[None])[0])
+        return held, NormEstimate(one, one, exact=True, method="2s(1-s) closed form", witness=wit)
+    apply = held.apply
+    if held.w is None:
+        (w,) = _frozen(_secular_witness(probs, diagonal))
+        held = held._replace(two=_ratio(apply(w[None]), w[None], 2.0), w=w)
+    two, w = held.two, held.w
     if order.is_two:
-        if held is None:
-            _held_pair.put(key, two, w)
-        return NormEstimate(two, two, exact=True, method="secular equation", witness=w.copy())
+        return held, NormEstimate(two, two, exact=True, method="secular equation", witness=w.copy())
     # the pair's one iteration runs at the order below 2
     r = order.p if order.p < 2.0 else order.p / (order.p - 1.0)
-    if run is None or run[0] != r:
+    if held.run is None or held.run[0] != r:
         # start from w and the attaining direction e_i1 - e_i2 on the two
         # largest entries of s (`rest` is s with s_i1 set to 0)
         _, i1, _, rest = diagonal
-        attaining = np.zeros(s.n)
+        attaining = np.zeros(probs.size)
         attaining[i1], attaining[int(rest.argmax())] = 1.0, -1.0
         lower, v = _boyd_lower(apply, apply, NormOrder(r), np.stack((w, attaining)))
-        run = (r, lower, v, _dual_witness(apply, v, r))
-        _held_pair.put(key, two, w, run)
-    _, lower, wit, dual = run
+        held = held._replace(run=(r, lower, *_frozen(v, _dual_witness(apply, v, r))))
+    _, lower, wit, dual = held.run
     if order.p > 2.0:  # ||J||_p = ||J||_r; the dual witness is measured at p
         lower, wit = _ratio(apply(dual[None]), dual[None], order), dual
     # a ratio rounded above lam/2 (by an ulp at s = (1/2, 1/2)) is lam/2
-    return _bracket(
+    return held, _bracket(
         order, one, two, one, lower, wit.copy(), cap=global_bound(lam), cap_name="lam/2 cap"
     )
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import softlip.core as core
 import softlip.lipschitz as lipschitz
 import softlip.opnorm as opnorm_module
-from softlip.core import _jacobian_times, m_of_s, softmax
+from softlip.core import Logits, _jacobian_times, m_of_s, softmax
 from softlip.fixtures import example_logits
 from softlip.lipschitz import (
     ScsaParams,
@@ -315,8 +315,8 @@ def count_jacobian_rows(monkeypatch):
 @pytest.mark.parametrize("p", [1, 1.2, 1.5, 2, 3, 7, "inf"])
 def test_one_jacobian_diagonal_per_call(p, monkeypatch):
     """The closed form, the row map and the secular witness share the
-    diagonal `local_lipschitz` takes once, from logits or from a point, at
-    a tied top entry too."""
+    diagonal a cold `local_lipschitz` call takes once, from logits or from
+    a point, at a tied top entry too."""
     calls = []
     diagonal = core._jacobian_diagonal
 
@@ -329,6 +329,7 @@ def test_one_jacobian_diagonal_per_call(p, monkeypatch):
     x = np.random.default_rng(13).standard_normal(12)
     for point in (x, softmax(x, 2.0), np.array([1.0, 1.0, 0.0, -2.0])):
         calls.clear()
+        lipschitz._held_pair.clear()
         local_lipschitz(point, 2.0, p)
         assert calls == [point.n if hasattr(point, "n") else point.size]
 
@@ -398,9 +399,17 @@ def count_pair_work(monkeypatch):
     return calls
 
 
+def held_floats(n, pair=False):
+    """The floats `_held_pair` holds for one point of n logits: the logits,
+    lam, the softmax, the Jacobian diagonal (2n + 1), the row map ([s, r]
+    and lam s, 3n + 2), ||J||_2 and w, and, with a pair, its order, lower
+    end, v and z."""
+    return 8 * n + 5 + (2 * n + 2 if pair else 0)
+
+
 class TestHeldPair:
-    """The one-point memo of a point's secular solve and conjugate pair
-    (`lipschitz._held_pair`)."""
+    """The one-point memo of a point's setup, secular solve and conjugate
+    pair (`lipschitz._held_pair`)."""
 
     def test_second_order_of_a_pair_runs_no_iteration(self, monkeypatch):
         calls = count_pair_work(monkeypatch)
@@ -421,10 +430,11 @@ class TestHeldPair:
         calls = count_pair_work(monkeypatch)
         x = np.random.default_rng(39).standard_normal(64)
         two = local_lipschitz(x, 1.0, 2.0)
-        assert calls == ["secular"] and lipschitz._held_pair.info() == (1, 64 + 1)
+        assert calls == ["secular"] and lipschitz._held_pair.info() == (1, held_floats(64))
         local_lipschitz(x, 1.0, 1.5)
         local_lipschitz(x, 1.0, 3.0)
-        assert calls == ["secular", "power"] and lipschitz._held_pair.info() == (1, 3 * 64 + 2)
+        assert calls == ["secular", "power"]
+        assert lipschitz._held_pair.info() == (1, held_floats(64, pair=True))
         # each call's witness is its own copy, writeable
         again = local_lipschitz(x, 1.0, 2.0)
         assert bracket_bits(again) == bracket_bits(two) and again.witness.flags.writeable
@@ -476,10 +486,13 @@ class TestHeldPair:
             x = rng.standard_normal(n)
             for p in (1.2, 2.0, 1.0, "inf", 1.5, 3.0):
                 est = local_lipschitz(x, 1.0, p)
-                assert lipschitz._held_pair.info() == (1, 3 * n + 2)
-            _, w, (_, _, v, z) = lipschitz._held_pair._held[1]
-            held = (w, v, z)
+                assert lipschitz._held_pair.info() == (1, held_floats(n, pair=True))
+            entry = lipschitz._held_pair.get()
+            d, _, _, rest = entry.diagonal
+            _, _, v, z = entry.run
+            held = (entry.logits, entry.probs, d, rest, entry.w, v, z)
             assert all(not arr.flags.writeable for arr in held)
+            assert not any(np.shares_memory(x, arr) for arr in held)  # the caller's x is its own
             first = bracket_bits(est)
             est.witness[:] = 0.0  # the caller's witness is its own
             again = local_lipschitz(x, 1.0, 3.0)
@@ -487,6 +500,215 @@ class TestHeldPair:
             assert not any(np.shares_memory(again.witness, arr) for arr in held)
         lipschitz._held_pair.clear()
         assert lipschitz._held_pair.info() == (0, 0)
+
+
+def count_setups(monkeypatch):
+    """Count the softmaxes, Jacobian diagonals and row maps (by lam)
+    `local_lipschitz` builds."""
+    calls = {"softmax": [], "diagonal": [], "row map": []}
+
+    def counting(name, fn, record=lambda *args: None):
+        def counted(*args, **kwargs):
+            calls[name].append(record(*args))
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(lipschitz, "softmax", counting("softmax", lipschitz.softmax))
+    monkeypatch.setattr(
+        lipschitz, "_jacobian_diagonal", counting("diagonal", lipschitz._jacobian_diagonal)
+    )
+    monkeypatch.setattr(
+        lipschitz,
+        "_jacobian_times",
+        counting("row map", lipschitz._jacobian_times, lambda probs, lam=1.0, diagonal=None: lam),
+    )
+    return calls
+
+
+ORDERS = (2.0, 1.0, 1.5, 3.0, "inf")
+
+
+class TestHeldPoint:
+    """A call at the held point reuses its softmax, diagonal and row map."""
+
+    def test_one_setup_per_point(self, monkeypatch):
+        x = np.random.default_rng(40).standard_normal(64)
+        point = softmax(x, 1.0)
+        calls = count_setups(monkeypatch)
+        for p in ORDERS:
+            local_lipschitz(x, 1.0, p)
+        assert {k: len(v) for k, v in calls.items()} == {"softmax": 1, "diagonal": 1, "row map": 1}
+        for p in ORDERS:  # the point itself builds none of them again
+            local_lipschitz(point, 1.0, p)
+            local_lipschitz(Logits(x), 1.0, p)
+        assert {k: len(v) for k, v in calls.items()} == {"softmax": 1, "diagonal": 1, "row map": 1}
+        # at another lam the inf witness takes its signs from the map at lam 1
+        for p in ORDERS:
+            local_lipschitz(x, 2.5, p)
+        assert calls == {"softmax": [None] * 2, "diagonal": [None] * 2, "row map": [1.0, 2.5, 1.0]}
+
+    def test_given_point_first(self, monkeypatch):
+        x = np.random.default_rng(41).standard_normal(16)
+        point = softmax(x, 1.5)
+        calls = count_setups(monkeypatch)
+        for p in ORDERS:
+            local_lipschitz(point, 1.5, p)
+        # logits whose softmax has the held bytes keep the point's setup
+        for p in ORDERS:
+            local_lipschitz(x, 1.5, p)
+        assert len(calls["softmax"]) == 1 and len(calls["diagonal"]) == 1
+        assert calls["row map"].count(1.5) == 1
+
+    def test_each_key_gets_its_own_entry(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal(12)
+        x[5] = 0.0
+        ulp = x.copy()
+        ulp[3] = np.nextafter(ulp[3], np.inf)
+        signed = x.copy()
+        signed[5] = -0.0  # equal values, other bytes
+        inputs = [
+            (x, 1.0), (ulp, 1.0), (x, 2.0), (x[:-1], 1.0), (np.append(x, 0.25), 1.0), (signed, 1.0)
+        ]
+        cold = []
+        for v, lam in inputs:
+            lipschitz._held_pair.clear()
+            cold.append([bracket_bits(local_lipschitz(v, lam, p)) for p in ORDERS])
+        calls = count_setups(monkeypatch)
+        lipschitz._held_pair.clear()
+        for k in np.random.default_rng(43).integers(0, len(inputs), 60):
+            v, lam = inputs[k]
+            softmaxes = len(calls["softmax"])
+            assert [bracket_bits(local_lipschitz(v, lam, p)) for p in ORDERS] == cold[k]
+            assert len(calls["softmax"]) <= softmaxes + 1  # one per key, not per order
+        assert cold[5] == cold[0]  # -0.0 and 0.0 give one softmax, in two entries
+
+    def test_held_bytes_are_checked_each_call(self):
+        x = np.random.default_rng(44).standard_normal(8)
+        first = bracket_bits(local_lipschitz(x, 1.0, 1.5))
+        x[2] += 1.0  # the caller's array changes: the memo held a copy
+        moved = bracket_bits(local_lipschitz(x, 1.0, 1.5))
+        lipschitz._held_pair.clear()
+        assert moved == bracket_bits(local_lipschitz(x, 1.0, 1.5)) != first
+        # the held bytes in another shape, and other bytes, are validated
+        with pytest.raises(ValueError, match="1-D vector"):
+            local_lipschitz(x.reshape(2, 4), 1.0, 1.5)
+        x[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            local_lipschitz(x, 1.0, 1.5)
+
+    @pytest.mark.parametrize("form", ["array", "list", "logits", "point"])
+    def test_cold_and_warm_keep_their_bits(self, form):
+        rng = np.random.default_rng(45)
+        for n, scale in ((2, 1.0), (5, 0.1), (64, 2.0), (9, 400.0)):
+            x = scale * rng.standard_normal(n)
+            for lam in (0.5, 1.0, 3.0):
+                forms = {"array": x, "list": list(x), "logits": Logits(x), "point": softmax(x, lam)}
+                v = forms[form]
+                cold = []
+                for p in ORDERS + (1.2, 6.0):
+                    lipschitz._held_pair.clear()
+                    cold.append(bracket_bits(local_lipschitz(v, lam, p)))
+                for _ in range(2):
+                    warm = [bracket_bits(local_lipschitz(v, lam, p)) for p in ORDERS + (1.2, 6.0)]
+                    assert warm == cold
+
+
+# The applications of J that `local_lipschitz` made at p = 1.5 over the
+# 124 general-p points of the benchmark's `jacobian-wide` workload at seed
+# 41, each point a cold call, before its power iteration extrapolated its
+# best row: a count no host's speed moves. It made 3018 with it.
+PLAIN_APPLIES = 3776
+
+
+def jacobian_wide_points(seed=41):
+    """The `jacobian-wide` logit vectors that take general-p brackets."""
+    rng = np.random.default_rng(seed)
+    sizes = [64] * 120 + [512] * 4
+    return [(1 << (k % 3)) * rng.standard_normal(n) for k, n in enumerate(sizes)]
+
+
+def test_extrapolation_saves_sweeps(monkeypatch):
+    _, rows = count_jacobian_rows(monkeypatch)
+    for x in jacobian_wide_points():
+        local_lipschitz(x, 1.0, 1.5)
+    assert len(rows) <= 0.85 * PLAIN_APPLIES
+
+
+def test_extrapolated_winner_realizes_its_lower_end(monkeypatch):
+    """At this point the iteration's best row is one it extrapolated; the
+    lower end is still the ratio its stored witness gives, bit for bit."""
+    x = jacobian_wide_points()[2]
+    extrapolated = []
+    norms = opnorm_module.row_norms
+
+    def recording(rows, p):
+        out = norms(rows, p)
+        if rows.shape[0] == 1:  # only an extrapolated row is normalized alone
+            extrapolated.append(rows[0] / out[0])
+        return out
+
+    monkeypatch.setattr(opnorm_module, "row_norms", recording)
+    est = local_lipschitz(x, 1.0, 1.5)
+    assert any(np.array_equal(est.witness, row) for row in extrapolated)
+    apply = _jacobian_times(softmax(x, 1.0).probs, 1.0)
+    for p in (1.5, 3.0):
+        est = local_lipschitz(x, 1.0, p)
+        w = est.witness[None]
+        assert est.lower == opnorm_module._ratio(apply(w), w, p)
+
+
+# ROADMAP item 4's 120 brackets: n in {64, 512}, 15 logit scales 4 to 400,
+# draws 0 and 1, p in {1.5, 3}, lam = 1. These are the lower ends before
+# the power iteration extrapolated; none may fall by more than 1e-12 of
+# its upper end.
+PLAIN_LOWER_ENDS = [
+    0.28961135639721286, 0.2896113563972168, 0.3359852261471467, 0.3359852261471477,
+    0.33586915753526286, 0.33586915753526947, 0.2735316615882086, 0.2735316615882091,
+    0.17014186458670125, 0.1701418645867015, 0.0748147045240454, 0.0748147045240497,
+    0.021377184203793878, 0.02137718420379388, 0.0035827899181084238, 0.003582789918108485,
+    0.000299062356685076, 0.00029906235668507596, 9.58903950913491e-06, 9.589039509135046e-06,
+    8.106031571589923e-08, 8.106031571589923e-08, 1.0700131093594522e-10, 1.070013109359452e-10,
+    1.0681136007893548e-14, 1.0681136007893548e-14, 2.9483340474789884e-20, 2.9483340474789884e-20,
+    5.563075767284917e-28, 5.563075767284917e-28, 0.3162397940695934, 0.31623979406959535,
+    0.26591051566805457, 0.2659105156680547, 0.16082526894704974, 0.1608252689470528,
+    0.06892705519092288, 0.06892705519092567, 0.019477581670465927, 0.019477581670465934,
+    0.0032359761022450156, 0.0032359761022450156, 0.0002646558205220329, 0.0002646558205220329,
+    8.162546667226192e-06, 8.162546667226192e-06, 6.49705494745508e-08, 6.497054947455079e-08,
+    7.871370984029051e-11, 7.871370984029063e-11, 6.972004842681578e-15, 6.972004842681577e-15,
+    1.6298943489676334e-20, 1.6298943489676334e-20, 2.4413772371155186e-28, 2.4413772371155186e-28,
+    3.277126946693947e-39, 3.277126946693947e-39, 2.5627217903741458e-54, 2.562721790374146e-54,
+    0.4598597210304794, 0.45985972103048073, 0.47343021988450124, 0.4734302198845013,
+    0.45960061247818, 0.45960061247817996, 0.4268793483539352, 0.42687934835393504,
+    0.3711143996896331, 0.37111439968963295, 0.2878802679316909, 0.28788026793169136,
+    0.1852720305899746, 0.1852720305899746, 0.09013389535516095, 0.09013389535516095,
+    0.029906719673640853, 0.02990671967364086, 0.006034911536599467, 0.006034911536599467,
+    0.0006344320312235597, 0.0006344320312235597, 2.7545442043370242e-05, 2.754544204337024e-05,
+    3.5215698787268706e-07, 3.521569878726871e-07, 8.240803614908866e-10, 8.240803614908867e-10,
+    1.8219263328500782e-13, 1.8219263328500785e-13, 0.34433730984505256, 0.34433730984506,
+    0.3305988300881035, 0.33059883008811053, 0.251181517765291, 0.2511815177652912,
+    0.14733333894444595, 0.14733333894444595, 0.06233095775000763, 0.06233095775000802,
+    0.017296159508844704, 0.0172961595088447, 0.00277586609067095, 0.0027758660906709504,
+    0.00021474383209745443, 0.00021474383209745446, 6.110780311294722e-06, 6.110780311294724e-06,
+    4.3456890941420854e-08, 4.3456890941420854e-08, 4.501589265539035e-11, 4.5015892655390344e-11,
+    3.2073670453972933e-15, 3.207367045397293e-15, 5.541266578898356e-21, 5.541266578898356e-21,
+    5.4523811406935e-29, 5.452381140693499e-29, 4.08191589329668e-40, 4.08191589329668e-40
+]
+
+
+def test_extrapolation_keeps_every_lower_end():
+    gaps, k = [], 0
+    for seed in (0, 1):
+        for n in (64, 512):
+            x = np.random.default_rng(seed).standard_normal(n)
+            for scale in np.geomspace(4.0, 400.0, 15):
+                for p in (1.5, 3.0):
+                    est = local_lipschitz(scale * x, 1.0, p)
+                    assert est.lower >= PLAIN_LOWER_ENDS[k] - 1e-12 * est.upper, (seed, n, scale, p)
+                    gaps.append((est.upper - est.lower) / est.upper)
+                    k += 1
+    assert k == len(PLAIN_LOWER_ENDS) and np.quantile(gaps, 0.9) <= 0.10
 
 
 def assert_holds(ratio, est):
